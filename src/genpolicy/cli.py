@@ -100,6 +100,11 @@ def _gmpg_config(cfg: ExperimentConfig) -> GmpgConfig:
                       batch_size=p.gmpg_batch_size, lr=p.gmpg_lr, variant=p.variant)
 
 
+def _check_n(args, minimum: int) -> None:
+    if args.n < minimum:
+        raise ConfigError(f"--n must be >= {minimum}, got {args.n}")
+
+
 def _prepare_out(cfg: ExperimentConfig) -> str:
     out = cfg.output_dir()
     os.makedirs(out, exist_ok=True)
@@ -197,6 +202,7 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_sample(cfg: ExperimentConfig, args) -> None:
+    _check_n(args, 1)
     out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
@@ -211,6 +217,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_logprob(cfg: ExperimentConfig, args) -> None:
+    _check_n(args, 0)
     out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
@@ -227,6 +234,7 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_eval(cfg: ExperimentConfig, args) -> None:
+    _check_n(args, 1)
     out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
@@ -245,6 +253,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
+    _check_n(args, 1)
     out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
@@ -305,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "--n": dict(type=int, default=1024)})
     add("logprob", **{"--dataset": dict(default=None),
                       "--checkpoint": dict(required=True),
-                      "--n": dict(type=int, default=0)})
+                      "--n": dict(type=int, default=0,
+                                  help="rows to score; 0 scores every row")})
     add("eval", **{"--dataset": dict(default=None),
                    "--checkpoint": dict(required=True),
                    "--n": dict(type=int, default=1024)})

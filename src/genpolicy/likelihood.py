@@ -11,11 +11,17 @@ so integrating data -> prior yields log p(x_data) = log N(z; 0, I) - l_T,
 and generating noise -> data yields log p(sample) = log N(z0; 0, I) + l_T.
 
 The Jacobian trace is computed through the model's explicit
-Jacobian-vector product, which keeps everything first-order on the tape:
-exact mode sums d basis JVP sweeps, Hutchinson mode averages eps^T J eps
-over probes drawn once per call (shared across steps, standard practice;
-each probe then yields an independent estimate of the whole integral,
-which is what the reported standard error is computed from).
+Jacobian-vector product, which keeps everything first-order on the tape.
+Each right-hand-side evaluation makes one JVP call: the network's forward
+pass runs once, and all tangents go through one sweep, stacked as k
+blocks of rows (the d basis vectors in exact mode, which are summed to
+the exact trace; the P probes in Hutchinson mode, each giving
+eps^T J eps). The same call returns the velocity, so the state update
+needs no further forward pass. Hutchinson probes are drawn once per call
+(shared across steps, standard practice; each probe then yields an
+independent estimate of the whole integral, which is what the reported
+standard error is computed from). The log-density accumulators are kept
+as (n_estimates, batch), probe-major like the stacked tangents.
 """
 
 from __future__ import annotations
@@ -72,47 +78,36 @@ def _draw_probes(dist: str, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
-def _basis(d: int, batch: int):
-    eye = np.eye(d)
-    return [Tensor(np.tile(eye[i], (batch, 1))) for i in range(d)]
+def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
+    """(velocity, per-sample trace estimates) from one JVP call, on the tape.
 
-
-def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None) -> Tensor:
-    """Per-sample trace estimates, shape (batch, n_estimates), on the tape.
-
-    ``jvp_fn(x, t, u) -> (v, J u)``. Exact mode returns one column (the
-    exact trace); Hutchinson mode one column per probe.
+    ``jvp_fn(x, t, u) -> (v, J u)`` with ``u`` holding k stacked tangent
+    blocks of ``batch`` rows. Exact mode stacks the d basis vectors and
+    returns the exact trace as a (1, batch) row; Hutchinson mode stacks
+    the P probes (``probes`` is (P, batch, d)) and returns one row per
+    probe, (P, batch).
     """
     batch, d = x.shape
     if mode.kind == "exact":
-        cols = []
-        for i, e in enumerate(_basis(d, batch)):
-            _, ju = jvp_fn(x, t, e)
-            cols.append((ju * e.data).sum(axis=1, keepdims=True))
-        total = cols[0]
-        for c in cols[1:]:
-            total = total + c
-        return total
-    cols = []
-    for p in range(mode.n_probes):
-        eps = Tensor(probes[p])
-        _, ju = jvp_fn(x, t, eps)
-        cols.append((ju * eps.data).sum(axis=1, keepdims=True))
-    out = cols[0]
-    if len(cols) > 1:
-        from .tensor import concat
-        out = concat(cols, axis=1)
-    return out
+        u = np.repeat(np.eye(d), batch, axis=0)  # block i is e_i on every row
+    else:
+        u = probes.reshape(-1, d)
+    v, ju = jvp_fn(x, t, Tensor(u))
+    est = (ju * u).sum(axis=1).reshape(-1, batch)
+    if mode.kind == "exact" and d > 1:
+        est = est.sum(axis=0, keepdims=True)
+    return v, est
 
 
 def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
     """Trace of d(field)/dx at (x, t); returns (trace, stderr), numpy.
 
     ``field`` is a callable (Tensor x, t) -> Tensor; if it exposes
-    ``jvp(x, t, u)`` the estimate uses forward sweeps, otherwise reverse
-    sweeps on a detached leaf (d of them in exact mode, one per probe in
-    Hutchinson mode). Standalone evaluation utility; the differentiable
-    path inside log_prob goes through ``trace_with_jvp``.
+    ``jvp(x, t, u)`` the estimate uses one stacked forward sweep (see
+    ``trace_with_jvp``), otherwise reverse sweeps on a detached leaf (d
+    of them in exact mode, one per probe in Hutchinson mode). Standalone
+    evaluation utility; the differentiable path inside log_prob goes
+    through ``trace_with_jvp``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -123,73 +118,53 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
         probes = None
         if mode.kind == "hutchinson":
             probes = _draw_probes(mode.probe_dist, (mode.n_probes, batch, d), rng)
-        est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes).data
+        est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes)[1].data
+    elif mode.kind == "exact":
+        est = np.zeros((1, batch))
+        for i, e in enumerate(np.eye(d)):
+            leaf = Tensor(x, requires_grad=True)
+            (field(leaf, t) * e).sum().backward()
+            est[0] += leaf.grad[:, i]
     else:
-        est = np.zeros((batch, 1 if mode.kind == "exact" else mode.n_probes))
-        if mode.kind == "exact":
-            eye = np.eye(d)
-            acc = np.zeros(batch)
-            for i in range(d):
-                leaf = Tensor(x, requires_grad=True)
-                (field(leaf, t) * eye[i]).sum().backward()
-                acc += leaf.grad[:, i]
-            est = acc[:, None]
-        else:
-            for p in range(mode.n_probes):
-                eps = _draw_probes(mode.probe_dist, (batch, d), rng)
-                leaf = Tensor(x, requires_grad=True)
-                (field(leaf, t) * eps).sum().backward()
-                est[:, p] = (leaf.grad * eps).sum(axis=1)
-    trace = est.mean(axis=1)
-    if est.shape[1] > 1:
-        stderr = est.std(axis=1, ddof=1) / np.sqrt(est.shape[1])
-    else:
-        stderr = np.zeros(batch)
-    return trace, stderr
+        est = np.zeros((mode.n_probes, batch))
+        for p in range(mode.n_probes):
+            eps = _draw_probes(mode.probe_dist, (batch, d), rng)
+            leaf = Tensor(x, requires_grad=True)
+            (field(leaf, t) * eps).sum().backward()
+            est[p] = (leaf.grad * eps).sum(axis=1)
+    return est.mean(axis=0), _stderr_of(est)
 
 
-class _VelocityView:
-    """Velocity field of a model with the condition bound."""
-
-    def __init__(self, model, condition):
-        self.model = model
-        self.condition = condition
-
-    def __call__(self, x, t):
-        return self.model.velocity(x, t, self.condition)
-
-    def jvp(self, x, t, u):
-        return self.model.velocity_jvp(x, t, self.condition, u)
-
-
-def _augmented_integrate(view: _VelocityView, x0: Tensor, t0: float, t1: float,
+def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
                          spec: SolverSpec, mode: TraceMode, probes):
-    """Integrate [x; l] with dl/dt = -trace; returns (x_T, l_T (B,P))."""
+    """Integrate [x; l] with dl/dt = -trace; returns (x_T, l_T (P,B))."""
 
-    def rhs(x, l_unused, t):
-        tr = trace_with_jvp(view.jvp, x, t, mode, probes)
-        v = view(x, t)
+    def jvp_fn(x, t, u):
+        return model.velocity_jvp(x, t, condition, u)
+
+    def rhs(x, t):
+        v, tr = trace_with_jvp(jvp_fn, x, t, mode, probes)
         return v, tr * (-1.0)
 
     h = (t1 - t0) / spec.steps
     batch = x0.shape[0]
     n_est = 1 if mode.kind == "exact" else mode.n_probes
-    x, l = x0, Tensor(np.zeros((batch, n_est)))
+    x, l = x0, Tensor(np.zeros((n_est, batch)))
     for k in range(spec.steps):
         t = t0 + k * h
         try:
             if spec.scheme == "euler":
-                vx, vl = rhs(x, l, t)
+                vx, vl = rhs(x, t)
                 x, l = x + vx * h, l + vl * h
             elif spec.scheme == "midpoint":
-                k1x, k1l = rhs(x, l, t)
-                k2x, k2l = rhs(x + k1x * (h / 2), l, t + h / 2)
+                k1x, k1l = rhs(x, t)
+                k2x, k2l = rhs(x + k1x * (h / 2), t + h / 2)
                 x, l = x + k2x * h, l + k2l * h
             else:  # rk4_38
-                k1x, k1l = rhs(x, l, t)
-                k2x, k2l = rhs(x + k1x * (h / 3), l, t + h / 3)
-                k3x, k3l = rhs(x + (k2x - k1x * (1 / 3)) * h, l, t + 2 * h / 3)
-                k4x, k4l = rhs(x + (k1x - k2x + k3x) * h, l, t + h)
+                k1x, k1l = rhs(x, t)
+                k2x, k2l = rhs(x + k1x * (h / 3), t + h / 3)
+                k3x, k3l = rhs(x + (k2x - k1x * (1 / 3)) * h, t + 2 * h / 3)
+                k4x, k4l = rhs(x + (k1x - k2x + k3x) * h, t + h)
                 x = x + (k1x + k2x * 3 + k3x * 3 + k4x) * (h / 8)
                 l = l + (k1l + k2l * 3 + k3l * 3 + k4l) * (h / 8)
         except NonFiniteError as exc:
@@ -197,10 +172,11 @@ def _augmented_integrate(view: _VelocityView, x0: Tensor, t0: float, t1: float,
     return x, l
 
 
-def _stderr_of(l: Tensor) -> np.ndarray:
-    if l.shape[1] > 1:
-        return l.data.std(axis=1, ddof=1) / np.sqrt(l.shape[1])
-    return np.zeros(l.shape[0])
+def _stderr_of(est: np.ndarray) -> np.ndarray:
+    """Across-estimate standard error of (n_estimates, batch) estimates."""
+    if est.shape[0] > 1:
+        return est.std(axis=0, ddof=1) / np.sqrt(est.shape[0])
+    return np.zeros(est.shape[1])
 
 
 def log_prob(model, x_data, spec: SolverSpec, trace_mode: TraceMode = TraceMode(),
@@ -212,14 +188,14 @@ def log_prob(model, x_data, spec: SolverSpec, trace_mode: TraceMode = TraceMode(
     """
     x = x_data if isinstance(x_data, Tensor) else Tensor(np.asarray(x_data, dtype=float))
     cond_t = None if condition is None else (condition if isinstance(condition, Tensor) else Tensor(condition))
-    view = _VelocityView(model, cond_t)
     sched = model.schedule
     probes = None
     if trace_mode.kind == "hutchinson":
         probes = _draw_probes(trace_mode.probe_dist, (trace_mode.n_probes,) + x.shape, rng)
-    z, l = _augmented_integrate(view, x, sched.data_time, sched.noise_time, spec, trace_mode, probes)
-    logp = prior_logpdf_tensor(z) - l.mean(axis=1)
-    return LogDensityResult(terminal=z, logp=logp, trace_mode=trace_mode, stderr=_stderr_of(l))
+    z, l = _augmented_integrate(model, cond_t, x, sched.data_time, sched.noise_time,
+                                spec, trace_mode, probes)
+    logp = prior_logpdf_tensor(z) - l.mean(axis=0)
+    return LogDensityResult(terminal=z, logp=logp, trace_mode=trace_mode, stderr=_stderr_of(l.data))
 
 
 def generate_with_log_prob(model, n: int, spec: SolverSpec,
@@ -235,11 +211,11 @@ def generate_with_log_prob(model, n: int, spec: SolverSpec,
     d = model.net.x_dim
     z0 = rng.standard_normal((n, d))
     cond_t = None if condition is None else (condition if isinstance(condition, Tensor) else Tensor(condition))
-    view = _VelocityView(model, cond_t)
     sched = model.schedule
     probes = None
     if trace_mode.kind == "hutchinson":
         probes = _draw_probes(trace_mode.probe_dist, (trace_mode.n_probes, n, d), rng)
-    x, l = _augmented_integrate(view, Tensor(z0), sched.noise_time, sched.data_time, spec, trace_mode, probes)
-    logp = Tensor(prior_logpdf(z0)) + l.mean(axis=1)
-    return x, logp, _stderr_of(l)
+    x, l = _augmented_integrate(model, cond_t, Tensor(z0), sched.noise_time, sched.data_time,
+                                spec, trace_mode, probes)
+    logp = Tensor(prior_logpdf(z0)) + l.mean(axis=0)
+    return x, logp, _stderr_of(l.data)

@@ -57,7 +57,11 @@ class GenerativeModel:
         return x * f + out * c
 
     def velocity_jvp(self, x: Tensor, t, condition, u: Tensor):
-        """(velocity, d(velocity)/dx @ u), both on the tape."""
+        """(velocity, d(velocity)/dx @ u), both on the tape.
+
+        ``u`` may stack k tangent blocks of x's B rows (k·B rows, see
+        ``FieldNetwork.jvp``); the tangent result has the same layout.
+        """
         out, dout = self.net.jvp(x, t, condition, u)
         if self.parameterization == "velocity":
             return out, dout

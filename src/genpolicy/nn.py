@@ -1,10 +1,16 @@
 """Multilayer perceptrons and time-feature embeddings on the tensor engine.
 
-``Mlp.forward_jvp`` propagates a tangent vector alongside the forward pass
+``Mlp.forward_jvp`` propagates tangents alongside the forward pass
 (forward-mode through the layers, expressed in taped primitives), so
 Jacobian-vector products remain differentiable with respect to the
 parameters by the ordinary reverse pass. The likelihood module relies on
 this for trainable Jacobian traces.
+
+Tangents come stacked: for a batch of B inputs, ``u`` holds k·B rows,
+k blocks of B rows each, block j being the j-th tangent for every input
+row. The forward pass runs once on the B rows; each layer's activation
+slope is computed once and broadcast over the k blocks, and the output
+tangent has the same k·B-row layout.
 """
 
 from __future__ import annotations
@@ -75,21 +81,31 @@ class Mlp:
         return h @ self.weights[-1] + self.biases[-1]
 
     def forward_jvp(self, x: Tensor, u: Tensor) -> tuple[Tensor, Tensor]:
-        """Forward pass plus the Jacobian-vector product d(out)/dx @ u.
+        """Forward pass plus the Jacobian-vector products d(out)/dx @ u.
 
-        Both results stay on the tape, so the JVP can itself be
-        differentiated with respect to the parameters.
+        ``x`` is (B, in); ``u`` is (k·B, in), k tangent blocks of B rows
+        (row j·B + i is the j-th tangent at input row i). Returns the
+        (B, out) output, op for op the same as ``__call__``, and the
+        (k·B, out) output tangents in the same block layout. Both stay
+        on the tape, so the JVPs can themselves be differentiated with
+        respect to the parameters.
         """
+        rows = x.shape[0]
+        k, rem = divmod(u.shape[0], rows)
+        if rem or k < 1:
+            raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
         h, dh = x, u
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = h @ w + b
             dz = dh @ w
             if self.activation == "tanh":
                 h = z.tanh()
-                dh = (1.0 - h * h) * dz
+                slope = 1.0 - h * h
             else:
                 h = z.sin()
-                dh = z.cos() * dz
+                slope = z.cos()
+            width = dz.shape[1]
+            dh = (dz.reshape(k, rows, width) * slope).reshape(k * rows, width)
         return h @ self.weights[-1] + self.biases[-1], dh @ self.weights[-1]
 
     def freeze(self) -> None:
@@ -136,10 +152,15 @@ class FieldNetwork:
         return self.mlp(self._inputs(x, t, condition))
 
     def jvp(self, x: Tensor, t, condition, u: Tensor) -> tuple[Tensor, Tensor]:
-        """(output, d(output)/dx @ u); the tangent enters through x only."""
+        """(output, d(output)/dx @ u); the tangent enters through x only.
+
+        ``x`` is (B, x_dim) and ``u`` is (k·B, x_dim), k stacked tangent
+        blocks (see ``Mlp.forward_jvp``). The output has B rows, the
+        output tangent k·B rows in the same block layout.
+        """
         inp = self._inputs(x, t, condition)
         pad = inp.shape[1] - self.x_dim
-        du = concat([Tensor(np.zeros((x.shape[0], pad))), u], axis=1)
+        du = concat([Tensor(np.zeros((u.shape[0], pad))), u], axis=1)
         return self.mlp.forward_jvp(inp, du)
 
     def freeze(self) -> None:

@@ -134,9 +134,13 @@ def gmpo_weight(critic, s, a, beta: float, weight_mode: str = "exp_clamp",
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     if weight_mode == "exp_clamp":
-        adv = critic.advantage(s, a)
-        return np.minimum(np.exp(beta * adv), w_max)
+        return exp_clamp_weight(critic.advantage(s, a), beta, w_max)
     raise ValueError("softmax weights are computed per candidate set; use softmax_candidate_weights")
+
+
+def exp_clamp_weight(adv: np.ndarray, beta: float, w_max: float = 100.0) -> np.ndarray:
+    """min(exp(beta * adv), w_max) for advantages already evaluated."""
+    return np.minimum(np.exp(beta * adv), w_max)
 
 
 def softmax_candidate_weights(critic, s, candidates, beta: float) -> np.ndarray:
@@ -178,12 +182,15 @@ class GmpoConfig:
             raise ValueError("softmax mode needs K >= 2 candidates")
 
 
-def _run_weighted_matching(dataset, policy: GenerativePolicy, weight_fn, config: GmpoConfig,
+def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: GmpoConfig,
                            rng: np.random.Generator, on_step=None) -> None:
-    """Shared loop for pretraining (unit weights) and weighted regression.
+    """Shared loop for pretraining, weighted regression and softmax GMPO.
 
-    One rng stream drives batch indices and loss draws, so two runs with
-    identical seeds and identical weight values are bit-identical.
+    ``batch_fn(s, a) -> (states, actions, w, mean_advantage)`` turns the
+    drawn dataset rows into the weighted regression batch. One rng stream
+    drives batch indices, any draws inside ``batch_fn`` and loss draws,
+    so two runs with identical seeds and identical weight values are
+    bit-identical.
     """
     opt = Adam(policy.parameters(), lr=config.lr)
     lr_changes = dict(config.lr_schedule)
@@ -191,8 +198,7 @@ def _run_weighted_matching(dataset, policy: GenerativePolicy, weight_fn, config:
         if step in lr_changes:
             opt.lr = lr_changes[step]
         idx = rng.integers(0, dataset.n, size=min(config.batch_size, dataset.n))
-        s, a = dataset.s[idx], dataset.a[idx]
-        w, mean_adv = weight_fn(s, a)
+        s, a, w, mean_adv = batch_fn(dataset.s[idx], dataset.a[idx])
         opt.zero_grad()
         loss = matching_loss(policy.model, policy.config.schedule, policy.normalize(a),
                              w, rng, condition=s, config=config.matching)
@@ -213,7 +219,7 @@ def pretrain_behavior(dataset, policy: GenerativePolicy, config: GmpoConfig,
         raise ValueError("cannot pretrain on an empty dataset")
 
     def unit_weights(s, a):
-        return np.ones(s.shape[0]), 0.0
+        return s, a, np.ones(s.shape[0]), 0.0
 
     _run_weighted_matching(dataset, policy, unit_weights, config, rng, on_step)
     return policy
@@ -228,35 +234,25 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
     k_candidates actions per state from a pretrained behavior model and
     regresses onto them under softmax(beta Q) weights.
     """
+    if config.beta < 0:
+        raise ValueError("temperature beta must be >= 0")
     if config.weight_mode == "exp_clamp":
-        def weights(s, a):
-            w = gmpo_weight(critic, s, a, config.beta, "exp_clamp", config.w_max)
-            return w, float(np.mean(critic.advantage(s, a)))
+        def batch_fn(s, a):
+            adv = critic.advantage(s, a)
+            return s, a, exp_clamp_weight(adv, config.beta, config.w_max), float(np.mean(adv))
+    else:
+        if behavior is None:
+            raise ValueError("softmax weight mode needs a pretrained behavior policy")
+        k = config.k_candidates
 
-        _run_weighted_matching(dataset, policy, weights, config, rng, on_step)
-        return policy
+        def batch_fn(s, a):
+            s_rep = np.repeat(s, k, axis=0)
+            cand = behavior.sample_actions(s_rep, rng).reshape(s.shape[0], k, -1)
+            w = softmax_candidate_weights(critic, s, cand, config.beta)
+            flat = cand.reshape(s.shape[0] * k, -1)
+            return s_rep, flat, w.reshape(-1), float(np.mean(critic.advantage(s_rep, flat)))
 
-    if behavior is None:
-        raise ValueError("softmax weight mode needs a pretrained behavior policy")
-    opt = Adam(policy.parameters(), lr=config.lr)
-    k = config.k_candidates
-    for step in range(config.steps):
-        idx = rng.integers(0, dataset.n, size=min(config.batch_size, dataset.n))
-        s = dataset.s[idx]
-        s_rep = np.repeat(s, k, axis=0)
-        cand = behavior.sample_actions(s_rep, rng).reshape(len(idx), k, -1)
-        w = softmax_candidate_weights(critic, s, cand, config.beta)
-        opt.zero_grad()
-        loss = matching_loss(policy.model, policy.config.schedule,
-                             policy.normalize(cand.reshape(len(idx) * k, -1)),
-                             w.reshape(-1), rng, condition=s_rep, config=config.matching)
-        loss.backward()
-        opt.step()
-        if not np.isfinite(float(loss.data)):
-            raise TrainingDivergedError(f"matching loss non-finite at step {step}")
-        if on_step is not None:
-            on_step(step, {"loss": float(loss.data), "mean_weight": float(w.mean()),
-                           "mean_advantage": float(np.mean(critic.advantage(s_rep, cand.reshape(-1, cand.shape[-1]))))})
+    _run_weighted_matching(dataset, policy, batch_fn, config, rng, on_step)
     return policy
 
 

@@ -203,6 +203,19 @@ class TestExitCodes:
         proc = run_cli("train-gmpg", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command, n", [("sample", "0"), ("eval", "-1"),
+                                             ("export-trajectories", "0"), ("logprob", "-1")])
+    def test_bad_n_exits_2(self, tmp_path, command, n):
+        # the tiny task is a 1-d bandit with a 1-d (all-zero) state
+        ckpt = str(tmp_path / "p.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                     np.random.default_rng(0)), ckpt)
+        out = str(tmp_path / "o")
+        proc = run_cli(command, *tiny_args(out), "--checkpoint", ckpt, "--n", n, check=False)
+        assert proc.returncode == 2
+        assert "--n must be" in proc.stderr
+        assert not os.path.exists(out)
+
     def test_swiss_roll_task_kind(self, tmp_path):
         out = str(tmp_path / "roll")
         run_cli("make-data", *tiny_args(out, ["task.kind=swiss_roll", "task.n=100"]))

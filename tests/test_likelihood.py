@@ -221,3 +221,109 @@ class TestGenerateWithLogProb:
         cell = (grid[1] - grid[0]) ** 2
         mass = np.exp(res.logp_values).sum() * cell
         assert 0.9 <= mass <= 1.1
+
+
+def reference_trace(jvp_fn, x, t, mode, probes=None):
+    """Per-tangent loop: one JVP call per basis vector or probe.
+
+    Returns (n_estimates, batch), the exact trace as a single row or one
+    row per probe, for comparison with the stacked sweep.
+    """
+    batch, d = x.shape
+    if mode.kind == "exact":
+        tangents = [np.tile(e, (batch, 1)) for e in np.eye(d)]
+    else:
+        tangents = list(probes)
+    rows = [(jvp_fn(x, t, Tensor(u))[1].data * u).sum(axis=1) for u in tangents]
+    est = np.stack(rows)
+    return est.sum(axis=0, keepdims=True) if mode.kind == "exact" else est
+
+
+HEADS = [("velocity", "gvp"), ("noise", "vpsde"), ("score", "vpsde")]
+
+
+class TestStackedTraceSweep:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("activation", ["tanh", "sin"])
+    @pytest.mark.parametrize("state_dim", [0, 2])
+    @pytest.mark.parametrize("head", HEADS, ids=[h for h, _ in HEADS])
+    @pytest.mark.parametrize("mode", [TraceMode(), TraceMode("hutchinson", 3)],
+                             ids=["exact", "hutchinson"])
+    def test_matches_per_tangent_loop(self, d, activation, state_dim, head, mode):
+        rng = np.random.default_rng(40 + d)
+        net = FieldNetwork(d, state_dim, [16, 16], rng, t_emb_width=8, activation=activation)
+        model = GenerativeModel(net, head[0], PathSchedule(head[1]))
+        batch = 5
+        x = Tensor(rng.standard_normal((batch, d)))
+        cond = Tensor(rng.standard_normal((batch, state_dim))) if state_dim else None
+        probes = rng.standard_normal((mode.n_probes, batch, d)) if mode.kind == "hutchinson" else None
+
+        def jvp_fn(xx, t, u):
+            return model.velocity_jvp(xx, t, cond, u)
+
+        v, est = trace_with_jvp(jvp_fn, x, 0.4, mode, probes)
+        expect = reference_trace(jvp_fn, x, 0.4, mode, probes)
+        assert est.shape == expect.shape == (1 if mode.kind == "exact" else 3, batch)
+        assert np.allclose(est.data, expect, rtol=0.0, atol=1e-12)
+        # the velocity comes from the same call, op for op the plain forward
+        assert np.array_equal(v.data, model.velocity(x, 0.4, cond).data)
+
+    def test_exact_sweep_is_the_jacobian_trace(self):
+        rng = np.random.default_rng(50)
+        net = FieldNetwork(3, 1, [16], rng, t_emb_width=8)
+        model = GenerativeModel(net, "velocity", PathSchedule("gvp"))
+        x = rng.standard_normal((4, 3))
+        cond = Tensor(rng.standard_normal((4, 1)))
+        _, est = trace_with_jvp(lambda xx, t, u: model.velocity_jvp(xx, t, cond, u),
+                                Tensor(x), 0.3, TraceMode())
+        h = 1e-6
+        fd = np.zeros(4)
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = h
+            hi = model.velocity(Tensor(x + step), 0.3, cond).data[:, i]
+            lo = model.velocity(Tensor(x - step), 0.3, cond).data[:, i]
+            fd += (hi - lo) / (2 * h)
+        assert np.allclose(est.data[0], fd, atol=1e-6)
+
+
+class CountingModel:
+    """Wraps a model and counts its forward and JVP evaluations."""
+
+    def __init__(self, model):
+        self.model = model
+        self.schedule = model.schedule
+        self.net = model.net
+        self.velocity_calls = 0
+        self.jvp_calls = 0
+
+    def velocity(self, x, t, condition=None):
+        self.velocity_calls += 1
+        return self.model.velocity(x, t, condition)
+
+    def velocity_jvp(self, x, t, condition, u):
+        self.jvp_calls += 1
+        return self.model.velocity_jvp(x, t, condition, u)
+
+
+STAGES = {"euler": 1, "midpoint": 2, "rk4_38": 4}
+
+
+class TestOneEvaluationPerStage:
+    @pytest.mark.parametrize("scheme", sorted(STAGES))
+    @pytest.mark.parametrize("mode", [TraceMode(), TraceMode("hutchinson", 3)],
+                             ids=["exact", "hutchinson"])
+    def test_log_prob(self, scheme, mode):
+        counted = CountingModel(zero_weight_model(dim=2))
+        log_prob(counted, np.zeros((3, 2)), SolverSpec(scheme, 5), mode, np.random.default_rng(0))
+        assert counted.jvp_calls == 5 * STAGES[scheme]
+        assert counted.velocity_calls == 0
+
+    @pytest.mark.parametrize("scheme", sorted(STAGES))
+    @pytest.mark.parametrize("mode", [TraceMode(), TraceMode("hutchinson", 3)],
+                             ids=["exact", "hutchinson"])
+    def test_generate_with_log_prob(self, scheme, mode):
+        counted = CountingModel(zero_weight_model(dim=2))
+        generate_with_log_prob(counted, 3, SolverSpec(scheme, 5), mode, np.random.default_rng(0))
+        assert counted.jvp_calls == 5 * STAGES[scheme]
+        assert counted.velocity_calls == 0

@@ -4,7 +4,7 @@ import pytest
 from genpolicy.errors import NonFiniteError
 from genpolicy.nn import FieldNetwork, GaussianFourier, Mlp
 from genpolicy.optim import Adam
-from genpolicy.tensor import Tensor
+from genpolicy.tensor import Tensor, zero_grad
 
 
 def test_param_count_matches_layer_formula():
@@ -47,6 +47,60 @@ def test_jvp_is_differentiable_wrt_parameters():
     jvp.sum().backward()
     assert all(w.grad is not None for w in net.weights)
     assert net.biases[-1].grad is None
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+def test_forward_jvp_stacked_tangents_equal_separate_calls(activation):
+    rng = np.random.default_rng(7)
+    net = Mlp([3, 16, 16, 2], rng, activation=activation)
+    x = Tensor(rng.standard_normal((5, 3)))
+    tangents = [rng.standard_normal((5, 3)) for _ in range(4)]
+    out, stacked = net.forward_jvp(x, Tensor(np.concatenate(tangents)))
+    assert np.array_equal(out.data, net(x).data)
+    assert stacked.shape == (20, 2)
+    for j, u in enumerate(tangents):
+        single_out, single = net.forward_jvp(x, Tensor(u))
+        assert np.array_equal(single_out.data, out.data)
+        assert np.allclose(stacked.data[5 * j:5 * (j + 1)], single.data, rtol=0.0, atol=1e-12)
+
+
+def test_stacked_jvp_gradient_equals_sum_of_separate_gradients():
+    rng = np.random.default_rng(8)
+    net = Mlp([2, 8, 8, 2], rng)
+    x = Tensor(rng.standard_normal((3, 2)))
+    tangents = [rng.standard_normal((3, 2)) for _ in range(3)]
+
+    def grads():
+        return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in net.parameters()]
+
+    net.forward_jvp(x, Tensor(np.concatenate(tangents)))[1].sum().backward()
+    stacked = grads()
+    zero_grad(net.parameters())
+    for u in tangents:
+        net.forward_jvp(x, Tensor(u))[1].sum().backward()
+    for g, expect in zip(stacked, grads()):
+        assert np.allclose(g, expect, rtol=0.0, atol=1e-12)
+
+
+def test_forward_jvp_rejects_ragged_tangent_rows():
+    rng = np.random.default_rng(9)
+    net = Mlp([2, 4, 2], rng)
+    with pytest.raises(ValueError):
+        net.forward_jvp(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2))))
+
+
+def test_field_network_jvp_stacked_tangent_layout():
+    rng = np.random.default_rng(10)
+    net = FieldNetwork(x_dim=2, state_dim=3, hidden=[16], rng=rng)
+    x = Tensor(rng.standard_normal((4, 2)))
+    s = Tensor(rng.standard_normal((4, 3)))
+    u = np.concatenate([np.tile(e, (4, 1)) for e in np.eye(2)])
+    out, du = net.jvp(x, 0.5, s, Tensor(u))
+    assert out.shape == (4, 2)
+    assert du.shape == (8, 2)
+    for j in range(2):
+        _, single = net.jvp(x, 0.5, s, Tensor(u[4 * j:4 * (j + 1)]))
+        assert np.allclose(du.data[4 * j:4 * (j + 1)], single.data, rtol=0.0, atol=1e-12)
 
 
 def test_gaussian_fourier_shape_and_determinism():

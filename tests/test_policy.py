@@ -161,6 +161,50 @@ class TestGmpo:
         assert samples.mean() > 0.4  # tilted toward high-reward actions
 
 
+    def test_softmax_mode_applies_lr_schedule(self):
+        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=3)
+        behavior = small_policy(seed=17, hidden=(8,))
+        behavior.set_normalizer_from(ds)
+        pol = small_policy(seed=18, hidden=(8,))
+        pol.set_normalizer_from(ds)
+        cfg = GmpoConfig(beta=1.0, weight_mode="softmax", k_candidates=2, steps=4,
+                         batch_size=4, lr=1e-2, lr_schedule=((2, 0.0),))
+        snapshots = []
+        train_gmpo(ds, LinearCritic(), pol, cfg, np.random.default_rng(19), behavior=behavior,
+                   on_step=lambda step, m: snapshots.append(
+                       [p.data.copy() for p in pol.parameters()]))
+        moved = any(not np.array_equal(a, b) for a, b in zip(snapshots[0], snapshots[1]))
+        assert moved  # lr 1e-2 for steps 0 and 1
+        for later in snapshots[2:]:  # lr 0 from step 2 on
+            assert all(np.array_equal(a, b) for a, b in zip(snapshots[1], later))
+
+    def test_exp_clamp_evaluates_advantage_once_per_step(self):
+        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=4)
+        critic = CountingCritic(v0=0.25)
+        pol = small_policy(seed=20, hidden=(8,))
+        pol.set_normalizer_from(ds)
+        rows = []
+        train_gmpo(ds, critic, pol, GmpoConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
+                   np.random.default_rng(21), on_step=lambda step, m: rows.append(m))
+        assert critic.q_calls == 3
+        # weights and the logged mean advantage come from the same evaluation
+        idx_rng = np.random.default_rng(21)
+        a = ds.a[idx_rng.integers(0, ds.n, size=16)]
+        adv = a.sum(axis=1) - 0.25
+        assert rows[0]["mean_advantage"] == float(np.mean(adv))
+        assert rows[0]["mean_weight"] == float(np.mean(np.minimum(np.exp(1.5 * adv), 2.0)))
+
+
+class CountingCritic(LinearCritic):
+    def __init__(self, v0=0.0):
+        super().__init__(v0)
+        self.q_calls = 0
+
+    def q_values(self, s, a):
+        self.q_calls += 1
+        return super().q_values(s, a)
+
+
 @pytest.fixture(scope="module")
 def bandit_setup():
     ds, target = make_tilted_gaussian_bandit(1, 1.0, 20_000, seed=0)
