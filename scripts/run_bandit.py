@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from genpolicy.checkpoint import save_critic, save_policy
+from genpolicy.checkpoint import copy_policy, save_critic, save_policy
 from genpolicy.critic import CriticConfig, train_critic
 from genpolicy.data import make_tilted_gaussian_bandit, save_dataset
 from genpolicy.likelihood import TraceMode
@@ -60,7 +60,7 @@ def main():
     print(f"[{time.time()-t0:6.1f}s] weighted regression: mean={samp.mean():+.3f} "
           f"std={samp.std():.3f}  (target N({target.mean[0]:.1f}, 1))")
 
-    pi2 = behavior.clone()
+    pi2 = copy_policy(behavior)
     cfg = GmpgConfig(beta=args.beta, t_train=32, scheme="euler", trace=TraceMode("exact"),
                      steps=args.gmpg_steps, batch_size=256, lr=3e-4)
     train_gmpg(ds, critic, pi2, behavior, cfg, np.random.default_rng(args.seed + 6))

@@ -14,26 +14,16 @@ import time
 
 import numpy as np
 
-from genpolicy.checkpoint import save_critic, save_policy
+from genpolicy.checkpoint import copy_policy, save_critic, save_policy
+from genpolicy.cli import export_trajectories
 from genpolicy.critic import CriticConfig, train_critic
 from genpolicy.data import (SwissRollTask, assign_value_nearest, make_swiss_roll,
                             nearest_distances, save_dataset)
 from genpolicy.likelihood import TraceMode
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
                               pretrain_behavior, train_gmpg, train_gmpo)
-from genpolicy.sampler import SolverSpec, generate
+from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
-
-
-def export_trajectories(policy, n, solver, rng, path):
-    states = np.zeros((n, 1))
-    _, traj = generate(policy.model, n, solver, condition=states, rng=rng, record=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# sample_id,k,t,x0,x1\n")
-        for i in range(n):
-            for k, t in enumerate(traj.times):
-                raw = policy.denormalize(traj.states[k, i])
-                fh.write(f"{i},{k},{t:.17g},{raw[0]:.17g},{raw[1]:.17g}\n")
 
 
 def main():
@@ -80,10 +70,10 @@ def main():
     awr_dist = nearest_distances(samp, ds.a).mean()
     print(f"[{time.time()-t0:6.1f}s] weighted regression: "
           f"value={assign_value_nearest(ds, samp).mean():+.3f} manifold-dist={awr_dist:.4f}")
-    export_trajectories(pol_awr, 64, eval_solver, np.random.default_rng(1),
+    export_trajectories(pol_awr, np.zeros((64, 1)), eval_solver, np.random.default_rng(1),
                         os.path.join(args.out, "gmpo_trajectories.csv"))
 
-    pol_pg = behavior.clone()
+    pol_pg = copy_policy(behavior)
     train_gmpg(ds, critic, pol_pg, behavior,
                GmpgConfig(beta=3.0, t_train=32, scheme="euler", trace=TraceMode("exact"),
                           steps=250, batch_size=192, lr=2e-4),
@@ -93,7 +83,7 @@ def main():
     pg_dist = nearest_distances(samp, ds.a).mean()
     print(f"[{time.time()-t0:6.1f}s] policy gradient:     "
           f"value={assign_value_nearest(ds, samp).mean():+.3f} manifold-dist={pg_dist:.4f}")
-    export_trajectories(pol_pg, 64, eval_solver, np.random.default_rng(1),
+    export_trajectories(pol_pg, np.zeros((64, 1)), eval_solver, np.random.default_rng(1),
                         os.path.join(args.out, "gmpg_trajectories.csv"))
 
     print(f"manifold adherence: policy-gradient dist {pg_dist:.4f} vs "

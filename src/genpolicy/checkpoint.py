@@ -4,7 +4,9 @@ Layout: magic ``GPCK``, u32 version (1), u64 header length, UTF-8 JSON
 header, then raw little-endian float64 C-order parameter blobs in header
 order. The header carries everything needed to rebuild the object
 (architecture, schedule constants, normalizer, solver defaults), so a
-load never depends on the saving process's rng.
+load never depends on the saving process's rng. A policy's state is that
+(header, arrays) pair; ``copy_policy`` rebuilds a policy from copies of
+it, the same way a load does.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def _schedule_dict(s: PathSchedule) -> dict:
             "path_sigma": s.path_sigma, "t_clip": s.t_clip}
 
 
-def save_policy(policy: GenerativePolicy, path: str) -> None:
+def _policy_state(policy: GenerativePolicy) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """Everything that defines a policy: its header and its named arrays."""
     cfg = policy.config
     header = {
         "kind": "policy",
@@ -92,13 +95,11 @@ def save_policy(policy: GenerativePolicy, path: str) -> None:
     arrays = [("t_emb.freqs", policy.model.net.t_emb.freqs),
               ("action_mean", policy.action_mean), ("action_std", policy.action_std)]
     arrays += _mlp_arrays("net", policy.model.net.mlp)
-    _write(path, header, arrays)
+    return header, arrays
 
 
-def load_policy(path: str) -> GenerativePolicy:
-    header, arrays = _read(path)
-    if header.get("kind") != "policy":
-        raise DataFormatError(f"{path}: checkpoint holds a {header.get('kind')}, not a policy")
+def _policy_from_state(header: dict, arrays: dict) -> GenerativePolicy:
+    """Rebuild a policy from ``_policy_state``'s header and arrays (taken, not copied)."""
     c = header["config"]
     cfg = PolicyConfig(
         state_dim=c["state_dim"], action_dim=c["action_dim"], hidden=tuple(c["hidden"]),
@@ -110,6 +111,23 @@ def load_policy(path: str) -> GenerativePolicy:
     policy.model.net.t_emb.freqs = arrays["t_emb.freqs"]
     _load_mlp("net", policy.model.net.mlp, arrays)
     return policy
+
+
+def save_policy(policy: GenerativePolicy, path: str) -> None:
+    _write(path, *_policy_state(policy))
+
+
+def load_policy(path: str) -> GenerativePolicy:
+    header, arrays = _read(path)
+    if header.get("kind") != "policy":
+        raise DataFormatError(f"{path}: checkpoint holds a {header.get('kind')}, not a policy")
+    return _policy_from_state(header, arrays)
+
+
+def copy_policy(policy: GenerativePolicy) -> GenerativePolicy:
+    """An independent policy with the same state, rebuilt the way a load is."""
+    header, arrays = _policy_state(policy)
+    return _policy_from_state(header, {name: a.copy() for name, a in arrays})
 
 
 def save_critic(critic: Critic, path: str) -> None:

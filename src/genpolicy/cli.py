@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_critic, load_policy, save_critic, save_policy
+from .checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
 from .config import ExperimentConfig, dump_config, load_config
 from .critic import CriticConfig, train_critic
 from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, load_dataset,
@@ -30,21 +30,48 @@ from .schedules import PathSchedule
 
 
 def _fmt(v) -> str:
-    if v is None or v == "":
-        return ""
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return "" if v is None else str(v)
+
+
+def _csv_line(values) -> str:
+    return ",".join(_fmt(v) for v in values) + "\n"
+
+
+def _write_csv(path: str, columns: list[str], rows=()) -> None:
+    """A '# '-prefixed header line, then one comma-separated line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + _csv_line(columns))
+        for row in rows:
+            fh.write(_csv_line(row))
 
 
 class MetricsWriter:
+    """Per-step metrics; each row is appended as it comes, so a run that
+    stops early keeps the rows it already wrote."""
+
     def __init__(self, path: str, columns: list[str]):
         self.path = path
         self.columns = columns
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# " + ",".join(columns) + "\n")
+        _write_csv(path, columns)
 
     def row(self, values: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(",".join(_fmt(values.get(c, "")) for c in self.columns) + "\n")
+            fh.write(_csv_line(values.get(c, "") for c in self.columns))
+
+
+def export_trajectories(policy: GenerativePolicy, states: np.ndarray, solver: SolverSpec,
+                        rng: np.random.Generator, path: str) -> int:
+    """Generate one action per state row and write every grid point of
+    every path as (sample_id, k, t, raw action); returns the grid size."""
+    _, traj = generate(policy.model, states.shape[0], solver, condition=states, rng=rng,
+                       record=True)
+    raw = policy.denormalize(traj.states)
+    columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(raw.shape[2])]
+    _write_csv(path, columns, ([i, k, t, *raw[k, i]] for i in range(states.shape[0])
+                               for k, t in enumerate(traj.times)))
+    return len(traj.times)
 
 
 def _build_dataset(cfg: ExperimentConfig, path_override: str | None) -> OfflineDataset:
@@ -191,7 +218,7 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     critic = load_critic(args.critic)
     behavior = load_policy(args.behavior)
-    policy = behavior.clone()  # theta_2 <- theta_1
+    policy = copy_policy(behavior)  # theta_2 <- theta_1
     writer = MetricsWriter(os.path.join(out, "metrics.csv"),
                            ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
     train_gmpg(ds, critic, policy, behavior, _gmpg_config(cfg),
@@ -209,10 +236,8 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
     states = ds.s[np.arange(args.n) % ds.n]
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "samples.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# sample_id," + ",".join(f"a{i}" for i in range(actions.shape[1])) + "\n")
-        for i, row in enumerate(actions):
-            fh.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
+               ([i, *row] for i, row in enumerate(actions)))
     print(f"wrote {path}; mean={actions.mean(axis=0)}, std={actions.std(axis=0)}")
 
 
@@ -226,10 +251,7 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], solver, _trace_mode(cfg),
                                            np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "logprob.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# point_id,logp,stderr\n")
-        for i in range(n):
-            fh.write(f"{i},{logp[i]:.17g},{stderr[i]:.17g}\n")
+    _write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp, stderr))
     print(f"wrote {path}; mean logp = {logp.mean():.6g} nats")
 
 
@@ -242,12 +264,10 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
     mean_value = float(assign_value_nearest(ds, actions).mean())
     path = os.path.join(out, "eval.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"mean_a{i}" for i in range(actions.shape[1])] + \
-               [f"std_a{i}" for i in range(actions.shape[1])]
-        fh.write("# n," + ",".join(cols) + ",mean_value\n")
-        stats = list(actions.mean(axis=0)) + list(actions.std(axis=0))
-        fh.write(f"{args.n}," + ",".join(f"{v:.17g}" for v in stats) + f",{mean_value:.17g}\n")
+    d = actions.shape[1]
+    columns = ["n"] + [f"mean_a{i}" for i in range(d)] + [f"std_a{i}" for i in range(d)]
+    _write_csv(path, columns + ["mean_value"],
+               [[args.n, *actions.mean(axis=0), *actions.std(axis=0), mean_value]])
     print(f"eval: n={args.n} action_mean={actions.mean(axis=0)} "
           f"action_std={actions.std(axis=0)} mean_value={mean_value:.4f}")
 
@@ -259,17 +279,9 @@ def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     policy = load_policy(args.checkpoint)
     states = ds.s[np.arange(args.n) % ds.n]
     solver = SolverSpec(cfg.solver.scheme, cfg.solver.steps)
-    z, traj = generate(policy.model, args.n, solver, condition=states,
-                       rng=np.random.default_rng(cfg.task.seed), record=True)
     path = os.path.join(out, "trajectories.csv")
-    d = policy.config.action_dim
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# sample_id,k,t," + ",".join(f"x{i}" for i in range(d)) + "\n")
-        for i in range(args.n):
-            for k, t in enumerate(traj.times):
-                raw = policy.denormalize(traj.states[k, i])
-                fh.write(f"{i},{k},{t:.17g}," + ",".join(f"{v:.17g}" for v in raw) + "\n")
-    print(f"wrote {path} ({args.n} samples x {len(traj.times)} grid points)")
+    points = export_trajectories(policy, states, solver, np.random.default_rng(cfg.task.seed), path)
+    print(f"wrote {path} ({args.n} samples x {points} grid points)")
 
 
 COMMANDS = {

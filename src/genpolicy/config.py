@@ -58,7 +58,6 @@ class CriticBlock:
 
 @dataclass
 class PolicyBlock:
-    scheme: str = "gmpo"  # gmpo | gmpg
     beta: float = 1.0
     weight_mode: str = "exp_clamp"
     w_max: float = 100.0
@@ -102,26 +101,6 @@ class ExperimentConfig:
     def output_dir(self) -> str:
         root = os.environ.get(OUTPUT_ROOT_ENV, "")
         return os.path.join(root, self.output.dir) if root else self.output.dir
-
-
-# temperature presets from the published per-task tuning table
-TEMPERATURE_PRESETS = {
-    "halfcheetah-medium-expert-v2": {"gmpo": 1.0, "gmpg": 4.0},
-    "hopper-medium-expert-v2": {"gmpo": 1.0, "gmpg": 4.0},
-    "walker2d-medium-expert-v2": {"gmpo": 1.0, "gmpg": 4.0},
-    "halfcheetah-medium-v2": {"gmpo": 1.0, "gmpg": 1.0},
-    "hopper-medium-v2": {"gmpo": 16.0, "gmpg": 20.0},
-    "walker2d-medium-v2": {"gmpo": 8.0, "gmpg": 1.0},
-    "halfcheetah-medium-replay-v2": {"gmpo": 4.0, "gmpg": 4.0},
-    "hopper-medium-replay-v2": {"gmpo": 6.0, "gmpg": 8.0},
-    "walker2d-medium-replay-v2": {"gmpo": 8.0, "gmpg": 4.0},
-    "antmaze-umaze-v0": {"gmpo": 8.0, "gmpg": 1.0},
-    "antmaze-umaze-diverse-v0": {"gmpo": 16.0, "gmpg": 1.0},
-    "antmaze-medium-play-v0": {"gmpo": 12.0, "gmpg": 0.25},
-    "antmaze-medium-diverse-v0": {"gmpo": 12.0, "gmpg": 0.25},
-    "antmaze-large-play-v0": {"gmpo": 16.0, "gmpg": 0.5},
-    "antmaze-large-diverse-v0": {"gmpo": 4.0, "gmpg": 1.0},
-}
 
 
 def _coerce(raw: str, default):

@@ -132,17 +132,27 @@ def make_tilted_gaussian_bandit(dims: int, beta_target: float, n: int,
 
 # -- nearest-neighbor helpers (swiss-roll evaluation) ----------------------
 
+_NEAREST_CHUNK = 256  # point rows per block: temporaries are chunk x refs x dim
+
+
+def _nearest_index(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Row of ``reference`` nearest to each point (the first one on ties)."""
+    idx = np.empty(points.shape[0], dtype=np.intp)
+    for lo in range(0, points.shape[0], _NEAREST_CHUNK):
+        diffs = points[lo:lo + _NEAREST_CHUNK, None, :] - reference[None, :, :]
+        idx[lo:lo + _NEAREST_CHUNK] = (diffs ** 2).sum(axis=2).argmin(axis=1)
+    return idx
+
+
 def nearest_distances(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to its nearest reference row."""
-    diffs = points[:, None, :] - reference[None, :, :]
-    return np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+    diffs = points - reference[_nearest_index(points, reference)]
+    return np.sqrt((diffs ** 2).sum(axis=1))
 
 
 def assign_value_nearest(dataset: OfflineDataset, points: np.ndarray) -> np.ndarray:
     """Value of arbitrary action points = reward of the nearest dataset action."""
-    diffs = points[:, None, :] - dataset.a[None, :, :]
-    idx = (diffs ** 2).sum(axis=2).argmin(axis=1)
-    return dataset.r[idx]
+    return dataset.r[_nearest_index(points, dataset.a)]
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Continuous-normalizing-flow log densities via the augmented ODE.
 
-The state [x; l] is integrated jointly with dl/dt = -Tr(dv/dx) on the
-same fixed grid the sampler uses (one shared discretization, so a
-generated action and its log-likelihood come from one consistent object).
+The state [x; l] is integrated jointly with dl/dt = -Tr(dv/dx) by the
+sampler's own ``integrate``, as the tuple state (x, l): the same tableau
+stepper on the same fixed grid (one shared discretization, so a generated
+action and its log-likelihood come from one consistent object, and the
+exact-trace samples are bit-identical to ``sampler.generate``'s).
 Traveling from time a to time b along dx/dt = v gives
 
     log p_b(x_b) = log p_a(x_a) + l_b - l_a,
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, NonFiniteError
-from .sampler import SolverSpec
+from .sampler import SolverSpec, integrate
 from .schedules import prior_logpdf, prior_logpdf_tensor
 from .tensor import Tensor
 
@@ -142,34 +143,13 @@ def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
     def jvp_fn(x, t, u):
         return model.velocity_jvp(x, t, condition, u)
 
-    def rhs(x, t):
-        v, tr = trace_with_jvp(jvp_fn, x, t, mode, probes)
+    def rhs(state, t):
+        v, tr = trace_with_jvp(jvp_fn, state[0], t, mode, probes)
         return v, tr * (-1.0)
 
-    h = (t1 - t0) / spec.steps
-    batch = x0.shape[0]
     n_est = 1 if mode.kind == "exact" else mode.n_probes
-    x, l = x0, Tensor(np.zeros((n_est, batch)))
-    for k in range(spec.steps):
-        t = t0 + k * h
-        try:
-            if spec.scheme == "euler":
-                vx, vl = rhs(x, t)
-                x, l = x + vx * h, l + vl * h
-            elif spec.scheme == "midpoint":
-                k1x, k1l = rhs(x, t)
-                k2x, k2l = rhs(x + k1x * (h / 2), t + h / 2)
-                x, l = x + k2x * h, l + k2l * h
-            else:  # rk4_38
-                k1x, k1l = rhs(x, t)
-                k2x, k2l = rhs(x + k1x * (h / 3), t + h / 3)
-                k3x, k3l = rhs(x + (k2x - k1x * (1 / 3)) * h, t + 2 * h / 3)
-                k4x, k4l = rhs(x + (k1x - k2x + k3x) * h, t + h)
-                x = x + (k1x + k2x * 3 + k3x * 3 + k4x) * (h / 8)
-                l = l + (k1l + k2l * 3 + k3l * 3 + k4l) * (h / 8)
-        except NonFiniteError as exc:
-            raise IntegrationDivergedError(k, f"augmented integration diverged at step {k}: {exc}") from exc
-    return x, l
+    l0 = Tensor(np.zeros((n_est, x0.shape[0])))
+    return integrate(rhs, (x0, l0), spec, (t0, t1))
 
 
 def _stderr_of(est: np.ndarray) -> np.ndarray:

@@ -34,9 +34,6 @@ class GenerativeModel:
     def freeze(self):
         self.net.freeze()
 
-    def clone(self) -> "GenerativeModel":
-        return GenerativeModel(self.net.clone(), self.parameterization, self.schedule)
-
     # -- velocity view ---------------------------------------------------
 
     def _coeffs(self, t):

@@ -1,7 +1,8 @@
 """Multilayer perceptrons and time-feature embeddings on the tensor engine.
 
 ``Mlp.forward_jvp`` propagates tangents alongside the forward pass
-(forward-mode through the layers, expressed in taped primitives), so
+(forward-mode through the layers, expressed in taped primitives; it runs
+the same layer loop as ``Mlp.__call__``, with the tangent switched on), so
 Jacobian-vector products remain differentiable with respect to the
 parameters by the ordinary reverse pass. The likelihood module relies on
 this for trainable Jacobian traces.
@@ -71,14 +72,8 @@ class Mlp:
     def param_count(self) -> int:
         return sum((i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
 
-    def _act(self, z: Tensor) -> Tensor:
-        return z.tanh() if self.activation == "tanh" else z.sin()
-
     def __call__(self, x: Tensor) -> Tensor:
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._act(h @ w + b)
-        return h @ self.weights[-1] + self.biases[-1]
+        return self._forward(x, None)[0]
 
     def forward_jvp(self, x: Tensor, u: Tensor) -> tuple[Tensor, Tensor]:
         """Forward pass plus the Jacobian-vector products d(out)/dx @ u.
@@ -90,23 +85,26 @@ class Mlp:
         on the tape, so the JVPs can themselves be differentiated with
         respect to the parameters.
         """
+        return self._forward(x, u)
+
+    def _forward(self, x: Tensor, u: Tensor | None):
+        """The one layer loop; the tangent ``u`` is optional (None -> None)."""
         rows = x.shape[0]
-        k, rem = divmod(u.shape[0], rows)
-        if rem or k < 1:
-            raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
+        if u is not None:
+            k, rem = divmod(u.shape[0], rows)
+            if rem or k < 1:
+                raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
         h, dh = x, u
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = h @ w + b
-            dz = dh @ w
-            if self.activation == "tanh":
-                h = z.tanh()
-                slope = 1.0 - h * h
-            else:
-                h = z.sin()
-                slope = z.cos()
-            width = dz.shape[1]
-            dh = (dz.reshape(k, rows, width) * slope).reshape(k * rows, width)
-        return h @ self.weights[-1] + self.biases[-1], dh @ self.weights[-1]
+            h = z.tanh() if self.activation == "tanh" else z.sin()
+            if dh is not None:
+                slope = 1.0 - h * h if self.activation == "tanh" else z.cos()
+                dz = dh @ w
+                width = dz.shape[1]
+                dh = (dz.reshape(k, rows, width) * slope).reshape(k * rows, width)
+        out = h @ self.weights[-1] + self.biases[-1]
+        return out, None if dh is None else dh @ self.weights[-1]
 
     def freeze(self) -> None:
         for p in self.parameters():
@@ -168,17 +166,3 @@ class FieldNetwork:
 
     def unfreeze(self) -> None:
         self.mlp.unfreeze()
-
-    def clone(self) -> "FieldNetwork":
-        other = object.__new__(FieldNetwork)
-        other.x_dim = self.x_dim
-        other.state_dim = self.state_dim
-        other.t_emb = object.__new__(GaussianFourier)
-        other.t_emb.width = self.t_emb.width
-        other.t_emb.freqs = self.t_emb.freqs.copy()
-        other.mlp = object.__new__(Mlp)
-        other.mlp.sizes = list(self.mlp.sizes)
-        other.mlp.activation = self.mlp.activation
-        other.mlp.weights = [Tensor(w.data.copy(), requires_grad=True) for w in self.mlp.weights]
-        other.mlp.biases = [Tensor(b.data.copy(), requires_grad=True) for b in self.mlp.biases]
-        return other

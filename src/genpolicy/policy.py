@@ -22,8 +22,7 @@ Training schemes:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .optim import Adam
 from .sampler import SolverSpec, generate
 from .schedules import PathSchedule
 from .tensor import Tensor
-
-WEIGHT_MODES = ("exp_clamp", "softmax")
 
 
 @dataclass
@@ -107,35 +104,22 @@ class GenerativePolicy:
     def parameters(self):
         return self.model.parameters()
 
-    def clone(self) -> "GenerativePolicy":
-        twin = object.__new__(GenerativePolicy)
-        twin.config = self.config
-        twin.model = self.model.clone()
-        twin.action_mean = self.action_mean.copy()
-        twin.action_std = self.action_std.copy()
-        return twin
-
 
 # -- weighting ---------------------------------------------------------------
 
 
-def gmpo_weight(critic, s, a, beta: float, weight_mode: str = "exp_clamp",
-                w_max: float = 100.0) -> np.ndarray:
-    """Per-sample regression weights from the critic.
+def gmpo_weight(critic, s, a, beta: float, w_max: float = 100.0) -> np.ndarray:
+    """Per-sample exponential regression weights from the critic.
 
-    Exponential mode: min(exp(beta * (Q - V)), w_max) with the per-state
-    normalizer taken as 1 (intractable; the clamp bounds the scale).
-    beta = 0 gives exactly 1, which is what collapses the scheme onto
-    plain pretraining. Softmax mode normalizes exp(beta * Q) across the
-    candidate set with max subtraction; see ``softmax_candidate_weights``.
+    min(exp(beta * (Q - V)), w_max) with the per-state normalizer taken
+    as 1 (intractable; the clamp bounds the scale). beta = 0 gives
+    exactly 1, which is what collapses the scheme onto plain pretraining.
+    Softmax weights are computed per candidate set instead; see
+    ``softmax_candidate_weights``.
     """
     if beta < 0:
         raise ValueError("temperature beta must be >= 0")
-    if weight_mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
-    if weight_mode == "exp_clamp":
-        return exp_clamp_weight(critic.advantage(s, a), beta, w_max)
-    raise ValueError("softmax weights are computed per candidate set; use softmax_candidate_weights")
+    return exp_clamp_weight(critic.advantage(s, a), beta, w_max)
 
 
 def exp_clamp_weight(adv: np.ndarray, beta: float, w_max: float = 100.0) -> np.ndarray:
@@ -319,8 +303,7 @@ def gmpg_loss(policy: GenerativePolicy, behavior: GenerativePolicy, critic, stat
 
 
 def gmpg_static_surrogate(policy: GenerativePolicy, behavior: GenerativePolicy, critic,
-                          states, config: GmpgConfig, rng: np.random.Generator,
-                          weight_mode: str = "exp_clamp", w_max: float = 100.0) -> Tensor:
+                          states, config: GmpgConfig, rng: np.random.Generator) -> Tensor:
     """Surrogate scalar whose gradient is the importance-weighted
     score-function estimator: w(s,a) * (-beta Q + log pi - log mu) * grad log pi
     with a drawn from the frozen behavior model."""
@@ -332,7 +315,7 @@ def gmpg_static_surrogate(policy: GenerativePolicy, behavior: GenerativePolicy, 
     logp_pi_t = log_prob(policy.model, z, spec, config.trace, rng, condition=states).logp
     logp_mu = log_prob(behavior.model, z, spec, config.trace, rng, condition=states).logp_values
     q = critic.q_values(states, a_raw)
-    w = gmpo_weight(critic, states, a_raw, config.beta, weight_mode, w_max)
+    w = gmpo_weight(critic, states, a_raw, config.beta)
     bracket = -config.beta * q + logp_pi_t.data - logp_mu  # constants
     return (logp_pi_t * (w * bracket)).mean()
 

@@ -1,8 +1,12 @@
-"""Fixed-grid explicit ODE integration for generation.
+"""Fixed-grid explicit ODE integration for generation and likelihoods.
 
 Schemes: euler, midpoint, and the 3/8-rule fourth-order Runge-Kutta, all
 on a uniform grid of T steps and differentiable end to end (the unrolled
 steps stay on the tape; gradients are exact for the discrete objective).
+Each scheme is nothing but its Butcher tableau in ``TABLEAUX``; one
+stepper evaluates the stages and combines them component by component
+over a tuple state, so the sampler's x and the likelihood module's
+augmented [x; l] run through the same code on the same grid.
 Generation starts from a standard-normal draw and integrates in the
 schedule's noise-to-data direction over the clipped time span. For vpsde
 the terminal marginal is only approximately N(0, I) under the default
@@ -18,9 +22,17 @@ import numpy as np
 
 from .errors import IntegrationDivergedError, NonFiniteError
 from .schedules import PathSchedule
-from .tensor import Tensor
+from .tensor import Tensor, as_tensor
 
-SCHEMES = ("euler", "midpoint", "rk4_38")
+# scheme -> Butcher tableau (a, b, c): stage i is evaluated at t + c[i] h on
+# the state plus h * sum_j a[i][j] k_j, and the step adds h * sum_i b[i] k_i.
+TABLEAUX = {
+    "euler": (((),), (1.0,), (0.0,)),
+    "midpoint": (((), (0.5,)), (0.0, 1.0), (0.0, 0.5)),
+    "rk4_38": (((), (1 / 3,), (-1 / 3, 1.0), (1.0, -1.0, 1.0)),
+               (1 / 8, 3 / 8, 3 / 8, 1 / 8), (0.0, 1 / 3, 2 / 3, 1.0)),
+}
+SCHEMES = tuple(TABLEAUX)
 
 
 @dataclass(frozen=True)
@@ -42,45 +54,57 @@ class Trajectory:
     states: np.ndarray
 
 
-def _step(field, x: Tensor, t: float, h: float, scheme: str) -> Tensor:
-    if scheme == "euler":
-        return x + field(x, t) * h
-    if scheme == "midpoint":
-        k1 = field(x, t)
-        return x + field(x + k1 * (h / 2.0), t + h / 2.0) * h
-    k1 = field(x, t)
-    k2 = field(x + k1 * (h / 3.0), t + h / 3.0)
-    k3 = field(x + (k2 - k1 * (1.0 / 3.0)) * h, t + 2.0 * h / 3.0)
-    k4 = field(x + (k1 - k2 + k3) * h, t + h)
-    return x + (k1 + k2 * 3.0 + k3 * 3.0 + k4) * (h / 8.0)
+def _combine(state: tuple, ks: list, coeffs, h: float) -> tuple:
+    """state + h * sum_j coeffs[j] * ks[j], component by component."""
+    out = []
+    for i, y in enumerate(state):
+        for k, w in zip(ks, coeffs):
+            if w:
+                y = y + k[i] * (w * h)
+        out.append(y)
+    return tuple(out)
+
+
+def _step(field, state: tuple, t: float, h: float, tableau) -> tuple:
+    a, b, c = tableau
+    ks = []
+    for row, ci in zip(a, c):
+        ks.append(field(_combine(state, ks, row, h), t + ci * h))
+    return _combine(state, ks, b, h)
 
 
 def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool = False):
     """Integrate dx/dt = field(x, t) from t_span[0] to t_span[1].
 
-    ``field`` maps (Tensor, float t) -> Tensor. Returns the final state,
-    or (final, Trajectory) when recording; the recorded endpoint is
-    bit-identical to the non-recorded result. Raises
+    ``field`` maps (Tensor, float t) -> Tensor. The state may also be a
+    tuple of Tensors, with ``field`` mapping (tuple, t) -> tuple of the
+    same layout. Returns the final state, or (final, Trajectory) when
+    recording (the trajectory holds a tuple state's first component); the
+    recorded endpoint is bit-identical to the non-recorded result. Raises
     ``IntegrationDivergedError`` carrying the step index if the state goes
     non-finite.
     """
+    single = not isinstance(x_init, tuple)
+    state = (as_tensor(x_init),) if single else x_init
+    stage_field = (lambda s, t: (field(s[0], t),)) if single else field
+    tableau = TABLEAUX[spec.scheme]
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / spec.steps
-    x = x_init if isinstance(x_init, Tensor) else Tensor(x_init)
     times = [t0]
-    states = [x.data.copy()] if record else None
+    states = [state[0].data.copy()] if record else None
     for k in range(spec.steps):
         t = t0 + k * h
         try:
-            x = _step(field, x, t, h, spec.scheme)
+            state = _step(stage_field, state, t, h, tableau)
         except NonFiniteError as exc:
             raise IntegrationDivergedError(k, f"integration diverged at step {k}: {exc}") from exc
         if record:
             times.append(t0 + (k + 1) * h)
-            states.append(x.data.copy())
+            states.append(state[0].data.copy())
+    final = state[0] if single else state
     if record:
-        return x, Trajectory(np.array(times), np.stack(states))
-    return x
+        return final, Trajectory(np.array(times), np.stack(states))
+    return final
 
 
 def generation_span(schedule: PathSchedule) -> tuple[float, float]:

@@ -201,11 +201,6 @@ def convert(param_in: str, param_out: str, schedule: PathSchedule, x_t, t, value
     return x_t * f - score * (0.5 * g2)
 
 
-def as_velocity(model_output, parameterization: str, schedule: PathSchedule, x_t, t):
-    """Shorthand for convert(parameterization -> velocity)."""
-    return convert(parameterization, "velocity", schedule, x_t, t, model_output)
-
-
 def prior_logpdf(z: np.ndarray) -> np.ndarray:
     """Standard-normal log density per row (the generation prior)."""
     z = np.asarray(z)

@@ -5,13 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from genpolicy.checkpoint import load_critic, load_policy, save_critic, save_policy
-from genpolicy.config import TEMPERATURE_PRESETS, load_config
+from genpolicy.checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
+from genpolicy.config import load_config
 from genpolicy.critic import Critic, CriticConfig
 from genpolicy.errors import ConfigError
 from genpolicy.policy import GenerativePolicy, PolicyConfig
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
+from genpolicy.tensor import Tensor
 
 ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
 
@@ -55,6 +56,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["policy.bogus=1"])
+        with pytest.raises(ConfigError):  # the stage, not a key, picks the extraction scheme
+            load_config(None, ["policy.scheme=gmpg"])
         with pytest.raises(ConfigError):
             load_config(None, ["nosection.key=1"])
         with pytest.raises(ConfigError):
@@ -70,10 +73,6 @@ class TestConfig:
         cfg = load_config(str(p))
         assert cfg.policy.beta == 4.0
         assert cfg.task.noise == 0.3
-
-    def test_temperature_presets_documented(self):
-        assert TEMPERATURE_PRESETS["hopper-medium-v2"]["gmpo"] == 16.0
-        assert TEMPERATURE_PRESETS["halfcheetah-medium-expert-v2"]["gmpg"] == 4.0
 
 
 class TestCheckpoints:
@@ -100,6 +99,44 @@ class TestCheckpoints:
         s, a = np.ones((3, 2)), np.zeros((3, 1))
         assert np.array_equal(critic.q_values(s, a), back.q_values(s, a))
         assert np.array_equal(critic.v_values(s), back.v_values(s))
+
+    def test_copy_policy_is_independent(self, tmp_path):
+        cfg = PolicyConfig(state_dim=1, action_dim=2, hidden=(8, 8),
+                           schedule=PathSchedule("icfm"), eval_solver=SolverSpec("rk4_38", 5))
+        pol = GenerativePolicy(cfg, np.random.default_rng(6),
+                               action_mean=np.array([0.3, -0.1]), action_std=np.array([2.0, 0.5]))
+        states = np.linspace(-1.0, 1.0, 6).reshape(6, 1)
+        x = Tensor(np.random.default_rng(7).standard_normal((6, 2)))
+        before = pol.sample_actions(states, np.random.default_rng(0))
+        saved = tmp_path / "orig.ckpt"
+        save_policy(pol, str(saved))
+
+        twin = copy_policy(pol)
+        assert twin.model.net(x, 0.3, states).data.tobytes() == \
+            pol.model.net(x, 0.3, states).data.tobytes()
+        assert np.array_equal(twin.sample_actions(states, np.random.default_rng(0)), before)
+        save_policy(twin, str(tmp_path / "copy.ckpt"))
+        assert (tmp_path / "copy.ckpt").read_bytes() == saved.read_bytes()
+        assert all(p.requires_grad for p in twin.parameters())
+
+        def shift_weights(p):
+            p.model.net.mlp.weights[0].data += 1.0
+
+        def shift_freqs(p):
+            p.model.net.t_emb.freqs += 1.0
+
+        def shift_normalizer(p):
+            p.action_mean += 1.0
+            p.action_std *= 2.0
+
+        for change in (shift_weights, shift_freqs, shift_normalizer):
+            twin = copy_policy(pol)
+            change(twin)  # in place, so shared arrays would show up in pol
+            assert not np.array_equal(twin.sample_actions(states, np.random.default_rng(0)),
+                                      before)
+            assert np.array_equal(pol.sample_actions(states, np.random.default_rng(0)), before)
+            save_policy(pol, str(tmp_path / "again.ckpt"))
+            assert (tmp_path / "again.ckpt").read_bytes() == saved.read_bytes()
 
     def test_kind_mismatch_rejected(self, tmp_path):
         critic = Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpolicy.data import (OfflineDataset, SwissRollTask, assign_value_nearest,
+from genpolicy.data import (_NEAREST_CHUNK, OfflineDataset, SwissRollTask, assign_value_nearest,
                             load_dataset, make_swiss_roll, make_tilted_gaussian_bandit,
                             nearest_distances, save_dataset)
 from genpolicy.errors import DataFormatError
@@ -142,3 +142,20 @@ def test_nearest_helpers():
     ds = OfflineDataset(s=np.zeros((2, 1)), a=ref, r=np.array([5.0, 7.0]),
                         s2=np.zeros((2, 1)), done=np.ones(2))
     assert np.allclose(assign_value_nearest(ds, pts), [5.0, 7.0])
+
+
+def test_chunked_nearest_search_matches_brute_force():
+    rng = np.random.default_rng(12)
+    ref = rng.standard_normal((50, 2))
+    ref[17] = ref[4]  # a duplicated reference row: the tie goes to the first index
+    pts = rng.standard_normal((2 * _NEAREST_CHUNK + 3, 2))
+    pts[-1] = ref[4]
+    pts[_NEAREST_CHUNK + 1] = ref[17]
+    # brute force over every (point, reference) pair at once, the unchunked search
+    sq = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+    want_idx = sq.argmin(axis=1)
+    assert want_idx[-1] == 4 and want_idx[_NEAREST_CHUNK + 1] == 4
+    r = rng.standard_normal(50)
+    ds = OfflineDataset(s=np.zeros((50, 1)), a=ref, r=r, s2=np.zeros((50, 1)), done=np.ones(50))
+    assert np.array_equal(assign_value_nearest(ds, pts), r[want_idx])
+    assert nearest_distances(pts, ref).tobytes() == np.sqrt(sq).min(axis=1).tobytes()

@@ -8,7 +8,7 @@ from genpolicy.likelihood import (LogDensityResult, TraceMode, generate_with_log
                                   jacobian_trace, log_prob, trace_with_jvp)
 from genpolicy.model import GenerativeModel
 from genpolicy.nn import FieldNetwork
-from genpolicy.sampler import SolverSpec
+from genpolicy.sampler import SCHEMES, SolverSpec, generate
 from genpolicy.schedules import PathSchedule, prior_logpdf
 from genpolicy.tensor import Tensor
 
@@ -327,3 +327,17 @@ class TestOneEvaluationPerStage:
         generate_with_log_prob(counted, 3, SolverSpec(scheme, 5), mode, np.random.default_rng(0))
         assert counted.jvp_calls == 5 * STAGES[scheme]
         assert counted.velocity_calls == 0
+
+
+@pytest.mark.parametrize("kind", ["gvp", "icfm"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_samples_with_log_prob_equal_generate(kind, scheme):
+    # one shared discretization: the augmented unroll's x is the sampler's x
+    net = FieldNetwork(2, 1, [16, 16], np.random.default_rng(8))
+    model = GenerativeModel(net, "velocity", PathSchedule(kind))
+    cond = np.random.default_rng(9).standard_normal((5, 1))
+    spec = SolverSpec(scheme, 6)
+    plain = generate(model, 5, spec, condition=cond, rng=np.random.default_rng(10))
+    x, _, _ = generate_with_log_prob(model, 5, spec, TraceMode("exact"),
+                                     np.random.default_rng(10), condition=cond)
+    assert x.data.tobytes() == plain.tobytes()

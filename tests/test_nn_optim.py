@@ -121,16 +121,6 @@ def test_field_network_condition_plumbing():
         net(x, 0.5, None)
 
 
-def test_field_network_clone_is_independent():
-    rng = np.random.default_rng(2)
-    net = FieldNetwork(x_dim=1, state_dim=0, hidden=[8], rng=rng)
-    twin = net.clone()
-    x = Tensor(rng.standard_normal((3, 1)))
-    assert np.array_equal(net(x, 0.3).data, twin(x, 0.3).data)
-    twin.mlp.weights[0].data = twin.mlp.weights[0].data + 1.0
-    assert not np.array_equal(net(x, 0.3).data, twin(x, 0.3).data)
-
-
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)

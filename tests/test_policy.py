@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from genpolicy.checkpoint import copy_policy
 from genpolicy.data import make_tilted_gaussian_bandit
 from genpolicy.likelihood import TraceMode
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
@@ -237,7 +238,7 @@ class TestGmpg:
         # estimate of KL(p || p) = 0; Hutchinson probe noise supplies the
         # spread, rk4 keeps the discretization bias far below it.
         _, _, behavior = bandit_setup
-        pol = behavior.clone()
+        pol = copy_policy(behavior)
         behavior.model.freeze()
         cfg = GmpgConfig(beta=0.0, t_train=16, scheme="rk4_38",
                          trace=TraceMode("hutchinson", 1), steps=1, batch_size=256)
@@ -251,7 +252,7 @@ class TestGmpg:
         from genpolicy.tensor import param_grad_check
         cfg_p = PolicyConfig(state_dim=1, action_dim=1, hidden=(8,), schedule=PathSchedule("gvp"))
         pol = GenerativePolicy(cfg_p, np.random.default_rng(31))
-        mu = pol.clone()
+        mu = copy_policy(pol)
         mu.model.freeze()
         cfg = GmpgConfig(beta=1.0, t_train=10, scheme="euler", trace=TraceMode("exact"),
                          batch_size=4)
@@ -263,7 +264,7 @@ class TestGmpg:
 
     def test_tilted_bandit_converges_and_kl_decreases(self, bandit_setup):
         ds, target, behavior = bandit_setup
-        pol = behavior.clone()
+        pol = copy_policy(behavior)
         cfg = GmpgConfig(beta=1.0, t_train=24, scheme="euler", trace=TraceMode("exact"),
                          steps=240, batch_size=192, lr=3e-4)
         kls = []
@@ -287,7 +288,7 @@ class TestGmpg:
 
     def test_static_variant_zero_gradient_at_self(self, bandit_setup):
         _, _, behavior = bandit_setup
-        pol = behavior.clone()
+        pol = copy_policy(behavior)
         behavior.model.freeze()
         cfg = GmpgConfig(beta=0.0, t_train=12, scheme="euler", trace=TraceMode("exact"),
                          batch_size=64, variant="static")
@@ -301,7 +302,7 @@ class TestGmpg:
 
     def test_static_variant_moves_toward_target(self, bandit_setup):
         ds, _, behavior = bandit_setup
-        pol = behavior.clone()
+        pol = copy_policy(behavior)
         cfg = GmpgConfig(beta=1.0, t_train=16, scheme="euler", trace=TraceMode("exact"),
                          steps=150, batch_size=128, lr=3e-4, variant="static")
         train_gmpg(ds, LinearCritic(), pol, behavior, cfg, np.random.default_rng(41))

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from genpolicy.errors import IntegrationDivergedError
 from genpolicy.model import GenerativeModel
 from genpolicy.nn import FieldNetwork
-from genpolicy.sampler import SolverSpec, Trajectory, generate, integrate
+from genpolicy.sampler import SCHEMES, TABLEAUX, SolverSpec, Trajectory, generate, integrate
 from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor
 
@@ -85,6 +85,30 @@ class TestIntegrate:
         diffs = np.diff(traj.times)
         assert np.all(diffs > 0) or np.all(diffs < 0)
         assert np.array_equal(traj.states[-1], final.data)
+
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_tuple_state_steps_each_component_alone(self, scheme):
+        rng = np.random.default_rng(2)
+        a, b = rng.standard_normal((2, 2)) * 0.4, rng.standard_normal((3, 3)) * 0.4
+        x0, y0 = rng.standard_normal((4, 2)), rng.standard_normal((4, 3))
+        spec = SolverSpec(scheme, 5)
+        x, y = integrate(lambda s, t: (s[0] @ Tensor(a) * t, s[1] @ Tensor(b)),
+                         (Tensor(x0), Tensor(y0)), spec)
+        alone_x = integrate(lambda v, t: v @ Tensor(a) * t, Tensor(x0), spec)
+        alone_y = integrate(lambda v, t: v @ Tensor(b), Tensor(y0), spec)
+        assert x.data.tobytes() == alone_x.data.tobytes()
+        assert y.data.tobytes() == alone_y.data.tobytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tableau_is_consistent(scheme):
+    a, b, c = TABLEAUX[scheme]
+    assert len(a) == len(b) == len(c)
+    assert [len(row) for row in a] == list(range(len(c)))  # explicit: a is strictly lower
+    assert sum(b) == pytest.approx(1.0, abs=1e-15)
+    for row, ci in zip(a, c):
+        assert sum(row) == pytest.approx(ci, abs=1e-15)
 
 
 class TestGenerate:
