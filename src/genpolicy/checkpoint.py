@@ -6,18 +6,21 @@ order. The header carries everything needed to rebuild the object
 (architecture, schedule constants, normalizer, solver defaults), so a
 load never depends on the saving process's rng. A policy's state is that
 (header, arrays) pair; ``copy_policy`` rebuilds a policy from copies of
-it, the same way a load does.
+it, the same way a load does. A load checks the file against its header
+(array shapes against the architecture, byte count, finite values) and
+reports a truncated or garbled file as ``DataFormatError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .critic import Critic, CriticConfig
-from .errors import DataFormatError
+from .errors import DataFormatError, data_format_errors
 from .policy import GenerativePolicy, PolicyConfig
 from .sampler import SolverSpec
 from .schedules import PathSchedule
@@ -38,24 +41,35 @@ def _write(path: str, header: dict, arrays: list[tuple[str, np.ndarray]]) -> Non
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _read(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _read(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, named arrays) of a ``kind`` checkpoint; any truncation or
+    corruption is a DataFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
-    version, hlen = struct.unpack_from("<IQ", raw, 4)
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 4 + struct.calcsize("<IQ")
-    header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    off += hlen
-    arrays = {}
-    for meta in header["arrays"]:
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arrays[meta["name"]] = np.frombuffer(raw, dtype="<f8", count=count,
-                                             offset=off).reshape(shape).copy()
-        off += count * 8
+    with data_format_errors(path):
+        if raw[:4] != _MAGIC:
+            raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
+        version, hlen = struct.unpack_from("<IQ", raw, 4)
+        if version != _VERSION:
+            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+        off = 4 + struct.calcsize("<IQ")
+        header = json.loads(raw[off:off + hlen].decode("utf-8"))
+        off += hlen
+        arrays = {}
+        for meta in header["arrays"]:
+            shape = tuple(meta["shape"])
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise DataFormatError(f"{path}: bad array shape {shape}")
+            count = math.prod(shape)
+            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+            if not np.all(np.isfinite(arr)):
+                raise DataFormatError(f"{path}: non-finite values in array {meta['name']!r}")
+            arrays[meta["name"]] = arr
+            off += count * 8
+        if off != len(raw):
+            raise DataFormatError(f"{path}: {len(raw) - off} bytes do not match the header")
+        if header.get("kind") != kind:
+            raise DataFormatError(f"{path}: checkpoint holds a {header.get('kind')}, not a {kind}")
     return header, arrays
 
 
@@ -67,10 +81,18 @@ def _mlp_arrays(prefix: str, mlp) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _take(arrays: dict, name: str, like: np.ndarray) -> np.ndarray:
+    """``arrays[name]``, which must have the shape the header's architecture gives ``like``."""
+    arr = arrays[name]
+    if arr.shape != like.shape:
+        raise DataFormatError(f"array {name!r} has shape {arr.shape}, expected {like.shape}")
+    return arr
+
+
 def _load_mlp(prefix: str, mlp, arrays: dict) -> None:
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        w.data = arrays[f"{prefix}.w{i}"]
-        b.data = arrays[f"{prefix}.b{i}"]
+        w.data = _take(arrays, f"{prefix}.w{i}", w.data)
+        b.data = _take(arrays, f"{prefix}.b{i}", b.data)
 
 
 def _schedule_dict(s: PathSchedule) -> dict:
@@ -106,10 +128,14 @@ def _policy_from_state(header: dict, arrays: dict) -> GenerativePolicy:
         t_emb_width=c["t_emb_width"], t_emb_scale=c["t_emb_scale"], activation=c["activation"],
         parameterization=c["parameterization"], schedule=PathSchedule(**c["schedule"]),
         eval_solver=SolverSpec(**c["eval_solver"]))
-    policy = GenerativePolicy(cfg, np.random.default_rng(0),
-                              action_mean=arrays["action_mean"], action_std=arrays["action_std"])
-    policy.model.net.t_emb.freqs = arrays["t_emb.freqs"]
-    _load_mlp("net", policy.model.net.mlp, arrays)
+    policy = GenerativePolicy(cfg, np.random.default_rng(0))
+    policy.action_mean = _take(arrays, "action_mean", policy.action_mean)
+    policy.action_std = _take(arrays, "action_std", policy.action_std)
+    if not np.all(policy.action_std > 0):
+        raise DataFormatError("action_std must be positive")
+    net = policy.model.net
+    net.t_emb.freqs = _take(arrays, "t_emb.freqs", net.t_emb.freqs)
+    _load_mlp("net", net.mlp, arrays)
     return policy
 
 
@@ -118,10 +144,9 @@ def save_policy(policy: GenerativePolicy, path: str) -> None:
 
 
 def load_policy(path: str) -> GenerativePolicy:
-    header, arrays = _read(path)
-    if header.get("kind") != "policy":
-        raise DataFormatError(f"{path}: checkpoint holds a {header.get('kind')}, not a policy")
-    return _policy_from_state(header, arrays)
+    header, arrays = _read(path, "policy")
+    with data_format_errors(path):
+        return _policy_from_state(header, arrays)
 
 
 def copy_policy(policy: GenerativePolicy) -> GenerativePolicy:
@@ -145,13 +170,12 @@ def save_critic(critic: Critic, path: str) -> None:
 
 
 def load_critic(path: str) -> Critic:
-    header, arrays = _read(path)
-    if header.get("kind") != "critic":
-        raise DataFormatError(f"{path}: checkpoint holds a {header.get('kind')}, not a critic")
-    c = header["config"]
-    cfg = CriticConfig(tau=c["tau"], gamma=c["gamma"], lr=c["lr"], hidden=tuple(c["hidden"]),
-                       steps=c["steps"], batch_size=c["batch_size"])
-    critic = Critic(c["state_dim"], c["action_dim"], cfg, np.random.default_rng(0))
-    _load_mlp("q", critic.q_net, arrays)
-    _load_mlp("v", critic.v_net, arrays)
+    header, arrays = _read(path, "critic")
+    with data_format_errors(path):
+        c = header["config"]
+        cfg = CriticConfig(tau=c["tau"], gamma=c["gamma"], lr=c["lr"], hidden=tuple(c["hidden"]),
+                           steps=c["steps"], batch_size=c["batch_size"])
+        critic = Critic(c["state_dim"], c["action_dim"], cfg, np.random.default_rng(0))
+        _load_mlp("q", critic.q_net, arrays)
+        _load_mlp("v", critic.v_net, arrays)
     return critic

@@ -1,6 +1,8 @@
 """Config-driven experiment runner.
 
-One stage per invocation; every stage writes its fully resolved config
+One stage per invocation. The whole config is checked first, by building
+every spec a stage would build from it; a bad value exits 2 before any
+file is written. Every stage then writes its fully resolved config
 into the output directory before any compute, appends plain-CSV metrics
 (comment char '#', comma-separated, %.17g floats) and emits checkpoints
 in the versioned binary format. Exit codes: 0 success, 2 config error,
@@ -22,7 +24,7 @@ from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, load_dat
                    make_swiss_roll, make_tilted_gaussian_bandit, save_dataset)
 from .errors import ConfigError, DataFormatError, NonFiniteError
 from .likelihood import TraceMode
-from .matching import MatchingConfig
+from .matching import MatchingConfig, check_objective
 from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
                      pretrain_behavior, train_gmpg, train_gmpo)
 from .sampler import SolverSpec, generate
@@ -96,16 +98,25 @@ def _schedule(cfg: ExperimentConfig) -> PathSchedule:
                         path_sigma=m.path_sigma)
 
 
+def _solver(cfg: ExperimentConfig) -> SolverSpec:
+    return SolverSpec(cfg.solver.scheme, cfg.solver.steps)
+
+
 def _new_policy(cfg: ExperimentConfig, dataset: OfflineDataset, seed: int) -> GenerativePolicy:
     m = cfg.model
     pc = PolicyConfig(state_dim=dataset.state_dim, action_dim=dataset.action_dim,
                       hidden=m.hidden_sizes(), t_emb_width=m.t_emb_width,
                       t_emb_scale=m.t_emb_scale, parameterization=m.parameterization,
-                      schedule=_schedule(cfg),
-                      eval_solver=SolverSpec(cfg.solver.scheme, cfg.solver.steps))
+                      schedule=_schedule(cfg), eval_solver=_solver(cfg))
     policy = GenerativePolicy(pc, np.random.default_rng(seed))
     policy.set_normalizer_from(dataset)
     return policy
+
+
+def _critic_config(cfg: ExperimentConfig) -> CriticConfig:
+    c = cfg.critic
+    return CriticConfig(tau=c.tau, gamma=c.gamma, lr=c.lr, hidden=c.hidden_sizes(),
+                        steps=c.steps, batch_size=c.batch_size)
 
 
 def _trace_mode(cfg: ExperimentConfig) -> TraceMode:
@@ -125,6 +136,21 @@ def _gmpg_config(cfg: ExperimentConfig) -> GmpgConfig:
     return GmpgConfig(beta=p.beta, t_train=p.t_train, scheme=p.gmpg_scheme,
                       trace=_trace_mode(cfg), steps=p.gmpg_steps,
                       batch_size=p.gmpg_batch_size, lr=p.gmpg_lr, variant=p.variant)
+
+
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Build every spec the stages build from ``cfg``, so that a bad value
+    exits 2 before any stage writes or computes anything."""
+    try:
+        schedule = _schedule(cfg)
+        _solver(cfg)
+        _critic_config(cfg)
+        cfg.model.hidden_sizes()
+        gmpo = _gmpo_config(cfg)
+        _gmpg_config(cfg).solver
+        check_objective(gmpo.matching.objective, cfg.model.parameterization, schedule)
+    except ValueError as exc:  # UnsupportedKindError is a ValueError too
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_n(args, minimum: int) -> None:
@@ -185,12 +211,9 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
 def cmd_train_critic(cfg: ExperimentConfig, args) -> None:
     out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
-    c = cfg.critic
     writer = MetricsWriter(os.path.join(out, "metrics.csv"), ["step", "v_loss", "q_loss"])
     critic = train_critic(
-        ds, CriticConfig(tau=c.tau, gamma=c.gamma, lr=c.lr, hidden=c.hidden_sizes(),
-                         steps=c.steps, batch_size=c.batch_size),
-        np.random.default_rng(cfg.task.seed),
+        ds, _critic_config(cfg), np.random.default_rng(cfg.task.seed),
         on_step=lambda step, losses: writer.row(
             {"step": step, "v_loss": losses[0], "q_loss": losses[1]}))
     save_critic(critic, os.path.join(out, "critic.ckpt"))
@@ -246,9 +269,8 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
-    solver = SolverSpec(cfg.solver.scheme, cfg.solver.steps)
     n = min(args.n, ds.n) if args.n else ds.n
-    logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], solver, _trace_mode(cfg),
+    logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], _solver(cfg), _trace_mode(cfg),
                                            np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "logprob.csv")
     _write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp, stderr))
@@ -278,9 +300,9 @@ def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
     states = ds.s[np.arange(args.n) % ds.n]
-    solver = SolverSpec(cfg.solver.scheme, cfg.solver.steps)
     path = os.path.join(out, "trajectories.csv")
-    points = export_trajectories(policy, states, solver, np.random.default_rng(cfg.task.seed), path)
+    points = export_trajectories(policy, states, _solver(cfg), np.random.default_rng(cfg.task.seed),
+                                 path)
     print(f"wrote {path} ({args.n} samples x {points} grid points)")
 
 
@@ -341,6 +363,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        _check_config(cfg)
         COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .nn import Mlp
 from .optim import Adam
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_tape
 
 
 def expectile_loss(u, tau: float) -> Tensor:
@@ -40,14 +40,16 @@ class CriticConfig:
     steps: int = 20_000
     batch_size: int = 256
 
+    def __post_init__(self):
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError("tau must lie strictly inside (0, 1)")
+
 
 class Critic:
     """Q(s||a) and V(s) heads over the shared tensor engine."""
 
     def __init__(self, state_dim: int, action_dim: int, config: CriticConfig,
                  rng: np.random.Generator):
-        if not 0.0 < config.tau < 1.0:
-            raise ValueError("tau must lie strictly inside (0, 1)")
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.config = config
@@ -64,13 +66,19 @@ class Critic:
         s_t = s if isinstance(s, Tensor) else Tensor(np.asarray(s, dtype=float))
         return self.v_net(s_t)
 
-    # -- array evaluation ----------------------------------------------
+    # -- array evaluation (no tape) --------------------------------------
 
     def q_values(self, s, a) -> np.ndarray:
-        return self.q_tensor(np.asarray(s, dtype=float), Tensor(np.asarray(a, dtype=float))).data[:, 0]
+        """Q(s, a) as a (batch,) array; the same ops as ``q_tensor``, recording no tape."""
+        with no_tape():
+            q = self.q_tensor(np.asarray(s, dtype=float), Tensor(np.asarray(a, dtype=float)))
+        return q.data[:, 0]
 
     def v_values(self, s) -> np.ndarray:
-        return self.v_tensor(np.asarray(s, dtype=float)).data[:, 0]
+        """V(s) as a (batch,) array, recording no tape."""
+        with no_tape():
+            v = self.v_tensor(np.asarray(s, dtype=float))
+        return v.data[:, 0]
 
     def advantage(self, s, a) -> np.ndarray:
         """Q(s, a) - V(s), batched; ordering in a equals Q ordering at fixed s."""
@@ -90,13 +98,14 @@ def iql_step(critic: Critic, batch, opt_v: Adam, opt_q: Adam) -> tuple[float, fl
     r = r.reshape(-1, 1)
     done = done.reshape(-1, 1)
 
-    q_fixed = critic.q_tensor(s, Tensor(a)).detach()
+    with no_tape():
+        q_fixed = critic.q_tensor(s, Tensor(a))
     opt_v.zero_grad()
     v_loss = expectile_loss(q_fixed - critic.v_tensor(s), critic.config.tau)
     v_loss.backward()
     opt_v.step()
 
-    target = r + critic.config.gamma * (1.0 - done) * critic.v_tensor(s2).data
+    target = r + critic.config.gamma * (1.0 - done) * critic.v_values(s2)[:, None]
     opt_q.zero_grad()
     q_loss = (critic.q_tensor(s, Tensor(a)) - target).square().mean()
     q_loss.backward()

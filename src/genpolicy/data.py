@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, data_format_errors
 
 _MAGIC = b"GPDS"
 _VERSION = 1
@@ -170,11 +170,13 @@ def save_dataset(dataset: OfflineDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> OfflineDataset:
+    """Load either format; a truncated or garbled file raises ``DataFormatError``."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == _MAGIC:
-        return _load_binary(path)
-    return _load_csv(path)
+    with data_format_errors(path):
+        if head == _MAGIC:
+            return _load_binary(path)
+        return _load_csv(path)
 
 
 def _save_csv(dataset: OfflineDataset, path: str) -> None:
@@ -254,6 +256,8 @@ def _load_binary(path: str) -> OfflineDataset:
     head = json.loads(raw[off:off + hlen].decode("utf-8"))
     off += hlen
     n, sd, ad = head["n"], head["state_dim"], head["action_dim"]
+    if not all(type(v) is int and v >= 0 for v in (n, sd, ad)):
+        raise DataFormatError(f"bad sizes n={n!r}, state_dim={sd!r}, action_dim={ad!r}")
 
     def take(count):
         nonlocal off
@@ -266,4 +270,6 @@ def _load_binary(path: str) -> OfflineDataset:
     r = take(n)
     s2 = take(n * sd).reshape(n, sd)
     done = take(n)
+    if off != len(raw):
+        raise DataFormatError(f"{len(raw) - off} bytes do not match the header")
     return OfflineDataset(s=s, a=a, r=r, s2=s2, done=done, metadata=head.get("metadata", {}))

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: config errors -> 2, io/format
 errors -> 3, numeric divergence -> 4.
 """
 
+import struct
+from contextlib import contextmanager
+
 
 class ConfigError(ValueError):
     """Bad or missing configuration (unknown key, unparseable value)."""
@@ -11,6 +14,22 @@ class ConfigError(ValueError):
 
 class DataFormatError(ValueError):
     """Malformed dataset or checkpoint file."""
+
+
+@contextmanager
+def data_format_errors(where: str):
+    """Report any parse failure inside the block as a ``DataFormatError``.
+
+    A truncated or garbled file fails in whatever decoder meets it first
+    (JSON, UTF-8, struct, a short numpy buffer, a missing header key, a
+    header value of the wrong type); all of them mean the same thing.
+    """
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (ValueError, KeyError, TypeError, OverflowError, struct.error) as exc:
+        raise DataFormatError(f"{where}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
 class NonFiniteError(FloatingPointError):

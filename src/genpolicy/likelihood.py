@@ -34,7 +34,7 @@ import numpy as np
 
 from .sampler import SolverSpec, integrate
 from .schedules import prior_logpdf, prior_logpdf_tensor
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 
 PROBE_DISTS = ("gaussian", "rademacher")
 
@@ -105,10 +105,10 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
 
     ``field`` is a callable (Tensor x, t) -> Tensor; if it exposes
     ``jvp(x, t, u)`` the estimate uses one stacked forward sweep (see
-    ``trace_with_jvp``), otherwise reverse sweeps on a detached leaf (d
-    of them in exact mode, one per probe in Hutchinson mode). Standalone
-    evaluation utility; the differentiable path inside log_prob goes
-    through ``trace_with_jvp``.
+    ``trace_with_jvp``), recording no tape, otherwise reverse sweeps on a
+    detached leaf (d of them in exact mode, one per probe in Hutchinson
+    mode), which need theirs. Standalone evaluation utility; the
+    differentiable path inside log_prob goes through ``trace_with_jvp``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -119,7 +119,8 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
         probes = None
         if mode.kind == "hutchinson":
             probes = _draw_probes(mode.probe_dist, (mode.n_probes, batch, d), rng)
-        est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes)[1].data
+        with no_tape():
+            est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes)[1].data
     elif mode.kind == "exact":
         est = np.zeros((1, batch))
         for i, e in enumerate(np.eye(d)):

@@ -40,6 +40,21 @@ class MatchingConfig:
             raise ValueError("time_samples must be >= 1")
 
 
+def check_objective(objective: str, parameterization: str, schedule: PathSchedule) -> None:
+    """Raise unless ``objective`` can train a ``parameterization`` head on ``schedule``.
+
+    Score matching needs a diffusion-kind schedule and a score or noise
+    head; flow matching needs a velocity head.
+    """
+    if objective == "dsm":
+        if not schedule.is_diffusion:
+            raise UnsupportedKindError("score matching needs a diffusion-kind schedule")
+        if parameterization not in ("score", "noise"):
+            raise ValueError("dsm_loss expects a score- or noise-parameterized model")
+    elif parameterization != "velocity":
+        raise ValueError("cfm_loss expects a velocity-parameterized model")
+
+
 def _check_weights(weights, batch: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != batch:
@@ -68,10 +83,7 @@ def dsm_loss(model, schedule: PathSchedule, x0, weights, rng,
     (replay / permutation-invariance testing).
     """
     config = config or MatchingConfig(objective="dsm")
-    if not schedule.is_diffusion:
-        raise UnsupportedKindError("score matching needs a diffusion-kind schedule")
-    if model.parameterization not in ("score", "noise"):
-        raise ValueError("dsm_loss expects a score- or noise-parameterized model")
+    check_objective("dsm", model.parameterization, schedule)
     x0 = np.asarray(x0, dtype=float)
     w = _check_weights(weights, x0.shape[0])
     k = config.time_samples
@@ -108,8 +120,7 @@ def cfm_loss(model, schedule: PathSchedule, x0, x1, weights, rng,
     source (noise) and x1 the data endpoint.
     """
     config = config or MatchingConfig(objective="cfm")
-    if model.parameterization != "velocity":
-        raise ValueError("cfm_loss expects a velocity-parameterized model")
+    check_objective("cfm", model.parameterization, schedule)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     w = _check_weights(weights, x0.shape[0])

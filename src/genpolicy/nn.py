@@ -110,10 +110,6 @@ class Mlp:
         for p in self.parameters():
             p.requires_grad = False
 
-    def unfreeze(self) -> None:
-        for p in self.parameters():
-            p.requires_grad = True
-
 
 class FieldNetwork:
     """Conditional network over (x, t [, condition]) used as v/eps/score head.
@@ -163,6 +159,3 @@ class FieldNetwork:
 
     def freeze(self) -> None:
         self.mlp.freeze()
-
-    def unfreeze(self) -> None:
-        self.mlp.unfreeze()

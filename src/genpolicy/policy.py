@@ -34,7 +34,7 @@ from .nn import FieldNetwork
 from .optim import Adam
 from .sampler import SolverSpec, generate
 from .schedules import PathSchedule
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 
 
 @dataclass
@@ -84,7 +84,7 @@ class GenerativePolicy:
 
     def sample_actions(self, states, rng: np.random.Generator,
                        solver: SolverSpec | None = None) -> np.ndarray:
-        """One action per state row (the single-draw inference rule)."""
+        """One action per state row (the single-draw inference rule); records no tape."""
         states = np.atleast_2d(np.asarray(states, float))
         z = generate(self.model, states.shape[0], solver or self.config.eval_solver,
                      condition=states, rng=rng)
@@ -95,10 +95,15 @@ class GenerativePolicy:
 
     def log_prob_actions(self, states, actions, solver: SolverSpec,
                          trace: TraceMode = TraceMode(), rng=None):
-        """(log pi(a|s), stderr) for raw actions, numpy."""
+        """(log pi(a|s), stderr) for raw actions, numpy; records no tape.
+
+        The values are those of ``log_prob(...).logp_values`` minus the
+        normalizer correction, bit for bit; ``log_prob`` is the taped path.
+        """
         states = np.atleast_2d(np.asarray(states, float))
         z = self.normalize(actions)
-        res = log_prob(self.model, z, solver, trace, rng, condition=states)
+        with no_tape():
+            res = log_prob(self.model, z, solver, trace, rng, condition=states)
         return res.logp_values - self.log_norm_correction, res.stderr
 
     def parameters(self):
@@ -147,6 +152,9 @@ def softmax_candidate_weights(critic, s, candidates, beta: float) -> np.ndarray:
 # -- advantage-weighted matching trainer --------------------------------------
 
 
+WEIGHT_MODES = ("exp_clamp", "softmax")
+
+
 @dataclass
 class GmpoConfig:
     beta: float = 1.0
@@ -160,6 +168,8 @@ class GmpoConfig:
     lr_schedule: tuple = ()  # (step, new_lr) pairs applied mid-run
 
     def __post_init__(self):
+        if self.weight_mode not in WEIGHT_MODES:
+            raise ValueError(f"unknown weight mode {self.weight_mode!r}; options: {WEIGHT_MODES}")
         if self.w_max <= 0:
             raise ValueError("w_max must be > 0")
         if self.weight_mode == "softmax" and self.k_candidates < 2:
@@ -313,7 +323,8 @@ def gmpg_static_surrogate(policy: GenerativePolicy, behavior: GenerativePolicy, 
     a_raw = behavior.sample_actions(states, rng, spec)
     z = policy.normalize(a_raw)
     logp_pi_t = log_prob(policy.model, z, spec, config.trace, rng, condition=states).logp
-    logp_mu = log_prob(behavior.model, z, spec, config.trace, rng, condition=states).logp_values
+    with no_tape():
+        logp_mu = log_prob(behavior.model, z, spec, config.trace, rng, condition=states).logp_values
     q = critic.q_values(states, a_raw)
     w = gmpo_weight(critic, states, a_raw, config.beta)
     bracket = -config.beta * q + logp_pi_t.data - logp_mu  # constants

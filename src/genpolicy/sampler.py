@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IntegrationDivergedError, NonFiniteError
 from .schedules import PathSchedule
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, no_tape
 
 # scheme -> Butcher tableau (a, b, c): stage i is evaluated at t + c[i] h on
 # the state plus h * sum_j a[i][j] k_j, and the step adds h * sum_i b[i] k_i.
@@ -113,11 +113,14 @@ def generation_span(schedule: PathSchedule) -> tuple[float, float]:
 
 def generate(model, n: int, spec: SolverSpec, condition=None,
              rng: np.random.Generator | None = None, record: bool = False):
-    """Draw n prior points and transport them to data space.
+    """Draw n prior points and transport them to data space, as arrays.
 
     ``model`` is a GenerativeModel; its output is converted to a velocity
     view whatever the parameterization. ``condition`` must have n rows
     when present. n = 0 returns an empty sample set without integrating.
+    Records no tape: the unroll holds one step's values at a time. The
+    differentiable unroll is ``integrate`` (or
+    ``likelihood.generate_with_log_prob``) called outside ``no_tape()``.
     """
     d = model.net.x_dim
     if n == 0:
@@ -133,7 +136,8 @@ def generate(model, n: int, spec: SolverSpec, condition=None,
     def field(x, t):
         return model.velocity(x, t, cond_t)
 
-    out = integrate(field, Tensor(x0), spec, generation_span(model.schedule), record=record)
+    with no_tape():
+        out = integrate(field, Tensor(x0), spec, generation_span(model.schedule), record=record)
     if record:
         final, traj = out
         return final.data, traj

@@ -13,6 +13,14 @@ is what lets a solver unroll of up to T=1000 steps stay differentiable.
 Memory grows with the number of recorded operations (one activation array
 per op), so an unroll costs O(T x state size).
 
+Inside ``with no_tape():`` operations compute and check the same values
+but record no parents and no backward closure, so each intermediate is
+freed as soon as nothing refers to it and a T-step unroll holds O(state
+size). The rule: a function that returns arrays records no tape. Sampling,
+array log-densities and critic values run under ``no_tape()``; everything
+that returns a Tensor for training records as before. ``no_tape()`` nests
+and restores the previous setting on exit, also when an error escapes.
+
 Every library-produced value is checked for NaN/Inf and raises
 ``NonFiniteError`` instead of propagating silently. Arithmetic is float64
 by default; call ``set_default_dtype(np.float32)`` for the 32-bit speed
@@ -20,6 +28,8 @@ mode (gradient-check tolerances assume 64-bit).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,6 +47,20 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
+
+
+_RECORDING = True
+
+
+@contextmanager
+def no_tape():
+    """Compute without recording a graph (see the module docstring)."""
+    global _RECORDING
+    saved, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = saved
 
 
 def _check_finite(arr: np.ndarray, where: str) -> np.ndarray:
@@ -94,7 +118,7 @@ class Tensor:
     # -- graph nodes ---------------------------------------------------
 
     def _node(self, data, prev, backward, op):
-        needs = any(p.requires_grad or p._prev for p in prev)
+        needs = _RECORDING and any(p.requires_grad or p._prev for p in prev)
         return Tensor(data, _prev=prev if needs else (), _backward=backward if needs else None, _op=op)
 
     def _accum(self, g: np.ndarray) -> None:
@@ -273,7 +297,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t._accum(out.grad[tuple(idx)])
 
-    needs = any(t.requires_grad or t._prev for t in tensors)
+    needs = _RECORDING and any(t.requires_grad or t._prev for t in tensors)
     return Tensor(out_data, _prev=tuple(tensors) if needs else (),
                   _backward=bwd if needs else None, _op="concat")
 

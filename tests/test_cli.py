@@ -1,14 +1,16 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genpolicy.checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
 from genpolicy.config import load_config
 from genpolicy.critic import Critic, CriticConfig
-from genpolicy.errors import ConfigError
+from genpolicy.errors import ConfigError, DataFormatError
 from genpolicy.policy import GenerativePolicy, PolicyConfig
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
@@ -147,6 +149,35 @@ class TestCheckpoints:
             load_policy(path)
 
 
+def _garbled(blob: bytes, pos: int, xor: int) -> bytes:
+    """``blob`` cut to ``pos % len`` bytes (xor 0), or with that byte xor-ed."""
+    i = pos % len(blob)
+    if xor == 0:
+        return blob[:i]
+    return blob[:i] + bytes([blob[i] ^ xor]) + blob[i + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["policy", "critic"]), pos=st.integers(0, 1 << 20),
+       xor=st.integers(0, 255))
+def test_garbled_checkpoint_loads_or_raises_format_error(kind, pos, xor):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "x.ckpt")
+        if kind == "policy":
+            save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=2, hidden=(4,),
+                                                      t_emb_width=4), np.random.default_rng(0)), path)
+        else:
+            save_critic(Critic(1, 2, CriticConfig(hidden=(4,)), np.random.default_rng(0)), path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_garbled(blob, pos, xor))
+        try:
+            (load_policy if kind == "policy" else load_critic)(path)
+        except DataFormatError:
+            pass
+
+
 class TestPipeline:
     def test_full_stage_chain(self, tmp_path):
         data_dir = str(tmp_path / "data")
@@ -251,6 +282,33 @@ class TestExitCodes:
         proc = run_cli(command, *tiny_args(out), "--checkpoint", ckpt, "--n", n, check=False)
         assert proc.returncode == 2
         assert "--n must be" in proc.stderr
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, override", [
+        ("train-gmpo", "policy.weight_mode=bogus"),
+        ("train-gmpg", "policy.variant=bogus"),
+        ("train-gmpg", "policy.gmpg_scheme=bogus"),
+        ("logprob", "policy.trace=bogus"),
+        ("pretrain", "model.schedule=bogus"),
+        ("pretrain", "policy.objective=dsm"),  # the default head is a velocity head
+        ("sample", "solver.scheme=bogus"),
+        ("train-critic", "critic.tau=1.5"),
+    ])
+    def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
+        # the tiny task is a 1-d bandit with a 1-d state; every file the command
+        # reads exists, so only the config value can stop it
+        policy_ckpt, critic_ckpt = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                     np.random.default_rng(0)), policy_ckpt)
+        save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_ckpt)
+        files = {"train-gmpo": ["--critic", critic_ckpt, "--behavior", policy_ckpt],
+                 "train-gmpg": ["--critic", critic_ckpt, "--behavior", policy_ckpt],
+                 "logprob": ["--checkpoint", policy_ckpt],
+                 "sample": ["--checkpoint", policy_ckpt]}.get(command, [])
+        out = str(tmp_path / "o")
+        proc = run_cli(command, *tiny_args(out, [override]), *files, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
         assert not os.path.exists(out)
 
     def test_swiss_roll_task_kind(self, tmp_path):

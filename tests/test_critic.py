@@ -58,6 +58,16 @@ class TestExpectileLoss:
         assert err < 1e-3
 
 
+def test_array_values_equal_tensor_paths_bitwise():
+    critic = Critic(2, 1, CriticConfig(hidden=(16, 16)), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    s, a = rng.standard_normal((7, 2)), rng.standard_normal((7, 1))
+    q, v = critic.q_tensor(s, Tensor(a)), critic.v_tensor(s)
+    assert q._prev and v._prev  # the tensor paths record a tape
+    assert critic.q_values(s, a).tobytes() == q.data[:, 0].tobytes()
+    assert critic.v_values(s).tobytes() == v.data[:, 0].tobytes()
+
+
 def _bandit_dataset(rewards, counts):
     rows_a, rows_r = [], []
     for rv, c in zip(rewards, counts):

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +136,25 @@ class TestIO:
             back = load_dataset(str(path))
             assert back.n == 0
             assert back.action_dim == 2 or name.endswith(".csv")  # csv infers dims from header
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=st.integers(0, 1 << 20), xor=st.integers(0, 255))
+def test_garbled_binary_dataset_loads_or_raises_format_error(pos, xor):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "b.gpds")
+        save_dataset(make_tilted_gaussian_bandit(2, 1.0, 6, seed=1)[0], path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        # xor 0 cuts the file at pos % len; any other value flips that one byte
+        i = pos % len(blob)
+        blob = blob[:i] if xor == 0 else blob[:i] + bytes([blob[i] ^ xor]) + blob[i + 1:]
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_dataset(path)
+        except DataFormatError:
+            pass
 
 
 def test_nearest_helpers():

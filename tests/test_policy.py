@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from genpolicy.checkpoint import copy_policy
 from genpolicy.data import make_tilted_gaussian_bandit
-from genpolicy.likelihood import TraceMode
+from genpolicy.errors import IntegrationDivergedError
+from genpolicy.likelihood import TraceMode, log_prob
+from genpolicy.matching import matching_loss
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
                               gmpg_loss, gmpg_per_sample, gmpg_static_surrogate,
                               gmpo_weight, pretrain_behavior, softmax_candidate_weights,
@@ -325,6 +329,71 @@ class TestAct:
 
     def test_eval_solver_default_is_32_steps(self):
         assert PolicyConfig().eval_solver.steps == 32
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeFree:
+    """Array-returning inference records no tape: memory does not grow with T."""
+
+    def test_sample_memory_flat_in_steps(self):
+        pol = small_policy(seed=60, hidden=(32, 32), action_dim=2)
+        states = np.zeros((256, 1))
+
+        def peak(steps):
+            return _traced_peak(lambda: pol.sample_actions(
+                states, np.random.default_rng(0), SolverSpec("euler", steps)))
+
+        assert peak(64) < 2 * peak(4)
+
+    @pytest.mark.parametrize("trace", [TraceMode("exact"), TraceMode("hutchinson", 2)])
+    def test_log_prob_memory_flat_in_steps(self, trace):
+        pol = small_policy(seed=61, hidden=(32, 32), action_dim=2)
+        rng = np.random.default_rng(1)
+        states, actions = rng.standard_normal((128, 1)), rng.standard_normal((128, 2))
+
+        def peak(steps):
+            return _traced_peak(lambda: pol.log_prob_actions(
+                states, actions, SolverSpec("euler", steps), trace, np.random.default_rng(2)))
+
+        assert peak(64) < 2 * peak(4)
+
+    @pytest.mark.parametrize("trace", [TraceMode("exact"), TraceMode("hutchinson", 3)])
+    def test_log_prob_actions_equal_taped_log_prob(self, trace):
+        pol = small_policy(seed=62, hidden=(16, 16), action_dim=2)
+        pol.action_mean, pol.action_std = np.array([0.2, -0.4]), np.array([1.5, 0.7])
+        rng = np.random.default_rng(3)
+        states, actions = rng.standard_normal((9, 1)), rng.standard_normal((9, 2))
+        spec = SolverSpec("midpoint", 5)
+        logp, stderr = pol.log_prob_actions(states, actions, spec, trace, np.random.default_rng(4))
+        taped = log_prob(pol.model, pol.normalize(actions), spec, trace,
+                         np.random.default_rng(4), condition=states)
+        assert taped.logp._prev  # the reference really is the taped path
+        assert logp.tobytes() == (taped.logp_values - pol.log_norm_correction).tobytes()
+        assert stderr.tobytes() == taped.stderr.tobytes()
+
+    def test_recording_back_on_after_divergence(self):
+        pol = small_policy(seed=63, hidden=(8, 8))
+        bias = pol.model.net.mlp.biases[-1]
+        finite = bias.data
+        bias.data = np.full_like(finite, np.inf)
+        with pytest.raises(IntegrationDivergedError):
+            pol.sample_actions(np.zeros((4, 1)), np.random.default_rng(0))
+        bias.data = finite
+        zero_grad(pol.parameters())
+        rng = np.random.default_rng(1)
+        loss = matching_loss(pol.model, pol.config.schedule, rng.standard_normal((16, 1)),
+                             np.ones(16), rng, condition=rng.standard_normal((16, 1)))
+        loss.backward()
+        assert all(p.grad is not None and np.any(p.grad != 0.0) for p in pol.parameters())
 
 
 class TestKlDerivationCrossCheck:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpolicy.errors import NonFiniteError
-from genpolicy.tensor import Tensor, backward, concat, grad_check, zero_grad
+from genpolicy.tensor import Tensor, backward, concat, grad_check, no_tape, zero_grad
 
 
 def _fd(f, x, h=1e-5):
@@ -180,6 +180,38 @@ def test_determinism_same_seed_bitwise():
     o2, g2 = run()
     assert o1.tobytes() == o2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+class TestNoTape:
+    def test_same_values_and_no_graph(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        taped = concat([(x @ w).tanh(), x], axis=1)
+        with no_tape():
+            free = concat([(x @ w).tanh(), x], axis=1)
+        assert free.data.tobytes() == taped.data.tobytes()
+        assert taped._prev and taped._backward is not None
+        assert free._prev == () and free._backward is None
+
+    def test_nests(self):
+        x = Tensor(1.5, requires_grad=True)
+        with no_tape():
+            with no_tape():
+                assert (x * x)._prev == ()
+            assert (x * x)._prev == ()  # the inner exit keeps the outer setting
+        y = x * x
+        assert y._prev
+        y.backward()
+        assert x.grad == pytest.approx(3.0)
+
+    def test_restores_recording_after_an_error(self):
+        x = Tensor(2.0, requires_grad=True)
+        with pytest.raises(NonFiniteError):  # finite checks still run without a tape
+            with no_tape():
+                (x * 0.0).log()
+        (x * x).backward()
+        assert x.grad == pytest.approx(4.0)
 
 
 def test_detach_blocks_gradient():
