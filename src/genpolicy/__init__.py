@@ -13,6 +13,6 @@ from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmp
 from .sampler import SolverSpec, Trajectory, generate, integrate
 from .schedules import (PathSchedule, alpha_sigma, convert, drift_diffusion,
                         sample_path_point, target_score, target_velocity)
-from .tensor import Tensor, backward, concat, grad_check, param_grad_check, set_default_dtype
+from .tensor import Tensor, backward, concat, grad_check, param_grad_check
 
 __version__ = "0.1.0"

@@ -2,7 +2,9 @@
 
 One stage per invocation. The whole config is checked first, by building
 every spec a stage would build from it; a bad value exits 2 before any
-file is written. Every stage then writes its fully resolved config
+file is written. ``train-gmpg`` also estimates its tape from the shapes
+(``policy.gmpg_tape_bytes``) and exits 2 the same way when the estimate
+exceeds physical memory. Every stage then writes its fully resolved config
 into the output directory before any compute, appends plain-CSV metrics
 (comment char '#', comma-separated, %.17g floats) and emits checkpoints
 in the versioned binary format. Exit codes: 0 success, 2 config error,
@@ -25,7 +27,7 @@ from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, load_dat
 from .errors import ConfigError, DataFormatError, NonFiniteError
 from .likelihood import TraceMode
 from .matching import MatchingConfig, check_objective
-from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
+from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_tape_bytes,
                      pretrain_behavior, train_gmpg, train_gmpo)
 from .sampler import SolverSpec, generate
 from .schedules import PathSchedule
@@ -236,15 +238,29 @@ def cmd_train_gmpo(cfg: ExperimentConfig, args) -> None:
     print(f"wrote {os.path.join(out, 'policy.ckpt')}")
 
 
+def _check_tape_fits(behavior: GenerativePolicy, config: GmpgConfig, batch: int) -> None:
+    """Refuse a GMPG run whose tape alone would exceed physical memory."""
+    need = gmpg_tape_bytes(behavior, config, batch)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"train-gmpg would hold an estimated {need / 2**30:.1f} GiB of tape per step "
+            f"(t_train={config.t_train}, batch {batch}, {config.variant}), more than the "
+            f"{have / 2**30:.1f} GiB of physical memory; lower policy.t_train, "
+            f"policy.gmpg_batch_size or the policy widths")
+
+
 def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     critic = load_critic(args.critic)
     behavior = load_policy(args.behavior)
+    config = _gmpg_config(cfg)
+    _check_tape_fits(behavior, config, min(config.batch_size, ds.n))
+    out = _prepare_out(cfg)
     policy = copy_policy(behavior)  # theta_2 <- theta_1
     writer = MetricsWriter(os.path.join(out, "metrics.csv"),
                            ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
-    train_gmpg(ds, critic, policy, behavior, _gmpg_config(cfg),
+    train_gmpg(ds, critic, policy, behavior, config,
                np.random.default_rng(cfg.task.seed),
                on_step=_policy_metrics_cb(writer, policy, ds, cfg))
     save_policy(policy, os.path.join(out, "policy.ckpt"))
@@ -257,7 +273,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
     states = ds.s[np.arange(args.n) % ds.n]
-    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
+    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed), _solver(cfg))
     path = os.path.join(out, "samples.csv")
     _write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
                ([i, *row] for i, row in enumerate(actions)))
@@ -283,7 +299,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
     states = ds.s[np.arange(args.n) % ds.n]
-    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
+    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed), _solver(cfg))
     mean_value = float(assign_value_nearest(ds, actions).mean())
     path = os.path.join(out, "eval.csv")
     d = actions.shape[1]

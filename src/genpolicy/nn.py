@@ -12,6 +12,13 @@ k blocks of B rows each, block j being the j-th tangent for every input
 row. The forward pass runs once on the B rows; each layer's activation
 slope is computed once and broadcast over the k blocks, and the output
 tangent has the same k·B-row layout.
+
+Each layer is one fused ``linear`` node (``h @ w + b``), and the tanh
+slope is one ``tanh_slope`` node read off the layer's output. Per hidden
+layer the tape then stores the pre-activation, the activation and the
+slope for the B primal rows and two arrays for the k·B tangent rows; the
+product ``h @ w`` and the squares behind ``1 - h*h`` are never kept.
+Inference and training run these same ops.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, linear
 
 _ACTIVATIONS = ("tanh", "sin")
 
@@ -96,14 +103,14 @@ class Mlp:
                 raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
         h, dh = x, u
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w + b
+            z = linear(h, w, b)
             h = z.tanh() if self.activation == "tanh" else z.sin()
             if dh is not None:
-                slope = 1.0 - h * h if self.activation == "tanh" else z.cos()
+                slope = h.tanh_slope() if self.activation == "tanh" else z.cos()
                 dz = dh @ w
                 width = dz.shape[1]
                 dh = (dz.reshape(k, rows, width) * slope).reshape(k * rows, width)
-        out = h @ self.weights[-1] + self.biases[-1]
+        out = linear(h, self.weights[-1], self.biases[-1])
         return out, None if dh is None else dh @ self.weights[-1]
 
     def freeze(self) -> None:

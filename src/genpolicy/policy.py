@@ -32,7 +32,7 @@ from .matching import MatchingConfig, matching_loss
 from .model import GenerativeModel
 from .nn import FieldNetwork
 from .optim import Adam
-from .sampler import SolverSpec, generate
+from .sampler import TABLEAUX, SolverSpec, generate
 from .schedules import PathSchedule
 from .tensor import Tensor, no_tape
 
@@ -273,6 +273,26 @@ class GmpgConfig:
     @property
     def solver(self) -> SolverSpec:
         return SolverSpec(self.scheme, self.t_train)
+
+
+def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) -> int:
+    """Estimated bytes of one GMPG step's tape after the forward pass.
+
+    Analytic, from the shapes alone. Each taped solver stage of an unroll
+    stores float64 arrays of ``batch`` rows: per hidden unit three for the
+    primal rows (pre-activation, activation, slope) and two per tangent
+    block, plus the network input and its k tangents, where k is the
+    action dimension for an exact trace and the probe count for
+    Hutchinson. The dynamic variant tapes two unrolls (pi and mu), the
+    static one only log pi. Every stage counts in full, so for midpoint,
+    whose first-stage trace the step never reads, this is an upper bound.
+    """
+    net = policy.model.net
+    k = net.x_dim if config.trace.kind == "exact" else config.trace.n_probes
+    inputs = net.t_emb.width + net.state_dim + net.x_dim
+    per_stage = 8 * batch * ((3 + 2 * k) * sum(net.mlp.sizes[1:-1]) + (k + 1) * inputs)
+    stages = len(TABLEAUX[config.scheme][1]) * config.t_train
+    return per_stage * stages * (2 if config.variant == "dynamic" else 1)
 
 
 def _check_gmpg_models(policy: GenerativePolicy, behavior: GenerativePolicy) -> None:

@@ -6,12 +6,20 @@ scalar output walks the graph in reverse topological order and accumulates
 gradients into the ``grad`` field of every node that ``requires_grad``.
 
 Tape lifecycle: the tape lives exactly as long as the output tensor that
-heads it. ``backward`` may be called more than once (gradients accumulate);
-training loops call ``zero_grad`` between steps. Recording is re-entrant —
-new operations may reference nodes of an existing graph at any time, which
-is what lets a solver unroll of up to T=1000 steps stay differentiable.
-Memory grows with the number of recorded operations (one activation array
-per op), so an unroll costs O(T x state size).
+heads it. The reverse pass keeps only what it still needs: once a node's
+backward closure has run, that interior node's ``grad`` is set back to
+``None``, so the pass holds the gradients of the frontier it is working
+on rather than one per node. Leaves and the root keep theirs. Because of
+that, ``backward`` may be called more than once and every leaf gradient
+truly accumulates; training loops call ``zero_grad`` between steps.
+Recording is re-entrant — new operations may reference nodes of an
+existing graph at any time, which is what lets a solver unroll of up to
+T=1000 steps stay differentiable. Memory grows with the number of
+recorded operations (one activation array per op), so an unroll costs
+O(T x state size). Two fused nodes keep that array count down:
+``linear(x, w, b)`` is ``x @ w + b`` as one node (the product alone is
+never stored), and ``tanh_slope`` is the tanh derivative ``1 - y*y`` of
+a tanh output ``y`` as one node.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -22,9 +30,9 @@ that returns a Tensor for training records as before. ``no_tape()`` nests
 and restores the previous setting on exit, also when an error escapes.
 
 Every library-produced value is checked for NaN/Inf and raises
-``NonFiniteError`` instead of propagating silently. Arithmetic is float64
-by default; call ``set_default_dtype(np.float32)`` for the 32-bit speed
-mode (gradient-check tolerances assume 64-bit).
+``NonFiniteError`` instead of propagating silently. Arithmetic is
+float64: non-float input is converted to float64, and a float32 array
+keeps its dtype.
 """
 
 from __future__ import annotations
@@ -34,20 +42,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import NonFiniteError
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be np.float32 or np.float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 _RECORDING = True
 
@@ -64,7 +58,7 @@ def no_tape():
 
 
 def _check_finite(arr: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value produced by {where}")
     return arr
 
@@ -86,7 +80,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None, _op: str = "leaf"):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
@@ -124,8 +118,10 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         _check_finite(g, "reverse pass")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: ``g`` may be the consumer's own ``grad`` (see _unbroadcast)
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     # -- binary ops (numpy broadcasting; gradients un-broadcast) --------
 
@@ -216,6 +212,10 @@ class Tensor:
     def cos(self):
         return self._unary(np.cos, lambda x, y: -np.sin(x), "cos")
 
+    def tanh_slope(self):
+        """1 - y*y for a tanh output y, the slope of tanh at its input."""
+        return self._unary(lambda y: 1.0 - y * y, lambda y, _: -2.0 * y, "tanh_slope")
+
     def sqrt(self):
         return self._unary(np.sqrt, lambda x, y: 0.5 / y, "sqrt")
 
@@ -278,6 +278,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node)
+                if node is not self:
+                    node.grad = None  # consumed; see "Tape lifecycle"
 
 
 def as_tensor(value) -> Tensor:
@@ -300,6 +302,25 @@ def concat(tensors, axis: int = 1) -> Tensor:
     needs = _RECORDING and any(t.requires_grad or t._prev for t in tensors)
     return Tensor(out_data, _prev=tuple(tensors) if needs else (),
                   _backward=bwd if needs else None, _op="concat")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: the product is never stored on the tape."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("matmul is defined for 2-d tensors")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def bwd(out):
+        g = out.grad
+        if x.requires_grad or x._prev:
+            x._accum(g @ w.data.T)
+        if w.requires_grad or w._prev:
+            w._accum(x.data.T @ g)
+        if b.requires_grad or b._prev:
+            b._accum(_unbroadcast(g, b.data.shape))
+
+    return x._node(out_data, (x, w, b), bwd, "linear")
 
 
 def backward(output: Tensor) -> dict[int, np.ndarray]:

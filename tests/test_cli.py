@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -251,6 +252,20 @@ class TestPipeline:
         assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("command, name", [("sample", "samples.csv"), ("eval", "eval.csv")])
+def test_sample_and_eval_integrate_on_the_configured_solver(tmp_path, command, name):
+    ckpt = str(tmp_path / "p.ckpt")
+    save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(8,)),
+                                 np.random.default_rng(0)), ckpt)  # eval_solver: euler, 32
+    blobs = []
+    for steps in (4, 32):
+        out = str(tmp_path / f"{command}{steps}")
+        run_cli(command, *tiny_args(out, [f"solver.steps={steps}"]), "--checkpoint", ckpt,
+                "--n", "16")
+        blobs.append(open(os.path.join(out, name), "rb").read())
+    assert blobs[0] != blobs[1]
+
+
 class TestExitCodes:
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("make-data", "--config", str(tmp_path / "nope.ini"), check=False)
@@ -309,6 +324,23 @@ class TestExitCodes:
         proc = run_cli(command, *tiny_args(out, [override]), *files, check=False)
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
+        assert not os.path.exists(out)
+
+    def test_gmpg_tape_beyond_physical_memory_exits_2_before_training(self, tmp_path):
+        # about 1.5 TB of tape at t_train=1e6 and batch 512, more than any desk machine holds
+        policy_ckpt, critic_ckpt = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(16, 16),
+                                                  t_emb_width=8), np.random.default_rng(0)),
+                    policy_ckpt)
+        save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_ckpt)
+        out = str(tmp_path / "o")
+        start = time.perf_counter()
+        proc = run_cli("train-gmpg", *tiny_args(out, ["policy.t_train=1000000",
+                                                      "policy.gmpg_batch_size=512"]),
+                       "--critic", critic_ckpt, "--behavior", policy_ckpt, check=False)
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 2, proc.stderr
+        assert "GiB of tape" in proc.stderr and "t_train=1000000" in proc.stderr
         assert not os.path.exists(out)
 
     def test_swiss_roll_task_kind(self, tmp_path):

@@ -103,6 +103,37 @@ def test_field_network_jvp_stacked_tangent_layout():
         assert np.allclose(du.data[4 * j:4 * (j + 1)], single.data, rtol=0.0, atol=1e-12)
 
 
+def _unfused_forward(mlp, x):
+    """The layer loop without the fused node: h @ w + b, then the activation."""
+    h = x
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        z = h @ w + b
+        h = z.tanh() if mlp.activation == "tanh" else z.sin()
+    return h @ mlp.weights[-1] + mlp.biases[-1]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+def test_matching_loss_gradients_equal_unfused_reference(activation, monkeypatch):
+    from genpolicy.matching import matching_loss
+    from genpolicy.policy import GenerativePolicy, PolicyConfig
+    policy = GenerativePolicy(PolicyConfig(state_dim=1, action_dim=2, hidden=(16, 16),
+                                           activation=activation), np.random.default_rng(12))
+    params = policy.parameters()
+    data = np.random.default_rng(13)
+    s, a, w = data.standard_normal((32, 1)), data.standard_normal((32, 2)), data.uniform(0, 2, 32)
+
+    def loss_and_grads():
+        zero_grad(params)
+        loss = matching_loss(policy.model, policy.config.schedule, a, w,
+                             np.random.default_rng(14), condition=s)
+        loss.backward()
+        return [loss.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+    fused = loss_and_grads()
+    monkeypatch.setattr(Mlp, "__call__", _unfused_forward)
+    assert loss_and_grads() == fused
+
+
 def test_gaussian_fourier_shape_and_determinism():
     emb1 = GaussianFourier(32, np.random.default_rng(9))
     emb2 = GaussianFourier(32, np.random.default_rng(9))

@@ -10,8 +10,8 @@ from genpolicy.likelihood import TraceMode, log_prob
 from genpolicy.matching import matching_loss
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
                               gmpg_loss, gmpg_per_sample, gmpg_static_surrogate,
-                              gmpo_weight, pretrain_behavior, softmax_candidate_weights,
-                              train_gmpg, train_gmpo)
+                              gmpg_tape_bytes, gmpo_weight, pretrain_behavior,
+                              softmax_candidate_weights, train_gmpg, train_gmpo)
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor, zero_grad
@@ -394,6 +394,59 @@ class TestTapeFree:
                              np.ones(16), rng, condition=rng.standard_normal((16, 1)))
         loss.backward()
         assert all(p.grad is not None and np.any(p.grad != 0.0) for p in pol.parameters())
+
+
+def _tape_bytes(out) -> int:
+    """Bytes of the distinct buffers behind the graph that ``out`` heads."""
+    seen, stack, buffers = set(), [out], {}
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arr = node.data
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        buffers[id(arr)] = arr.nbytes
+        stack.extend(node._prev)
+    return sum(buffers.values())
+
+
+def _gmpg_setup(batch, hidden, action_dim, config):
+    behavior = small_policy(seed=70, hidden=hidden, action_dim=action_dim)
+    policy = copy_policy(behavior)
+    rng = np.random.default_rng(71)
+    for p in policy.parameters():
+        p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
+    behavior.model.freeze()
+    loss_fn = gmpg_loss if config.variant == "dynamic" else gmpg_static_surrogate
+    return policy, lambda: loss_fn(policy, behavior, LinearCritic(), rng.standard_normal((batch, 1)),
+                                   config, np.random.default_rng(72))
+
+
+class TestGmpgMemory:
+    def test_reverse_pass_peak_close_to_the_tape(self):
+        _, loss_fn = _gmpg_setup(64, (32, 32), 2, GmpgConfig(t_train=8))
+        tracemalloc.start()
+        try:
+            loss = loss_fn()
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * held, (peak, held)
+
+    @pytest.mark.parametrize("batch, hidden, action_dim, config", [
+        (64, (32, 32), 2, GmpgConfig(t_train=4)),
+        (48, (48, 48, 48), 1, GmpgConfig(t_train=2, scheme="rk4_38", variant="static",
+                                         trace=TraceMode("hutchinson", 3))),
+    ])
+    def test_tape_estimate_within_a_quarter(self, batch, hidden, action_dim, config):
+        policy, loss_fn = _gmpg_setup(batch, hidden, action_dim, config)
+        measured = _tape_bytes(loss_fn())
+        assert 0.75 * measured <= gmpg_tape_bytes(policy, config, batch) <= 1.25 * measured
 
 
 class TestKlDerivationCrossCheck:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpolicy.errors import NonFiniteError
-from genpolicy.tensor import Tensor, backward, concat, grad_check, no_tape, zero_grad
+from genpolicy.tensor import Tensor, backward, concat, grad_check, linear, no_tape, zero_grad
 
 
 def _fd(f, x, h=1e-5):
@@ -56,6 +56,43 @@ class TestBackward:
         y = x * x + x  # dy/dx = 2x + 1 = 5
         y.backward()
         assert x.grad == pytest.approx(5.0)
+
+    def test_repeated_backward_through_interior_nodes_accumulates(self):
+        x = Tensor(1.5, requires_grad=True)
+        y = x * x
+        z = y * y  # dz/dx = 4 x^3 = 13.5
+        z.backward()
+        z.backward()
+        assert float(x.grad) == 27.0
+
+    def test_interior_grads_freed_leaves_and_root_keep_theirs(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        h = linear(x, w, b).tanh()
+        out = concat([h.tanh_slope(), h * h, x], axis=1).reshape(-1).sum() * 0.5
+        out.backward()
+        seen, stack, interior = set(), [out], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._prev)
+                if node._prev and node is not out:
+                    interior.append(node)
+        assert len(interior) >= 6
+        assert all(node.grad is None for node in interior)
+        assert all(p.grad is not None for p in (x, w, b))
+        assert out.grad == 1.0
+
+    def test_first_accumulation_copies_the_incoming_gradient(self):
+        # add hands its own out.grad to both parents; neither may alias it
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        (x + y).sum().backward()
+        x.grad += 1.0
+        assert np.array_equal(y.grad, np.ones(3))
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(1.5, requires_grad=True)
@@ -182,6 +219,63 @@ def test_determinism_same_seed_bitwise():
     assert g1.tobytes() == g2.tobytes()
 
 
+class TestFusedNodes:
+    def test_same_values_and_gradients_as_matmul_plus_bias(self):
+        rng = np.random.default_rng(9)
+        x0, w0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
+        g0 = rng.standard_normal((5, 4))
+
+        def grads(fn):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+            out = fn(x, w, b)
+            (out * g0).sum().backward()
+            return out.data, x.grad, w.grad, b.grad
+
+        fused = grads(linear)
+        ref = grads(lambda x, w, b: x @ w + b)
+        assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
+
+    def test_grad_check_with_broadcast_bias(self):
+        rng = np.random.default_rng(10)
+        w = Tensor(rng.standard_normal((3, 2)))
+        b = Tensor(rng.standard_normal(2))
+        x = Tensor(rng.standard_normal((4, 3)))
+        wts = rng.standard_normal((4, 2))
+        assert grad_check(lambda x: (linear(x.reshape(4, 3), w, b).tanh() * wts).sum(),
+                          Tensor(rng.standard_normal(12))) < 1e-6
+        assert grad_check(lambda w: (linear(x, w.reshape(3, 2), b).sin() * wts).sum(),
+                          Tensor(rng.standard_normal(6))) < 1e-6
+        assert grad_check(lambda b: (linear(x, w, b).tanh() * wts).sum(),
+                          Tensor(rng.standard_normal(2))) < 1e-6
+
+    def test_grad_check_tanh_slope(self):
+        rng = np.random.default_rng(11)
+        wts = rng.standard_normal(6)
+        assert grad_check(lambda a: (a.tanh().tanh_slope() * wts).sum(),
+                          Tensor(rng.standard_normal(6))) < 1e-6
+
+    def test_rejects_non_2d_like_matmul(self):
+        w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+        for x in (Tensor(np.ones(3)), Tensor(np.ones((2, 2, 3)))):
+            with pytest.raises(ValueError):
+                x @ w
+            with pytest.raises(ValueError):
+                linear(x, w, b)
+        with pytest.raises(ValueError):
+            linear(Tensor(np.ones((4, 3))), Tensor(np.ones(3)), b)
+
+    def test_non_finite_weight_raises(self):
+        from genpolicy.nn import Mlp
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        w.data[1, 0] = np.inf  # set after the leaf's own check, as a diverged update would
+        with pytest.raises(NonFiniteError):
+            linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+        net = Mlp([3, 4, 2], np.random.default_rng(0))
+        net.weights[-1].data[0, 0] = np.inf
+        with pytest.raises(NonFiniteError):
+            net(Tensor(np.ones((4, 3))))
+
+
 class TestNoTape:
     def test_same_values_and_no_graph(self):
         rng = np.random.default_rng(4)
@@ -221,19 +315,11 @@ def test_detach_blocks_gradient():
     assert x.grad == pytest.approx(4.0)
 
 
-def test_float32_mode_toggle():
-    from genpolicy.tensor import default_dtype, set_default_dtype
-    assert default_dtype() is np.float64
-    try:
-        set_default_dtype(np.float32)
-        t = Tensor([1, 2, 3])  # ints promoted to the default dtype
-        assert t.data.dtype == np.float32
-        assert (t * t).data.dtype == np.float32
-    finally:
-        set_default_dtype(np.float64)
-    assert Tensor([1]).data.dtype == np.float64
-    with pytest.raises(ValueError):
-        set_default_dtype(np.int32)
+def test_float32_input_keeps_its_dtype():
+    t = Tensor(np.array([1, 2, 3], dtype=np.float32))
+    assert t.data.dtype == np.float32
+    assert (t * t).data.dtype == np.float32
+    assert Tensor([1, 2, 3]).data.dtype == np.float64  # non-float input becomes float64
 
 
 def test_preexisting_float_dtype_preserved():
