@@ -3,7 +3,7 @@
 from .critic import Critic, CriticConfig, expectile_loss, iql_step, train_critic
 from .data import (OfflineDataset, SwissRollTask, load_dataset, make_swiss_roll,
                    make_tilted_gaussian_bandit, save_dataset)
-from .likelihood import LogDensityResult, TraceMode, generate_with_log_prob, jacobian_trace, log_prob
+from .likelihood import LogDensityResult, TraceMode, generate_with_log_prob, log_prob
 from .matching import MatchingConfig, cfm_loss, dsm_loss, matching_loss
 from .model import GenerativeModel
 from .nn import FieldNetwork, GaussianFourier, Mlp
@@ -13,6 +13,6 @@ from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmp
 from .sampler import SolverSpec, Trajectory, generate, integrate
 from .schedules import (PathSchedule, alpha_sigma, convert, drift_diffusion,
                         sample_path_point, target_score, target_velocity)
-from .tensor import Tensor, backward, concat, grad_check, param_grad_check
+from .tensor import Tensor, backward, concat
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ import numpy as np
 
 from .sampler import SolverSpec, integrate
 from .schedules import prior_logpdf, prior_logpdf_tensor
-from .tensor import Tensor, no_tape
+from .tensor import Tensor
 
 PROBE_DISTS = ("gaussian", "rademacher")
 
@@ -100,43 +100,6 @@ def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
     return v, est
 
 
-def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
-    """Trace of d(field)/dx at (x, t); returns (trace, stderr), numpy.
-
-    ``field`` is a callable (Tensor x, t) -> Tensor; if it exposes
-    ``jvp(x, t, u)`` the estimate uses one stacked forward sweep (see
-    ``trace_with_jvp``), recording no tape, otherwise reverse sweeps on a
-    detached leaf (d of them in exact mode, one per probe in Hutchinson
-    mode), which need theirs. Standalone evaluation utility; the
-    differentiable path inside log_prob goes through ``trace_with_jvp``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    batch, d = x.shape
-    jvp_fn = getattr(field, "jvp", None)
-    if jvp_fn is not None:
-        probes = None
-        if mode.kind == "hutchinson":
-            probes = _draw_probes(mode.probe_dist, (mode.n_probes, batch, d), rng)
-        with no_tape():
-            est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes)[1].data
-    elif mode.kind == "exact":
-        est = np.zeros((1, batch))
-        for i, e in enumerate(np.eye(d)):
-            leaf = Tensor(x, requires_grad=True)
-            (field(leaf, t) * e).sum().backward()
-            est[0] += leaf.grad[:, i]
-    else:
-        est = np.zeros((mode.n_probes, batch))
-        for p in range(mode.n_probes):
-            eps = _draw_probes(mode.probe_dist, (batch, d), rng)
-            leaf = Tensor(x, requires_grad=True)
-            (field(leaf, t) * eps).sum().backward()
-            est[p] = (leaf.grad * eps).sum(axis=1)
-    return est.mean(axis=0), _stderr_of(est)
-
-
 def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
                          spec: SolverSpec, mode: TraceMode, probes):
     """Integrate [x; l] with dl/dt = -trace; returns (x_T, l_T (P,B))."""
@@ -144,8 +107,8 @@ def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
     def jvp_fn(x, t, u):
         return model.velocity_jvp(x, t, condition, u)
 
-    def rhs(state, t):
-        v, tr = trace_with_jvp(jvp_fn, state[0], t, mode, probes)
+    def rhs(x, t):
+        v, tr = trace_with_jvp(jvp_fn, x, t, mode, probes)
         return v, tr * (-1.0)
 
     n_est = 1 if mode.kind == "exact" else mode.n_probes

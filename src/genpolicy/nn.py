@@ -1,24 +1,29 @@
 """Multilayer perceptrons and time-feature embeddings on the tensor engine.
 
 ``Mlp.forward_jvp`` propagates tangents alongside the forward pass
-(forward-mode through the layers, expressed in taped primitives; it runs
-the same layer loop as ``Mlp.__call__``, with the tangent switched on), so
+(forward-mode through the layers, expressed in taped nodes; it runs the
+same layer loop as ``Mlp.__call__``, with the tangent switched on), so
 Jacobian-vector products remain differentiable with respect to the
 parameters by the ordinary reverse pass. The likelihood module relies on
 this for trainable Jacobian traces.
 
 Tangents come stacked: for a batch of B inputs, ``u`` holds k·B rows,
 k blocks of B rows each, block j being the j-th tangent for every input
-row. The forward pass runs once on the B rows; each layer's activation
-slope is computed once and broadcast over the k blocks, and the output
-tangent has the same k·B-row layout.
+row. The input and its tangents are stacked into (k+1)·B rows, and each
+layer is one ``tensor.dense`` node over them: the primal rows get
+``act(h @ w + b)``, the tangent rows ``(dh @ w) * act'``, each through
+its own matmul, so the primal output is bit for bit that of
+``__call__`` (the k = 0 case of the same node). Per hidden layer the
+tape keeps only the layer's (k+1)·B-row output for tanh; sin also keeps
+cos z and the tangents before the slope. The output layer's product is
+split back into the B-row output, plus its bias, and the k·B-row output
+tangent.
 
-Each layer is one fused ``linear`` node (``h @ w + b``), and the tanh
-slope is one ``tanh_slope`` node read off the layer's output. Per hidden
-layer the tape then stores the pre-activation, the activation and the
-slope for the B primal rows and two arrays for the k·B tangent rows; the
-product ``h @ w`` and the squares behind ``1 - h*h`` are never kept.
-Inference and training run these same ops.
+``FieldNetwork`` feeds its first layer the time embedding and the
+condition as constant columns ahead of x (a ``prefix``), so the tangent
+enters only through the weight rows of x, and the Fourier features of a
+scalar time are computed once, as one row shared by the whole batch.
+The first layer's weight stays one array, as checkpoints store it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, concat, linear
+from .tensor import Tensor, as_tensor, concat, dense
 
 _ACTIVATIONS = ("tanh", "sin")
 
@@ -79,39 +84,45 @@ class Mlp:
     def param_count(self) -> int:
         return sum((i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self._forward(x, None)[0]
+    def __call__(self, x: Tensor, prefix=()) -> Tensor:
+        """The (B, out) output for the (B, in) input ``x``.
 
-    def forward_jvp(self, x: Tensor, u: Tensor) -> tuple[Tensor, Tensor]:
+        ``prefix`` optionally holds constant arrays (B rows, or one row
+        for all) whose columns come before x's in the first layer's input;
+        ``sizes[0]`` counts them. No gradient flows into them.
+        """
+        return self._forward(x, None, prefix)[0]
+
+    def forward_jvp(self, x: Tensor, u: Tensor, prefix=()) -> tuple[Tensor, Tensor]:
         """Forward pass plus the Jacobian-vector products d(out)/dx @ u.
 
         ``x`` is (B, in); ``u`` is (k·B, in), k tangent blocks of B rows
         (row j·B + i is the j-th tangent at input row i). Returns the
-        (B, out) output, op for op the same as ``__call__``, and the
+        (B, out) output, bit for bit that of ``__call__``, and the
         (k·B, out) output tangents in the same block layout. Both stay
         on the tape, so the JVPs can themselves be differentiated with
-        respect to the parameters.
+        respect to the parameters. ``prefix`` is as in ``__call__``.
         """
-        return self._forward(x, u)
+        return self._forward(x, u, prefix)
 
-    def _forward(self, x: Tensor, u: Tensor | None):
+    def _forward(self, x: Tensor, u: Tensor | None, prefix):
         """The one layer loop; the tangent ``u`` is optional (None -> None)."""
         rows = x.shape[0]
+        h = x
         if u is not None:
-            k, rem = divmod(u.shape[0], rows)
-            if rem or k < 1:
+            if u.shape[0] < rows or u.shape[0] % rows:
                 raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
-        h, dh = x, u
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = linear(h, w, b)
-            h = z.tanh() if self.activation == "tanh" else z.sin()
-            if dh is not None:
-                slope = h.tanh_slope() if self.activation == "tanh" else z.cos()
-                dz = dh @ w
-                width = dz.shape[1]
-                dh = (dz.reshape(k, rows, width) * slope).reshape(k * rows, width)
-        out = linear(h, self.weights[-1], self.biases[-1])
-        return out, None if dh is None else dh @ self.weights[-1]
+            h = concat([x, u], axis=0)
+        *hidden, (w_out, b_out) = zip(self.weights, self.biases)
+        for i, (w, b) in enumerate(hidden):
+            h = dense(h, w, b, rows, self.activation, prefix if i == 0 else ())
+        prefix = () if hidden else prefix
+        if u is None:
+            return dense(h, w_out, b_out, rows, None, prefix), None
+        # The output bias is added to the primal rows alone, so a loss on
+        # the tangents alone leaves it without a gradient.
+        out = dense(h, w_out, None, rows, None, prefix)
+        return out.rows(0, rows) + b_out, out.rows(rows)
 
     def freeze(self) -> None:
         for p in self.parameters():
@@ -122,7 +133,9 @@ class FieldNetwork:
     """Conditional network over (x, t [, condition]) used as v/eps/score head.
 
     Input layout: time-embedding || condition || x. ``condition`` may be
-    omitted for unconditional density models (state_dim = 0).
+    omitted for unconditional density models (state_dim = 0). The time
+    and the condition are constants of the network: no gradient flows
+    into them.
     """
 
     def __init__(self, x_dim: int, state_dim: int, hidden, rng: np.random.Generator,
@@ -135,22 +148,24 @@ class FieldNetwork:
     def parameters(self) -> list[Tensor]:
         return self.mlp.parameters()
 
-    def _lift_t(self, t, batch: int) -> Tensor:
-        if isinstance(t, Tensor):
-            return t
-        return Tensor(np.full((batch, 1), float(t)))
+    def _prefix(self, t, condition) -> list:
+        """The input columns ahead of x: emb(t), then the condition.
 
-    def _inputs(self, x: Tensor, t, condition) -> Tensor:
-        parts = [self._lift_t(t, x.shape[0])]
+        Both are constants of the network. A scalar ``t`` is embedded as
+        one row, shared by every input row.
+        """
+        t = t if isinstance(t, Tensor) else Tensor(np.full((1, 1), float(t)))
+        parts = [t]
         if self.state_dim:
             if condition is None:
                 raise ValueError("conditional network called without a condition")
-            parts.append(condition if isinstance(condition, Tensor) else Tensor(condition))
-        parts.append(x)
-        return concat([self.t_emb(parts[0])] + parts[1:], axis=1)
+            parts.append(as_tensor(condition))
+        if any(p.requires_grad or p._prev for p in parts):
+            raise ValueError("the time and condition inputs take no gradient")
+        return [self.t_emb(t).data] + [p.data for p in parts[1:]]
 
     def __call__(self, x: Tensor, t, condition=None) -> Tensor:
-        return self.mlp(self._inputs(x, t, condition))
+        return self.mlp(as_tensor(x), self._prefix(t, condition))
 
     def jvp(self, x: Tensor, t, condition, u: Tensor) -> tuple[Tensor, Tensor]:
         """(output, d(output)/dx @ u); the tangent enters through x only.
@@ -159,10 +174,7 @@ class FieldNetwork:
         blocks (see ``Mlp.forward_jvp``). The output has B rows, the
         output tangent k·B rows in the same block layout.
         """
-        inp = self._inputs(x, t, condition)
-        pad = inp.shape[1] - self.x_dim
-        du = concat([Tensor(np.zeros((u.shape[0], pad))), u], axis=1)
-        return self.mlp.forward_jvp(inp, du)
+        return self.mlp.forward_jvp(as_tensor(x), u, self._prefix(t, condition))
 
     def freeze(self) -> None:
         self.mlp.freeze()

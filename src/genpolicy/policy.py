@@ -113,10 +113,11 @@ class GenerativePolicy:
 # -- weighting ---------------------------------------------------------------
 
 
-def gmpo_weight(critic, s, a, beta: float, w_max: float = 100.0) -> np.ndarray:
+def gmpo_weight(critic, s, q, beta: float, w_max: float = 100.0) -> np.ndarray:
     """Per-sample exponential regression weights from the critic.
 
-    min(exp(beta * (Q - V)), w_max) with the per-state normalizer taken
+    min(exp(beta * (Q - V)), w_max) for ``q``, the (batch,) values of
+    Q(s, a) the caller has evaluated, with the per-state normalizer taken
     as 1 (intractable; the clamp bounds the scale). beta = 0 gives
     exactly 1, which is what collapses the scheme onto plain pretraining.
     Softmax weights are computed per candidate set instead; see
@@ -124,7 +125,7 @@ def gmpo_weight(critic, s, a, beta: float, w_max: float = 100.0) -> np.ndarray:
     """
     if beta < 0:
         raise ValueError("temperature beta must be >= 0")
-    return exp_clamp_weight(critic.advantage(s, a), beta, w_max)
+    return exp_clamp_weight(q - critic.v_values(s), beta, w_max)
 
 
 def exp_clamp_weight(adv: np.ndarray, beta: float, w_max: float = 100.0) -> np.ndarray:
@@ -132,17 +133,15 @@ def exp_clamp_weight(adv: np.ndarray, beta: float, w_max: float = 100.0) -> np.n
     return np.minimum(np.exp(beta * adv), w_max)
 
 
-def softmax_candidate_weights(critic, s, candidates, beta: float) -> np.ndarray:
+def softmax_candidate_weights(q, beta: float) -> np.ndarray:
     """Stable softmax of beta * Q(s, a_i) over K candidates per state.
 
-    ``candidates`` has shape (batch, K, action_dim); returns (batch, K)
-    weights summing to 1 per row (invariant to adding a constant to Q).
+    ``q`` holds the candidates' Q values with shape (batch, K); returns
+    (batch, K) weights summing to 1 per row (invariant to adding a
+    constant to Q).
     """
     if beta < 0:
         raise ValueError("temperature beta must be >= 0")
-    b, k, da = candidates.shape
-    s_rep = np.repeat(np.atleast_2d(s), k, axis=0)
-    q = critic.q_values(s_rep, candidates.reshape(b * k, da)).reshape(b, k)
     logits = beta * q
     logits = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
@@ -241,10 +240,11 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
 
         def batch_fn(s, a):
             s_rep = np.repeat(s, k, axis=0)
-            cand = behavior.sample_actions(s_rep, rng).reshape(s.shape[0], k, -1)
-            w = softmax_candidate_weights(critic, s, cand, config.beta)
-            flat = cand.reshape(s.shape[0] * k, -1)
-            return s_rep, flat, w.reshape(-1), float(np.mean(critic.advantage(s_rep, flat)))
+            cand = behavior.sample_actions(s_rep, rng)
+            q = critic.q_values(s_rep, cand)
+            w = softmax_candidate_weights(q.reshape(s.shape[0], k), config.beta)
+            adv = q - critic.v_values(s_rep)
+            return s_rep, cand, w.reshape(-1), float(np.mean(adv))
 
     _run_weighted_matching(dataset, policy, batch_fn, config, rng, on_step)
     return policy
@@ -279,18 +279,22 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     """Estimated bytes of one GMPG step's tape after the forward pass.
 
     Analytic, from the shapes alone. Each taped solver stage of an unroll
-    stores float64 arrays of ``batch`` rows: per hidden unit three for the
-    primal rows (pre-activation, activation, slope) and two per tangent
-    block, plus the network input and its k tangents, where k is the
-    action dimension for an exact trace and the probe count for
-    Hutchinson. The dynamic variant tapes two unrolls (pi and mu), the
-    static one only log pi. Every stage counts in full, so for midpoint,
-    whose first-stage trace the step never reads, this is an upper bound.
+    stores float64 arrays of ``batch`` rows: each hidden layer's output
+    for the primal row and its k tangent rows (twice that for sin, whose
+    layers also keep cos z and the tangents before the slope), the first
+    layer's input (time embedding, condition, x), and about 4(k + 1)
+    action-wide rows for the network's input and output, the probes and
+    the trace. k is the action dimension for an exact trace and the probe
+    count for Hutchinson. The dynamic variant tapes two unrolls (pi and
+    mu), the static one only log pi. Every stage counts in full, so for
+    midpoint, whose first-stage trace the step never reads, this is an
+    upper bound.
     """
     net = policy.model.net
     k = net.x_dim if config.trace.kind == "exact" else config.trace.n_probes
-    inputs = net.t_emb.width + net.state_dim + net.x_dim
-    per_stage = 8 * batch * ((3 + 2 * k) * sum(net.mlp.sizes[1:-1]) + (k + 1) * inputs)
+    per_unit = 2 if net.mlp.activation == "sin" else 1
+    hidden = per_unit * (k + 1) * sum(net.mlp.sizes[1:-1])
+    per_stage = 8 * batch * (hidden + net.mlp.sizes[0] + 4 * (k + 1) * net.x_dim)
     stages = len(TABLEAUX[config.scheme][1]) * config.t_train
     return per_stage * stages * (2 if config.variant == "dynamic" else 1)
 
@@ -346,7 +350,7 @@ def gmpg_static_surrogate(policy: GenerativePolicy, behavior: GenerativePolicy, 
     with no_tape():
         logp_mu = log_prob(behavior.model, z, spec, config.trace, rng, condition=states).logp_values
     q = critic.q_values(states, a_raw)
-    w = gmpo_weight(critic, states, a_raw, config.beta)
+    w = gmpo_weight(critic, states, q, config.beta)
     bracket = -config.beta * q + logp_pi_t.data - logp_mu  # constants
     return (logp_pi_t * (w * bracket)).mean()
 

@@ -66,10 +66,11 @@ def _combine(state: tuple, ks: list, coeffs, h: float) -> tuple:
 
 
 def _step(field, state: tuple, t: float, h: float, tableau) -> tuple:
+    """One step; the stage inputs are formed for x, the one component the field reads."""
     a, b, c = tableau
     ks = []
     for row, ci in zip(a, c):
-        ks.append(field(_combine(state, ks, row, h), t + ci * h))
+        ks.append(field(_combine(state[:1], ks, row, h)[0], t + ci * h))
     return _combine(state, ks, b, h)
 
 
@@ -77,16 +78,18 @@ def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool =
     """Integrate dx/dt = field(x, t) from t_span[0] to t_span[1].
 
     ``field`` maps (Tensor, float t) -> Tensor. The state may also be a
-    tuple of Tensors, with ``field`` mapping (tuple, t) -> tuple of the
-    same layout. Returns the final state, or (final, Trajectory) when
-    recording (the trajectory holds a tuple state's first component); the
+    tuple of Tensors (x, accumulators...), with ``field`` mapping (x, t)
+    to a tuple of the same layout: the field never reads the
+    accumulators, so their stage inputs are not formed. Returns the
+    final state, or (final, Trajectory) when recording (the trajectory
+    holds a tuple state's first component); the
     recorded endpoint is bit-identical to the non-recorded result. Raises
     ``IntegrationDivergedError`` carrying the step index if the state goes
     non-finite.
     """
     single = not isinstance(x_init, tuple)
     state = (as_tensor(x_init),) if single else x_init
-    stage_field = (lambda s, t: (field(s[0], t),)) if single else field
+    stage_field = (lambda x, t: (field(x, t),)) if single else field
     tableau = TABLEAUX[spec.scheme]
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / spec.steps

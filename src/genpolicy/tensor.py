@@ -9,17 +9,23 @@ Tape lifecycle: the tape lives exactly as long as the output tensor that
 heads it. The reverse pass keeps only what it still needs: once a node's
 backward closure has run, that interior node's ``grad`` is set back to
 ``None``, so the pass holds the gradients of the frontier it is working
-on rather than one per node. Leaves and the root keep theirs. Because of
-that, ``backward`` may be called more than once and every leaf gradient
-truly accumulates; training loops call ``zero_grad`` between steps.
-Recording is re-entrant — new operations may reference nodes of an
-existing graph at any time, which is what lets a solver unroll of up to
-T=1000 steps stay differentiable. Memory grows with the number of
-recorded operations (one activation array per op), so an unroll costs
-O(T x state size). Two fused nodes keep that array count down:
-``linear(x, w, b)`` is ``x @ w + b`` as one node (the product alone is
-never stored), and ``tanh_slope`` is the tanh derivative ``1 - y*y`` of
-a tanh output ``y`` as one node.
+on rather than one per node. A gradient a closure has just computed for
+one parent becomes that parent's ``grad`` as it is, uncopied. Leaves and
+the root keep theirs. Because of that, ``backward`` may be called more
+than once and every leaf gradient truly accumulates; training loops call
+``zero_grad`` between steps. Recording is re-entrant — new operations
+may reference nodes of an existing graph at any time, which is what lets
+a solver unroll of up to T=1000 steps stay differentiable. Memory grows
+with the number of recorded operations (one array per op, plus what a
+fused node keeps in its closure), so an unroll costs O(T x state size).
+
+An MLP layer is one fused node, ``dense``, over stacked rows: the B
+primal rows and k blocks of B tangent rows (forward-mode JVPs) go in and
+come out together, with one hand-written reverse rule that includes the
+derivative of the activation's slope. The node keeps its output and,
+for the first layer, the concatenated primal input; a sin layer also
+keeps cos z and its tangents before the slope. ``rows`` slices the
+stacked result back apart.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -105,21 +111,27 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Constant leaf sharing this tensor's values; gradient stops here."""
-        return Tensor(self.data, requires_grad=False)
-
     # -- graph nodes ---------------------------------------------------
 
     def _node(self, data, prev, backward, op):
         needs = _RECORDING and any(p.requires_grad or p._prev for p in prev)
         return Tensor(data, _prev=prev if needs else (), _backward=backward if needs else None, _op=op)
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False, at=None) -> None:
+        """Add ``g`` into ``grad`` (into rows ``at`` when given).
+
+        A first ``fresh`` gradient, one the closure has just computed for
+        this node alone, is kept as it is; any other is copied, since it
+        may be the consumer's own ``grad`` or a view of it.
+        """
         _check_finite(g, "reverse pass")
-        if self.grad is None:
-            # a copy: ``g`` may be the consumer's own ``grad`` (see _unbroadcast)
-            self.grad = np.array(g, dtype=self.data.dtype)
+        if at is not None:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[at] += g
+        elif self.grad is None:
+            keep = fresh and g.dtype == self.data.dtype
+            self.grad = g if keep else np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -130,10 +142,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def bwd(out):
-            if self.requires_grad or self._prev:
-                self._accum(_unbroadcast(out.grad, self.data.shape))
-            if other.requires_grad or other._prev:
-                other._accum(_unbroadcast(out.grad, other.data.shape))
+            for t in (self, other):
+                if t.requires_grad or t._prev:
+                    g = _unbroadcast(out.grad, t.data.shape)
+                    t._accum(g, fresh=g is not out.grad)
 
         return self._node(out_data, (self, other), bwd, "add")
 
@@ -143,9 +155,9 @@ class Tensor:
 
         def bwd(out):
             if self.requires_grad or self._prev:
-                self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
+                self._accum(_unbroadcast(out.grad * other.data, self.data.shape), fresh=True)
             if other.requires_grad or other._prev:
-                other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+                other._accum(_unbroadcast(out.grad * self.data, other.data.shape), fresh=True)
 
         return self._node(out_data, (self, other), bwd, "mul")
 
@@ -157,9 +169,9 @@ class Tensor:
 
         def bwd(out):
             if self.requires_grad or self._prev:
-                self._accum(out.grad @ other.data.T)
+                self._accum(out.grad @ other.data.T, fresh=True)
             if other.requires_grad or other._prev:
-                other._accum(self.data.T @ out.grad)
+                other._accum(self.data.T @ out.grad, fresh=True)
 
         return self._node(out_data, (self, other), bwd, "matmul")
 
@@ -193,7 +205,7 @@ class Tensor:
         def bwd(out):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 g = out.grad * dfn(self.data, out_data)
-            self._accum(g)
+            self._accum(g, fresh=True)
 
         return self._node(out_data, (self,), bwd, op)
 
@@ -212,10 +224,6 @@ class Tensor:
     def cos(self):
         return self._unary(np.cos, lambda x, y: -np.sin(x), "cos")
 
-    def tanh_slope(self):
-        """1 - y*y for a tanh output y, the slope of tanh at its input."""
-        return self._unary(lambda y: 1.0 - y * y, lambda y, _: -2.0 * y, "tanh_slope")
-
     def sqrt(self):
         return self._unary(np.sqrt, lambda x, y: 0.5 / y, "sqrt")
 
@@ -232,7 +240,7 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, shape).copy())
+            self._accum(np.broadcast_to(g, shape).copy(), fresh=True)
 
         return self._node(out_data, (self,), bwd, "sum")
 
@@ -252,6 +260,15 @@ class Tensor:
             self._accum(out.grad.reshape(old))
 
         return self._node(out_data, (self,), bwd, "reshape")
+
+    def rows(self, start: int, stop: int | None = None) -> "Tensor":
+        """Rows ``start:stop`` (a view); the reverse pass adds into those rows."""
+        at = slice(start, stop)
+
+        def bwd(out):
+            self._accum(out.grad, at=at)
+
+        return self._node(self.data[at], (self,), bwd, "rows")
 
     # -- backward -------------------------------------------------------
 
@@ -304,23 +321,106 @@ def concat(tensors, axis: int = 1) -> Tensor:
                   _backward=bwd if needs else None, _op="concat")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node: the product is never stored on the tape."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError("matmul is defined for 2-d tensors")
-    out_data = x.data @ w.data
-    out_data += b.data
+def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | None = None,
+          prefix=()) -> Tensor:
+    """One MLP layer over stacked primal and tangent rows, as one node.
 
-    def bwd(out):
-        g = out.grad
-        if x.requires_grad or x._prev:
-            x._accum(g @ w.data.T)
+    ``h`` holds ``rows`` primal rows, then k >= 0 blocks of ``rows``
+    tangent rows (block j is the j-th tangent at every primal row). The
+    result has the same layout:
+
+        primal rows      a    = act(z),  z = [prefix | h_0] @ w + b
+        tangent block j  da_j = (dh_j @ w_h) * act'(z)
+
+    ``prefix`` holds constant arrays of ``rows`` rows or of one row
+    (broadcast): input columns that only the primal rows have, ahead of
+    h's. A tangent sees only w_h, the last ``h.shape[1]`` rows of w.
+    ``activation`` is "tanh", "sin" or None (linear); ``b`` may be None.
+
+    The primal and the tangent rows go through separate matmuls, so the
+    primal rows are bit for bit those of the layer run without tangents,
+    and no slope is computed when there are no tangents and no tape. The
+    node stores its output [a; da] and, with a prefix, the primal input
+    [prefix | h_0]; sin also keeps cos z and, with tangents, the
+    tangents before the slope (dz). The reverse rule carries the slope's
+    own derivative:
+
+        tanh  gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j
+        sin   gz = ga * cos z     - a  * sum_j gda_j * dz_j
+        gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
+        gw = [prefix | h_0]^T gz + dh^T gdz  (one matmul without a prefix).
+    """
+    x, wd = h.data, w.data
+    if x.ndim != 2 or wd.ndim != 2:
+        raise ValueError("dense is defined for 2-d inputs and weights")
+    (total, n), (n_in, m) = x.shape, wd.shape
+    if activation not in (None, "tanh", "sin"):
+        raise ValueError(f"unknown activation {activation!r}")
+    if rows < 1 or total % rows or n > n_in or (b is not None and b.data.shape != (m,)):
+        raise ValueError(f"dense: input {x.shape}, weight {wd.shape}, bias and {rows} primal "
+                         "rows do not fit")
+    k = total // rows - 1
+    parents = (h, w) if b is None else (h, w, b)
+    needs = _RECORDING and any(p.requires_grad or p._prev for p in parents)
+    out = np.empty((total, m), dtype=np.result_type(x, wd))
+    a = out[:rows]
+    w_h = wd[n_in - n:]
+    inp = x[:rows]
+    if prefix:
+        inp = np.concatenate([np.broadcast_to(p, (rows, p.shape[1])) for p in prefix] + [inp], axis=1)
+    np.matmul(inp, wd, out=a)
+    if b is not None:
+        a += b.data
+    if k:
+        np.matmul(x[rows:], w_h, out=out[rows:])
+    tangents = out[rows:].reshape(k, rows, m)
+    cos_z = dz_sin = None
+    if activation == "tanh":
+        np.tanh(a, out=a)
+        if k:
+            tangents *= 1.0 - a * a
+    elif activation == "sin":
+        if k or needs:
+            cos_z = np.cos(a)
+        np.sin(a, out=a)
+        if k:
+            if needs:
+                dz_sin = out[rows:].copy()
+            tangents *= cos_z
+
+    def bwd(node):
+        g = node.grad
+        if activation is None:
+            gz, G = g[:rows], g
+        else:
+            a = node.data[:rows]
+            slope = 1.0 - a * a if activation == "tanh" else cos_z
+            G = np.empty_like(g)  # [gz; gdz]
+            np.multiply(g.reshape(k + 1, rows, m), slope, out=G.reshape(k + 1, rows, m))
+            gz = G[:rows]
+            if k:  # the slope's own derivative (see the rule above)
+                d = node.data[rows:] if activation == "tanh" else dz_sin  # da or dz
+                acc = g[rows:2 * rows] * d[:rows]
+                for j in range(1, k):
+                    acc += g[(j + 1) * rows:(j + 2) * rows] * d[j * rows:(j + 1) * rows]
+                acc *= a
+                if activation == "tanh":
+                    acc *= 2.0
+                gz -= acc
+        if b is not None and (b.requires_grad or b._prev):
+            b._accum(gz.sum(axis=0), fresh=True)
         if w.requires_grad or w._prev:
-            w._accum(x.data.T @ g)
-        if b.requires_grad or b._prev:
-            b._accum(_unbroadcast(g, b.data.shape))
+            if prefix:
+                gw = inp.T @ gz
+                if k:
+                    gw[n_in - n:] += x[rows:].T @ G[rows:]
+            else:
+                gw = x.T @ G
+            w._accum(gw, fresh=True)
+        if h.requires_grad or h._prev:
+            h._accum(G @ w_h.T, fresh=True)
 
-    return x._node(out_data, (x, w, b), bwd, "linear")
+    return h._node(out, parents, bwd, "dense")
 
 
 def backward(output: Tensor) -> dict[int, np.ndarray]:
@@ -349,66 +449,3 @@ def backward(output: Tensor) -> dict[int, np.ndarray]:
 def zero_grad(params) -> None:
     for p in params:
         p.grad = None
-
-
-def grad_check(f, point: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between AD and central finite differences.
-
-    ``f`` must be a deterministic scalar function of ``point``. Returns
-    max over coordinates of |AD - FD| / (|FD| + 1e-8). Finite differences
-    are invalid at kinks or discontinuities; a non-finite evaluation at a
-    perturbed point raises rather than being masked.
-    """
-    x = Tensor(point.data.copy(), requires_grad=True)
-    out = f(x)
-    if out.data.size != 1:
-        raise ValueError("grad_check needs a scalar-valued function")
-    out.backward()
-    ad = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        f_hi = float(f(Tensor(x.data.copy())).data)
-        flat[i] = orig - h
-        f_lo = float(f(Tensor(x.data.copy())).data)
-        flat[i] = orig
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NonFiniteError("function non-finite at finite-difference probe")
-        fd[i] = (f_hi - f_lo) / (2.0 * h)
-    fd = fd.reshape(x.data.shape)
-    return float(np.max(np.abs(ad - fd) / (np.abs(fd) + 1e-8)))
-
-
-def param_grad_check(loss_fn, params, h: float = 1e-5, sample: int | None = None,
-                     rng: np.random.Generator | None = None) -> float:
-    """Finite-difference check of d(loss)/d(params).
-
-    ``loss_fn`` takes no arguments, must be deterministic across calls
-    (freeze any randomness inside), and returns a scalar Tensor built from
-    ``params``. Perturbs every coordinate, or ``sample`` random coordinates
-    per parameter, in place. Returns the max relative error with the same
-    |AD - FD| / (|FD| + 1e-8) metric as ``grad_check``.
-    """
-    zero_grad(params)
-    loss_fn().backward()
-    ad = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-    worst = 0.0
-    for p, g in zip(params, ad):
-        flat = p.data.reshape(-1)
-        if sample is None or sample >= flat.size:
-            idxs = range(flat.size)
-        else:
-            idxs = (rng or np.random.default_rng(0)).choice(flat.size, size=sample, replace=False)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + h
-            f_hi = float(loss_fn().data)
-            flat[i] = orig - h
-            f_lo = float(loss_fn().data)
-            flat[i] = orig
-            fd = (f_hi - f_lo) / (2.0 * h)
-            worst = max(worst, abs(g.reshape(-1)[i] - fd) / (abs(fd) + 1e-8))
-    return worst

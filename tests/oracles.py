@@ -1,0 +1,108 @@
+"""Finite-difference and reverse-sweep oracles that the tests check the library against."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from genpolicy.errors import NonFiniteError
+from genpolicy.likelihood import TraceMode, _draw_probes, _stderr_of, trace_with_jvp
+from genpolicy.tensor import Tensor, no_tape, zero_grad
+
+
+def grad_check(f, point: Tensor, h: float = 1e-5) -> float:
+    """Max relative error between AD and central finite differences.
+
+    ``f`` must be a deterministic scalar function of ``point``. Returns
+    max over coordinates of |AD - FD| / (|FD| + 1e-8). Finite differences
+    are invalid at kinks or discontinuities; a non-finite evaluation at a
+    perturbed point raises rather than being masked.
+    """
+    x = Tensor(point.data.copy(), requires_grad=True)
+    out = f(x)
+    if out.data.size != 1:
+        raise ValueError("grad_check needs a scalar-valued function")
+    out.backward()
+    ad = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
+
+    flat = x.data.reshape(-1)
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_hi = float(f(Tensor(x.data.copy())).data)
+        flat[i] = orig - h
+        f_lo = float(f(Tensor(x.data.copy())).data)
+        flat[i] = orig
+        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+            raise NonFiniteError("function non-finite at finite-difference probe")
+        fd[i] = (f_hi - f_lo) / (2.0 * h)
+    fd = fd.reshape(x.data.shape)
+    return float(np.max(np.abs(ad - fd) / (np.abs(fd) + 1e-8)))
+
+
+def param_grad_check(loss_fn, params, h: float = 1e-5, sample: int | None = None,
+                     rng: np.random.Generator | None = None) -> float:
+    """Finite-difference check of d(loss)/d(params).
+
+    ``loss_fn`` takes no arguments, must be deterministic across calls
+    (freeze any randomness inside), and returns a scalar Tensor built from
+    ``params``. Perturbs every coordinate, or ``sample`` random coordinates
+    per parameter, in place. Returns the max relative error with the same
+    |AD - FD| / (|FD| + 1e-8) metric as ``grad_check``.
+    """
+    zero_grad(params)
+    loss_fn().backward()
+    ad = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    worst = 0.0
+    for p, g in zip(params, ad):
+        flat = p.data.reshape(-1)
+        if sample is None or sample >= flat.size:
+            idxs = range(flat.size)
+        else:
+            idxs = (rng or np.random.default_rng(0)).choice(flat.size, size=sample, replace=False)
+        for i in idxs:
+            orig = flat[i]
+            flat[i] = orig + h
+            f_hi = float(loss_fn().data)
+            flat[i] = orig - h
+            f_lo = float(loss_fn().data)
+            flat[i] = orig
+            fd = (f_hi - f_lo) / (2.0 * h)
+            worst = max(worst, abs(g.reshape(-1)[i] - fd) / (abs(fd) + 1e-8))
+    return worst
+
+
+def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
+    """Trace of d(field)/dx at (x, t); returns (trace, stderr), numpy.
+
+    ``field`` is a callable (Tensor x, t) -> Tensor; if it exposes
+    ``jvp(x, t, u)`` the estimate uses one stacked forward sweep (see
+    ``likelihood.trace_with_jvp``), recording no tape, otherwise reverse
+    sweeps on a fresh leaf (d of them in exact mode, one per probe in
+    Hutchinson mode), which need theirs.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    batch, d = x.shape
+    jvp_fn = getattr(field, "jvp", None)
+    if jvp_fn is not None:
+        probes = None
+        if mode.kind == "hutchinson":
+            probes = _draw_probes(mode.probe_dist, (mode.n_probes, batch, d), rng)
+        with no_tape():
+            est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes)[1].data
+    elif mode.kind == "exact":
+        est = np.zeros((1, batch))
+        for i, e in enumerate(np.eye(d)):
+            leaf = Tensor(x, requires_grad=True)
+            (field(leaf, t) * e).sum().backward()
+            est[0] += leaf.grad[:, i]
+    else:
+        est = np.zeros((mode.n_probes, batch))
+        for p in range(mode.n_probes):
+            eps = _draw_probes(mode.probe_dist, (batch, d), rng)
+            leaf = Tensor(x, requires_grad=True)
+            (field(leaf, t) * eps).sum().backward()
+            est[p] = (leaf.grad * eps).sum(axis=1)
+    return est.mean(axis=0), _stderr_of(est)

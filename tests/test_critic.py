@@ -51,7 +51,7 @@ class TestExpectileLoss:
             expectile_loss(np.zeros(1), 1.0)
 
     def test_gradient_matches_finite_differences(self):
-        from genpolicy.tensor import param_grad_check
+        from oracles import param_grad_check
         rng = np.random.default_rng(0)
         u = Tensor(rng.standard_normal(8), requires_grad=True)
         err = param_grad_check(lambda: expectile_loss(u, 0.7), [u])

@@ -8,7 +8,9 @@ from genpolicy.nn import FieldNetwork
 from genpolicy.optim import Adam
 from genpolicy.sampler import SolverSpec, generate
 from genpolicy.schedules import PathSchedule, alpha_sigma, convert, sample_path_point, target_velocity
-from genpolicy.tensor import Tensor, param_grad_check
+from genpolicy.tensor import Tensor
+
+from oracles import param_grad_check
 
 GVP = PathSchedule("gvp")
 ICFM = PathSchedule("icfm")

@@ -4,7 +4,7 @@ import pytest
 from genpolicy.errors import NonFiniteError
 from genpolicy.nn import FieldNetwork, GaussianFourier, Mlp
 from genpolicy.optim import Adam
-from genpolicy.tensor import Tensor, zero_grad
+from genpolicy.tensor import Tensor, concat, zero_grad
 
 
 def test_param_count_matches_layer_formula():
@@ -103,9 +103,10 @@ def test_field_network_jvp_stacked_tangent_layout():
         assert np.allclose(du.data[4 * j:4 * (j + 1)], single.data, rtol=0.0, atol=1e-12)
 
 
-def _unfused_forward(mlp, x):
-    """The layer loop without the fused node: h @ w + b, then the activation."""
-    h = x
+def _unfused_forward(mlp, x, prefix=()):
+    """The layer loop without the fused node: the prefix columns and x
+    concatenated, then h @ w + b and the activation."""
+    h = concat([Tensor(np.broadcast_to(p, (x.shape[0], p.shape[1]))) for p in prefix] + [x], axis=1)
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
         z = h @ w + b
         h = z.tanh() if mlp.activation == "tanh" else z.sin()
@@ -192,3 +193,25 @@ class TestAdam:
             loss.backward()
             opt.step()
         assert abs(p.data[0]) < 1e-3
+
+
+def test_field_network_without_hidden_layers():
+    # the first layer is then the output layer: prefix columns and the x-only tangent in one node
+    rng = np.random.default_rng(16)
+    net = FieldNetwork(x_dim=2, state_dim=1, hidden=[], rng=rng, t_emb_width=4)
+    x0, s, u = rng.standard_normal((3, 2)), rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
+    out, du = net.jvp(Tensor(x0), 0.3, s, Tensor(u))
+    assert out.data.tobytes() == net(Tensor(x0), 0.3, s).data.tobytes()
+    assert np.allclose(du.data, u @ net.mlp.weights[0].data[-2:], rtol=0.0, atol=1e-12)
+    du.sum().backward()
+    assert net.mlp.biases[0].grad is None and np.any(net.mlp.weights[0].grad[-2:])
+
+
+def test_field_network_time_and_condition_take_no_gradient():
+    rng = np.random.default_rng(17)
+    net = FieldNetwork(x_dim=2, state_dim=1, hidden=[4], rng=rng)
+    x = Tensor(rng.standard_normal((3, 2)))
+    with pytest.raises(ValueError):
+        net(x, 0.5, Tensor(np.ones((3, 1)), requires_grad=True))
+    with pytest.raises(ValueError):
+        net(x, Tensor(np.full((3, 1), 0.5), requires_grad=True), np.ones((3, 1)))

@@ -89,16 +89,28 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_tuple_state_steps_each_component_alone(self, scheme):
+        # the field reads x alone; y integrates what the field returns for it
         rng = np.random.default_rng(2)
-        a, b = rng.standard_normal((2, 2)) * 0.4, rng.standard_normal((3, 3)) * 0.4
+        a, b = rng.standard_normal((2, 2)) * 0.4, rng.standard_normal((2, 3)) * 0.4
         x0, y0 = rng.standard_normal((4, 2)), rng.standard_normal((4, 3))
         spec = SolverSpec(scheme, 5)
-        x, y = integrate(lambda s, t: (s[0] @ Tensor(a) * t, s[1] @ Tensor(b)),
+        x, y = integrate(lambda v, t: (v @ Tensor(a) * t, v @ Tensor(b)),
                          (Tensor(x0), Tensor(y0)), spec)
-        alone_x = integrate(lambda v, t: v @ Tensor(a) * t, Tensor(x0), spec)
-        alone_y = integrate(lambda v, t: v @ Tensor(b), Tensor(y0), spec)
+        stage_inputs = []
+
+        def field(v, t):
+            stage_inputs.append(v.data)
+            return v @ Tensor(a) * t
+
+        alone_x = integrate(field, Tensor(x0), spec)
         assert x.data.tobytes() == alone_x.data.tobytes()
-        assert y.data.tobytes() == alone_y.data.tobytes()
+        weights, h = TABLEAUX[scheme][1], 1.0 / spec.steps
+        expect = y0
+        for step in range(spec.steps):
+            for v, w in zip(stage_inputs[step * len(weights):], weights):
+                if w:
+                    expect = expect + (v @ b) * (w * h)
+        assert y.data.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpolicy.errors import NonFiniteError
-from genpolicy.tensor import Tensor, backward, concat, grad_check, linear, no_tape, zero_grad
+from genpolicy.tensor import Tensor, backward, concat, dense, no_tape, zero_grad
+
+from oracles import grad_check
 
 
 def _fd(f, x, h=1e-5):
@@ -70,8 +72,8 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        h = linear(x, w, b).tanh()
-        out = concat([h.tanh_slope(), h * h, x], axis=1).reshape(-1).sum() * 0.5
+        h = dense(x, w, b, 3, "tanh")
+        out = concat([h.rows(0, 2), (h * h).rows(1)], axis=1).reshape(-1).sum() * 0.5 + (x * x).sum()
         out.backward()
         seen, stack, interior = set(), [out], []
         while stack:
@@ -219,20 +221,38 @@ def test_determinism_same_seed_bitwise():
     assert g1.tobytes() == g2.tobytes()
 
 
+def _act(activation, z):
+    return z if activation is None else np.tanh(z) if activation == "tanh" else np.sin(z)
+
+
+def _slope(activation, z):
+    return 1.0 - np.tanh(z) ** 2 if activation == "tanh" else np.cos(z)
+
+
+def _grads_of(fn, *arrays, g0):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    (out * g0).sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
 class TestFusedNodes:
     def test_same_values_and_gradients_as_matmul_plus_bias(self):
         rng = np.random.default_rng(9)
-        x0, w0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
+        arrays = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
         g0 = rng.standard_normal((5, 4))
+        fused = _grads_of(lambda x, w, b: dense(x, w, b, 5), *arrays, g0=g0)
+        ref = _grads_of(lambda x, w, b: x @ w + b, *arrays, g0=g0)
+        assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
 
-        def grads(fn):
-            x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
-            out = fn(x, w, b)
-            (out * g0).sum().backward()
-            return out.data, x.grad, w.grad, b.grad
-
-        fused = grads(linear)
-        ref = grads(lambda x, w, b: x @ w + b)
+    @pytest.mark.parametrize("activation", ["tanh", "sin"])
+    def test_same_values_and_gradients_as_unfused_activation(self, activation):
+        rng = np.random.default_rng(12)
+        arrays = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
+        g0 = rng.standard_normal((5, 4))
+        fused = _grads_of(lambda x, w, b: dense(x, w, b, 5, activation), *arrays, g0=g0)
+        ref = _grads_of(lambda x, w, b: (x @ w + b).tanh() if activation == "tanh" else (x @ w + b).sin(),
+                        *arrays, g0=g0)
         assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
 
     def test_grad_check_with_broadcast_bias(self):
@@ -241,18 +261,49 @@ class TestFusedNodes:
         b = Tensor(rng.standard_normal(2))
         x = Tensor(rng.standard_normal((4, 3)))
         wts = rng.standard_normal((4, 2))
-        assert grad_check(lambda x: (linear(x.reshape(4, 3), w, b).tanh() * wts).sum(),
+        assert grad_check(lambda x: (dense(x.reshape(4, 3), w, b, 4, "tanh") * wts).sum(),
                           Tensor(rng.standard_normal(12))) < 1e-6
-        assert grad_check(lambda w: (linear(x, w.reshape(3, 2), b).sin() * wts).sum(),
+        assert grad_check(lambda w: (dense(x, w.reshape(3, 2), b, 4, "sin") * wts).sum(),
                           Tensor(rng.standard_normal(6))) < 1e-6
-        assert grad_check(lambda b: (linear(x, w, b).tanh() * wts).sum(),
+        assert grad_check(lambda b: (dense(x, w, b, 4, "tanh") * wts).sum(),
                           Tensor(rng.standard_normal(2))) < 1e-6
 
-    def test_grad_check_tanh_slope(self):
-        rng = np.random.default_rng(11)
-        wts = rng.standard_normal(6)
-        assert grad_check(lambda a: (a.tanh().tanh_slope() * wts).sum(),
-                          Tensor(rng.standard_normal(6))) < 1e-6
+    @pytest.mark.parametrize("activation", ["tanh", "sin", None])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("prefix_rows", [None, 1, 4], ids=["no-prefix", "row-prefix", "prefix"])
+    def test_grad_check_with_tangents(self, activation, k, prefix_rows):
+        # every argument of the node; with k > 0 the slope's own derivative is in play
+        rng = np.random.default_rng(13 + k)
+        rows, n, m = 4, 3, 5
+        prefix = [] if prefix_rows is None else [rng.standard_normal((prefix_rows, 2)),
+                                                 rng.standard_normal((rows, 1))]
+        width = n + sum(p.shape[1] for p in prefix)
+        h0, w0, b0 = (rng.standard_normal(((k + 1) * rows, n)), rng.standard_normal((width, m)),
+                      rng.standard_normal(m))
+        wts = rng.standard_normal(((k + 1) * rows, m))
+
+        def f(h, w, b):
+            return (dense(h, w, b, rows, activation, prefix) * wts).sum()
+
+        assert grad_check(lambda h: f(h, Tensor(w0), Tensor(b0)), Tensor(h0)) < 1e-6
+        assert grad_check(lambda w: f(Tensor(h0), w, Tensor(b0)), Tensor(w0)) < 1e-6
+        assert grad_check(lambda b: f(Tensor(h0), Tensor(w0), b), Tensor(b0)) < 1e-6
+
+    @pytest.mark.parametrize("activation", ["tanh", "sin", None])
+    def test_rows_are_the_layer_and_its_jvp(self, activation):
+        rng = np.random.default_rng(14)
+        rows, k = 4, 2
+        prefix = [rng.standard_normal((1, 2))]
+        h0, w0, b0 = rng.standard_normal(((k + 1) * rows, 3)), rng.standard_normal((5, 6)), rng.standard_normal(6)
+        out = dense(Tensor(h0), Tensor(w0), Tensor(b0), rows, activation, prefix).data
+        alone = dense(Tensor(h0[:rows]), Tensor(w0), Tensor(b0), rows, activation, prefix).data
+        assert out[:rows].tobytes() == alone.tobytes()
+        z = np.concatenate([np.repeat(prefix[0], rows, axis=0), h0[:rows]], axis=1) @ w0 + b0
+        assert np.allclose(out[:rows], _act(activation, z), rtol=0.0, atol=1e-12)
+        slope = 1.0 if activation is None else _slope(activation, z)
+        for j in range(1, k + 1):
+            dz = h0[j * rows:(j + 1) * rows] @ w0[2:]
+            assert np.allclose(out[j * rows:(j + 1) * rows], dz * slope, rtol=0.0, atol=1e-12)
 
     def test_rejects_non_2d_like_matmul(self):
         w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
@@ -260,16 +311,20 @@ class TestFusedNodes:
             with pytest.raises(ValueError):
                 x @ w
             with pytest.raises(ValueError):
-                linear(x, w, b)
+                dense(x, w, b, 2)
         with pytest.raises(ValueError):
-            linear(Tensor(np.ones((4, 3))), Tensor(np.ones(3)), b)
+            dense(Tensor(np.ones((4, 3))), Tensor(np.ones(3)), b, 4)
+        with pytest.raises(ValueError):  # tangent rows come in whole blocks
+            dense(Tensor(np.ones((6, 3))), w, b, 4, "tanh")
+        with pytest.raises(ValueError):  # the input is wider than the weight
+            dense(Tensor(np.ones((4, 4))), w, b, 4)
 
     def test_non_finite_weight_raises(self):
         from genpolicy.nn import Mlp
         w = Tensor(np.ones((3, 2)), requires_grad=True)
         w.data[1, 0] = np.inf  # set after the leaf's own check, as a diverged update would
         with pytest.raises(NonFiniteError):
-            linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+            dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), 4)
         net = Mlp([3, 4, 2], np.random.default_rng(0))
         net.weights[-1].data[0, 0] = np.inf
         with pytest.raises(NonFiniteError):
@@ -306,13 +361,6 @@ class TestNoTape:
                 (x * 0.0).log()
         (x * x).backward()
         assert x.grad == pytest.approx(4.0)
-
-
-def test_detach_blocks_gradient():
-    x = Tensor(2.0, requires_grad=True)
-    y = (x * x).detach() * x  # only the outer x sees gradient
-    y.backward()
-    assert x.grad == pytest.approx(4.0)
 
 
 def test_float32_input_keeps_its_dtype():
@@ -356,7 +404,7 @@ class TestGradCheck:
 
     def test_mlp_loss_wrt_parameters(self):
         from genpolicy.nn import Mlp
-        from genpolicy.tensor import param_grad_check
+        from oracles import param_grad_check
         rng = np.random.default_rng(2)
         net = Mlp([2, 16, 16, 2], rng)
         xb = Tensor(rng.standard_normal((4, 2)))

@@ -2,6 +2,7 @@
 renamed or deleted name must fail here rather than crash that run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -14,3 +15,46 @@ def test_every_traced_name_resolves():
     missing = [name for owner, attr, name in tracing.TARGETS
                if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", TRACING.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tiny_chain_enters_every_traced_span(tmp_path):
+    # A refactor that routes around a wrapped name (Mlp.forward_jvp,
+    # GenerativeModel.velocity, ...) would silently drop its per-layer metric.
+    from genpolicy import cli
+    tracing, workloads = _load("tracing"), _load("workloads")
+    policy = {"lr": 1e-3, "k_candidates": 2, "t_train": 3, "gmpg_scheme": "midpoint",
+              "trace": "exact", "objective": "cfm", "beta": 1.0, "batch_size": 16,
+              "gmpg_batch_size": 8, "gmpg_lr": 1e-3}
+    wl = workloads.Workload(
+        name="tiny",
+        config={"task": {"kind": "tilted_bandit", "dims": 2, "beta_target": 1.0, "n": 256},
+                "model": {"hidden": "8,8", "t_emb_width": 4},
+                "critic": {"hidden": "8,8", "lr": 1e-3, "batch_size": 32},
+                "policy": policy, "solver": {"scheme": "euler", "steps": 3},
+                "output": {"metric_every": 1000}},
+        work={"train-critic": 4, "pretrain": 4, "train-gmpo.exp_clamp": 3,
+              "train-gmpo.softmax": 2, "train-gmpg.dynamic": 2, "train-gmpg.static": 2,
+              "sample": 16, "logprob": 8, "eval": 16},
+        extra={}, checks=())
+    ini = str(tmp_path / "tiny.ini")
+    workloads.write_config(wl, 3, ini)
+    dirs = workloads.stage_dirs(str(tmp_path))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for label in workloads.STAGES:
+            with tracer.span(f"cli.{label}"):
+                assert cli.main(workloads.stage_argv(wl, label, ini, dirs)) == 0, label
+    entered = {name for name, *_ in tracer.spans}
+    assert [name for _, _, name in tracing.TARGETS if name not in entered] == []
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["critic.q_evals_per_step"][0] == 1.0
+    assert metrics["likelihood.jvp_per_rhs"][0] == 1.0
+    assert metrics["likelihood.redundant_forward_ratio"][0] == 0.0
