@@ -4,10 +4,12 @@ One stage per invocation. The whole config is checked first, by building
 every spec a stage would build from it; a bad value exits 2 before any
 file is written. ``train-gmpg`` also estimates its tape from the shapes
 (``policy.gmpg_tape_bytes``) and exits 2 the same way when the estimate
-exceeds physical memory. Every stage then writes its fully resolved config
-into the output directory before any compute, appends plain-CSV metrics
-(comment char '#', comma-separated, %.17g floats) and emits checkpoints
-in the versioned binary format. Exit codes: 0 success, 2 config error,
+exceeds physical memory. A stage then loads its dataset and checkpoints
+and refuses an empty dataset or a checkpoint whose state or action width
+differs from the dataset's (exit 3). Every stage then writes its fully
+resolved config into the output directory before any compute, appends
+plain-CSV metrics (comment char '#', comma-separated, %.17g floats) and
+emits checkpoints in the versioned binary format. Exit codes: 0 success, 2 config error,
 3 io/format error, 4 numeric divergence.
 """
 
@@ -143,6 +145,8 @@ def _gmpg_config(cfg: ExperimentConfig) -> GmpgConfig:
 def _check_config(cfg: ExperimentConfig) -> None:
     """Build every spec the stages build from ``cfg``, so that a bad value
     exits 2 before any stage writes or computes anything."""
+    if cfg.task.kind != "file" and cfg.task.n < 1:
+        raise ConfigError(f"task.n must be >= 1, got {cfg.task.n}")
     try:
         schedule = _schedule(cfg)
         _solver(cfg)
@@ -153,6 +157,23 @@ def _check_config(cfg: ExperimentConfig) -> None:
         check_objective(gmpo.matching.objective, cfg.model.parameterization, schedule)
     except ValueError as exc:  # UnsupportedKindError is a ValueError too
         raise ConfigError(str(exc)) from exc
+
+
+def _check_inputs(dataset: OfflineDataset, **checkpoints) -> None:
+    """Refuse an empty dataset, or a checkpoint (None: not given) whose
+    state and action widths differ from the dataset's, before any output
+    or compute."""
+    if dataset.n == 0:
+        raise DataFormatError(f"the dataset has no rows (s {dataset.s.shape}, "
+                              f"a {dataset.a.shape})")
+    for name, model in checkpoints.items():
+        dims = model.config if isinstance(model, GenerativePolicy) else model
+        if dims is not None and (dims.state_dim, dims.action_dim) != (dataset.state_dim,
+                                                                       dataset.action_dim):
+            raise DataFormatError(
+                f"the {name} checkpoint has state_dim={dims.state_dim}, "
+                f"action_dim={dims.action_dim}; the dataset has state_dim={dataset.state_dim}, "
+                f"action_dim={dataset.action_dim}")
 
 
 def _check_n(args, minimum: int) -> None:
@@ -199,8 +220,9 @@ def cmd_make_data(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
+    _check_inputs(ds)
+    out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 1)
     writer = MetricsWriter(os.path.join(out, "metrics.csv"),
                            ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
@@ -211,8 +233,9 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_train_critic(cfg: ExperimentConfig, args) -> None:
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
+    _check_inputs(ds)
+    out = _prepare_out(cfg)
     writer = MetricsWriter(os.path.join(out, "metrics.csv"), ["step", "v_loss", "q_loss"])
     critic = train_critic(
         ds, _critic_config(cfg), np.random.default_rng(cfg.task.seed),
@@ -223,12 +246,13 @@ def cmd_train_critic(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_train_gmpo(cfg: ExperimentConfig, args) -> None:
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     critic = load_critic(args.critic)
     behavior = load_policy(args.behavior) if args.behavior else None
     if cfg.policy.weight_mode == "softmax" and behavior is None:
         raise ConfigError("policy.weight_mode=softmax needs --behavior")
+    _check_inputs(ds, critic=critic, behavior=behavior)
+    out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 2)
     writer = MetricsWriter(os.path.join(out, "metrics.csv"),
                            ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
@@ -254,6 +278,7 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     critic = load_critic(args.critic)
     behavior = load_policy(args.behavior)
+    _check_inputs(ds, critic=critic, behavior=behavior)
     config = _gmpg_config(cfg)
     _check_tape_fits(behavior, config, min(config.batch_size, ds.n))
     out = _prepare_out(cfg)
@@ -269,9 +294,10 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
 
 def cmd_sample(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
+    _check_inputs(ds, policy=policy)
+    out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed), _solver(cfg))
     path = os.path.join(out, "samples.csv")
@@ -282,9 +308,10 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
 
 def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 0)
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
+    _check_inputs(ds, policy=policy)
+    out = _prepare_out(cfg)
     n = min(args.n, ds.n) if args.n else ds.n
     logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], _solver(cfg), _trace_mode(cfg),
                                            np.random.default_rng(cfg.task.seed))
@@ -295,9 +322,10 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
 
 def cmd_eval(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
+    _check_inputs(ds, policy=policy)
+    out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed), _solver(cfg))
     mean_value = float(assign_value_nearest(ds, actions).mean())
@@ -312,9 +340,10 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
 
 def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, args.dataset)
     policy = load_policy(args.checkpoint)
+    _check_inputs(ds, policy=policy)
+    out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
     path = os.path.join(out, "trajectories.csv")
     points = export_trajectories(policy, states, _solver(cfg), np.random.default_rng(cfg.task.seed),

@@ -1,4 +1,5 @@
-"""Synthetic offline datasets with analytically known structure, plus I/O.
+"""Synthetic offline datasets with analytically known structure, I/O, and
+the nearest-value search that scores generated actions against a dataset.
 
 Both toy tasks are single-state contextual bandits (every transition is
 terminal, s' = s), which lets the same critic and policy machinery run
@@ -130,17 +131,42 @@ def make_tilted_gaussian_bandit(dims: int, beta_target: float, n: int,
     return dataset, target
 
 
-# -- nearest-neighbor helpers (swiss-roll evaluation) ----------------------
+# -- nearest-value search (every eval and eval_value score) -----------------
 
-_NEAREST_CHUNK = 256  # point rows per block: temporaries are chunk x refs x dim
+# Distances per block of the nearest search: a block holds
+# max(1, _NEAREST_BUDGET // refs) point rows, and its two float64
+# (rows x refs) buffers take 512 KiB each, so they stay in cache.
+_NEAREST_BUDGET = 1 << 16
 
 
 def _nearest_index(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Row of ``reference`` nearest to each point (the first one on ties)."""
-    idx = np.empty(points.shape[0], dtype=np.intp)
-    for lo in range(0, points.shape[0], _NEAREST_CHUNK):
-        diffs = points[lo:lo + _NEAREST_CHUNK, None, :] - reference[None, :, :]
-        idx[lo:lo + _NEAREST_CHUNK] = (diffs ** 2).sum(axis=2).argmin(axis=1)
+    """Row of ``reference`` nearest to each point (the first one on ties).
+
+    Sweeps one dimension at a time over blocks of point rows (see
+    ``_NEAREST_BUDGET``): ``d2 = (p_0 - r_0)^2``, then ``d2 += (p_j - r_j)^2``
+    for j = 1 .. d-1, then ``argmin``. Accumulating in dimension order gives
+    exactly numpy's ``((p - r) ** 2).sum(axis=-1)`` for d <= 7; from d = 8 on,
+    numpy's pairwise summation reorders the sum, so a distance may differ
+    from it in the last bit.
+    """
+    if points.ndim != 2 or reference.ndim != 2 or points.shape[1] != reference.shape[1]:
+        raise ValueError(f"points of shape {points.shape} do not match reference rows "
+                         f"of shape {reference.shape}")
+    n, refs = points.shape[0], reference.shape[0]
+    idx = np.empty(n, dtype=np.intp)
+    rows = max(1, _NEAREST_BUDGET // max(refs, 1))
+    d2, term = np.empty((min(rows, n), refs)), np.empty((min(rows, n), refs))
+    columns = [np.ascontiguousarray(reference[:, j]) for j in range(reference.shape[1])]
+    for lo in range(0, n, rows):
+        block = points[lo:lo + rows]
+        acc, buf = d2[:block.shape[0]], term[:block.shape[0]]
+        np.subtract.outer(block[:, 0], columns[0], out=acc)
+        np.square(acc, out=acc)
+        for j in range(1, len(columns)):
+            np.subtract.outer(block[:, j], columns[j], out=buf)
+            np.square(buf, out=buf)
+            acc += buf
+        idx[lo:lo + rows] = acc.argmin(axis=1)
     return idx
 
 
@@ -151,7 +177,8 @@ def nearest_distances(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def assign_value_nearest(dataset: OfflineDataset, points: np.ndarray) -> np.ndarray:
-    """Value of arbitrary action points = reward of the nearest dataset action."""
+    """Value of arbitrary action points: the reward of the nearest dataset
+    action (the first one on ties), found by ``_nearest_index``."""
     return dataset.r[_nearest_index(points, dataset.a)]
 
 

@@ -198,6 +198,7 @@ def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: 
         loss.backward()
         opt.step()
         val = float(loss.data)
+        del loss  # free this step's tape before on_step and the next step's graph
         if not np.isfinite(val):
             raise TrainingDivergedError(f"matching loss non-finite at step {step}")
         if on_step is not None:
@@ -373,6 +374,7 @@ def train_gmpg(dataset, critic, policy: GenerativePolicy, behavior: GenerativePo
         loss.backward()
         opt.step()
         val = float(loss.data)
+        del loss  # free this step's tape before on_step and the next step's graph
         if not np.isfinite(val):
             raise TrainingDivergedError(f"policy-gradient loss non-finite at step {step}")
         if on_step is not None:

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genpolicy import cli
 from genpolicy.checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
 from genpolicy.config import load_config
 from genpolicy.critic import Critic, CriticConfig
+from genpolicy.data import OfflineDataset, make_tilted_gaussian_bandit, save_dataset
 from genpolicy.errors import ConfigError, DataFormatError
 from genpolicy.policy import GenerativePolicy, PolicyConfig
 from genpolicy.sampler import SolverSpec
@@ -308,6 +310,7 @@ class TestExitCodes:
         ("pretrain", "policy.objective=dsm"),  # the default head is a velocity head
         ("sample", "solver.scheme=bogus"),
         ("train-critic", "critic.tau=1.5"),
+        ("make-data", "task.n=0"),
     ])
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
         # the tiny task is a 1-d bandit with a 1-d state; every file the command
@@ -350,3 +353,56 @@ class TestExitCodes:
         ds = load_dataset(os.path.join(out, "dataset.gpds"))
         assert ds.action_dim == 2
         assert ds.metadata["task"] == "swiss_roll"
+
+
+# the checkpoint flags each stage reads, by checkpoint role
+STAGE_CHECKPOINTS = {
+    "pretrain": (), "train-critic": (),
+    "train-gmpo": (("--critic", "critic"), ("--behavior", "behavior")),
+    "train-gmpg": (("--critic", "critic"), ("--behavior", "behavior")),
+    "sample": (("--checkpoint", "policy"),), "logprob": (("--checkpoint", "policy"),),
+    "eval": (("--checkpoint", "policy"),),
+    "export-trajectories": (("--checkpoint", "policy"),),
+}
+
+
+def _run_on_inputs(tmp_path, capsys, command, n_rows, wide=None):
+    """Run ``command`` in-process on a 1-d bandit dataset of ``n_rows`` rows
+    and 1-d checkpoints, except that the ``wide`` role's has action_dim=2."""
+    if n_rows:
+        ds = make_tilted_gaussian_bandit(1, 1.0, n_rows, seed=0)[0]
+    else:
+        ds = OfflineDataset(s=np.zeros((0, 1)), a=np.zeros((0, 1)), r=np.zeros(0),
+                            s2=np.zeros((0, 1)), done=np.zeros(0))
+    ds_path = str(tmp_path / "d.gpds")
+    save_dataset(ds, ds_path)
+    argv = [command, *tiny_args(str(tmp_path / "o")), "--dataset", ds_path]
+    for flag, role in STAGE_CHECKPOINTS[command]:
+        path, d = str(tmp_path / f"{role}.ckpt"), 2 if role == wide else 1
+        if role == "critic":
+            save_critic(Critic(1, d, CriticConfig(hidden=(4,)), np.random.default_rng(0)), path)
+        else:
+            save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=d, hidden=(4,)),
+                                         np.random.default_rng(0)), path)
+        argv += [flag, path]
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestInputShapes:
+    @pytest.mark.parametrize("command, wide", [
+        (command, role) for command, flags in STAGE_CHECKPOINTS.items() for _, role in flags])
+    def test_checkpoint_widths_differing_from_the_dataset_exit_3(self, tmp_path, capsys,
+                                                                 command, wide):
+        code, err = _run_on_inputs(tmp_path, capsys, command, 64, wide)
+        assert code == 3, err
+        assert f"the {wide} checkpoint has state_dim=1, action_dim=2" in err
+        assert "the dataset has state_dim=1, action_dim=1" in err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", list(STAGE_CHECKPOINTS))
+    def test_zero_row_dataset_exits_3(self, tmp_path, capsys, command):
+        code, err = _run_on_inputs(tmp_path, capsys, command, 0)
+        assert code == 3, err
+        assert "the dataset has no rows (s (0, 1), a (0, 1))" in err
+        assert not os.path.exists(tmp_path / "o")

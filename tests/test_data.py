@@ -1,13 +1,14 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpolicy.data import (_NEAREST_CHUNK, OfflineDataset, SwissRollTask, assign_value_nearest,
-                            load_dataset, make_swiss_roll, make_tilted_gaussian_bandit,
-                            nearest_distances, save_dataset)
+from genpolicy.data import (_NEAREST_BUDGET, OfflineDataset, SwissRollTask, _nearest_index,
+                            assign_value_nearest, load_dataset, make_swiss_roll,
+                            make_tilted_gaussian_bandit, nearest_distances, save_dataset)
 from genpolicy.errors import DataFormatError
 
 
@@ -166,18 +167,58 @@ def test_nearest_helpers():
     assert np.allclose(assign_value_nearest(ds, pts), [5.0, 7.0])
 
 
-def test_chunked_nearest_search_matches_brute_force():
-    rng = np.random.default_rng(12)
-    ref = rng.standard_normal((50, 2))
-    ref[17] = ref[4]  # a duplicated reference row: the tie goes to the first index
-    pts = rng.standard_normal((2 * _NEAREST_CHUNK + 3, 2))
-    pts[-1] = ref[4]
-    pts[_NEAREST_CHUNK + 1] = ref[17]
-    # brute force over every (point, reference) pair at once, the unchunked search
+def _brute_force(pts, ref):
+    """Every (point, reference) pair at once, the unblocked search:
+    (nearest index, nearest distance)."""
     sq = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-    want_idx = sq.argmin(axis=1)
-    assert want_idx[-1] == 4 and want_idx[_NEAREST_CHUNK + 1] == 4
-    r = rng.standard_normal(50)
-    ds = OfflineDataset(s=np.zeros((50, 1)), a=ref, r=r, s2=np.zeros((50, 1)), done=np.ones(50))
+    return sq.argmin(axis=1), np.sqrt(sq).min(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("refs", [50, _NEAREST_BUDGET + 5])  # several blocks; one-row blocks
+def test_chunked_nearest_search_matches_brute_force(d, refs):
+    rng = np.random.default_rng([d, refs])
+    ref = rng.standard_normal((refs, d))
+    ref[17] = ref[4]  # a duplicated reference row: the tie goes to the first index
+    rows = max(1, _NEAREST_BUDGET // refs)  # point rows per block
+    pts = rng.standard_normal((2 * rows + 3, d))
+    pts[-1] = ref[4]
+    pts[rows + 1] = ref[17]
+    want_idx, want_dist = _brute_force(pts, ref)
+    assert want_idx[-1] == 4 and want_idx[rows + 1] == 4
+    r = rng.standard_normal(refs)
+    ds = OfflineDataset(s=np.zeros((refs, 1)), a=ref, r=r, s2=np.zeros((refs, 1)),
+                        done=np.ones(refs))
     assert np.array_equal(assign_value_nearest(ds, pts), r[want_idx])
-    assert nearest_distances(pts, ref).tobytes() == np.sqrt(sq).min(axis=1).tobytes()
+    assert nearest_distances(pts, ref).tobytes() == want_dist.tobytes()
+    assert assign_value_nearest(ds, pts[:0]).shape == (0,)
+    assert nearest_distances(pts[:0], ref).shape == (0,)
+
+
+def test_nearest_index_matches_brute_force_beyond_seven_dims():
+    # from d = 8 on, numpy's pairwise .sum reorders the distance sum, so
+    # only the indices are compared
+    rng = np.random.default_rng(9)
+    ref, pts = rng.standard_normal((500, 9)), rng.standard_normal((300, 9))
+    assert np.array_equal(_nearest_index(pts, ref), _brute_force(pts, ref)[0])
+
+
+@pytest.mark.parametrize("pts_shape, ref_shape", [((3, 3), (4, 2)), ((3, 1), (4, 2)),
+                                                  ((3,), (4, 1)), ((3, 2), (0, 2))])
+def test_nearest_index_rejects_mismatched_or_empty_reference(pts_shape, ref_shape):
+    # a point with extra columns would otherwise be searched on its first ones only
+    with pytest.raises(ValueError):
+        _nearest_index(np.zeros(pts_shape), np.zeros(ref_shape))
+
+
+def test_nearest_search_memory_is_one_block():
+    rng = np.random.default_rng(13)
+    ds, _ = make_tilted_gaussian_bandit(2, 1.0, 4096, seed=13)
+    pts = rng.standard_normal((2048, 2))
+    tracemalloc.start()
+    try:
+        assign_value_nearest(ds, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak

@@ -417,6 +417,20 @@ def _gmpg_setup(batch, hidden, action_dim, config):
 
 
 class TestGmpgMemory:
+    def test_training_holds_one_step_tape_at_a_time(self):
+        # a step's tape is freed before the next step builds its own
+        ds, _ = make_tilted_gaussian_bandit(2, 1.0, 256, seed=73)
+
+        def peak(steps):
+            behavior = small_policy(seed=70, hidden=(32, 32), action_dim=2)
+            policy = copy_policy(behavior)
+            cfg = GmpgConfig(t_train=8, steps=steps, batch_size=64, lr=1e-3)
+            return _traced_peak(lambda: train_gmpg(ds, LinearCritic(), policy, behavior, cfg,
+                                                   np.random.default_rng(74)))
+
+        one, two = peak(1), peak(2)
+        assert two <= 1.3 * one, (two, one)
+
     def test_reverse_pass_peak_close_to_the_tape(self):
         _, loss_fn = _gmpg_setup(64, (32, 32), 2, GmpgConfig(t_train=8))
         tracemalloc.start()

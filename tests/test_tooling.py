@@ -1,9 +1,15 @@
-"""The traced benchmark run wraps program names by attribute lookup; a
-renamed or deleted name must fail here rather than crash that run."""
+"""The benchmark wraps program names by attribute lookup and checks outputs
+against its own reference computations; a renamed or deleted name, or a
+kernel that drifts from a reference, must fail here rather than in a
+benchmark run."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from genpolicy.data import assign_value_nearest, make_tilted_gaussian_bandit
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -58,3 +64,15 @@ def test_tiny_chain_enters_every_traced_span(tmp_path):
     assert metrics["critic.q_evals_per_step"][0] == 1.0
     assert metrics["likelihood.jvp_per_rhs"][0] == 1.0
     assert metrics["likelihood.redundant_forward_ratio"][0] == 0.0
+
+
+def test_eval_value_matches_the_benchmark_reference(monkeypatch):
+    # the benchmark checks eval mean_value against its own nearest search to
+    # 1e-12 (gmpg-bandit sizes: 2048 points, 4096 dataset actions, d = 2)
+    monkeypatch.setitem(sys.modules, "workloads", _load("workloads"))  # verify imports it by name
+    verify = _load("verify")
+    ds, _ = make_tilted_gaussian_bandit(2, 1.0, 4096, seed=5)
+    pts = np.random.default_rng(6).standard_normal((2048, 2)) + 1.0
+    want = verify.nearest_mean_value(pts, ds.a, ds.r)
+    got = float(assign_value_nearest(ds, pts).mean())
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
