@@ -3,7 +3,10 @@
 Update order per step is V then Q, each against the other's live values
 (no target networks, no Polyak averaging, no double-Q): the V loss sees
 Q(s, a) held fixed, the Q loss regresses onto r + gamma (1 - done) V(s')
-with V held fixed. Terminal transitions mask the bootstrap term.
+with V held fixed. Terminal transitions mask the bootstrap term. One
+taped Q(s, a) forward per step feeds both losses, since the V step leaves
+Q's weights alone, and V(s') is evaluated only when some row of the batch
+is non-terminal: on an all-terminal batch the target is r itself.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .nn import Mlp
-from .optim import Adam
+from .optim import Adam, check_training_loop
 from .tensor import Tensor, concat, no_tape
 
 
@@ -43,6 +46,9 @@ class CriticConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie strictly inside (0, 1)")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"critic gamma must lie in [0, 1], got {self.gamma}")
+        check_training_loop("critic", self.lr, self.steps, self.batch_size)
 
 
 class Critic:
@@ -93,21 +99,29 @@ class Critic:
 
 
 def iql_step(critic: Critic, batch, opt_v: Adam, opt_q: Adam) -> tuple[float, float]:
-    """One IQL update (V step, then Q step). Returns (v_loss, q_loss)."""
+    """One IQL update (V step, then Q step). Returns (v_loss, q_loss).
+
+    One taped Q(s, a) forward feeds both losses: the V loss reads its values
+    as a constant, the Q loss differentiates through it. The V step changes
+    only V's weights, so both losses are op for op those of evaluating
+    Q(s, a) twice. V(s') is skipped only when every row is terminal; with
+    ``done`` in {0, 1} and finite s', the masked term is then exactly zero.
+    """
     s, a, r, s2, done = (np.asarray(x, dtype=float) for x in batch)
     r = r.reshape(-1, 1)
     done = done.reshape(-1, 1)
 
-    with no_tape():
-        q_fixed = critic.q_tensor(s, Tensor(a))
+    q = critic.q_tensor(s, Tensor(a))
     opt_v.zero_grad()
-    v_loss = expectile_loss(q_fixed - critic.v_tensor(s), critic.config.tau)
+    v_loss = expectile_loss(Tensor(q.data) - critic.v_tensor(s), critic.config.tau)
     v_loss.backward()
     opt_v.step()
 
-    target = r + critic.config.gamma * (1.0 - done) * critic.v_values(s2)[:, None]
+    target = r
+    if not done.all():
+        target = r + critic.config.gamma * (1.0 - done) * critic.v_values(s2)[:, None]
     opt_q.zero_grad()
-    q_loss = (critic.q_tensor(s, Tensor(a)) - target).square().mean()
+    q_loss = (q - target).square().mean()
     q_loss.backward()
     opt_q.step()
 

@@ -23,16 +23,14 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads=None) -> None:
-        if grads is None:
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
+    def step(self) -> None:
+        """Update every parameter from its ``grad``; a parameter without one
+        takes a zero gradient."""
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            g = np.asarray(g)
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
             if not np.all(np.isfinite(g)):
@@ -44,3 +42,15 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+def check_training_loop(name: str, lr: float, steps: int, batch_size: int) -> None:
+    """Refuse (ValueError) an Adam learning rate that is not finite and > 0,
+    a negative step count or a batch of fewer than one row; ``name`` says
+    whose settings they are."""
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"{name} lr must be finite and > 0, got {lr}")
+    if steps < 0:
+        raise ValueError(f"{name} steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise ValueError(f"{name} batch_size must be >= 1, got {batch_size}")

@@ -31,7 +31,7 @@ from .likelihood import TraceMode, generate_with_log_prob, log_prob
 from .matching import MatchingConfig, matching_loss
 from .model import GenerativeModel
 from .nn import FieldNetwork
-from .optim import Adam
+from .optim import Adam, check_training_loop
 from .sampler import TABLEAUX, SolverSpec, generate
 from .schedules import PathSchedule
 from .tensor import Tensor, no_tape
@@ -154,6 +154,12 @@ def softmax_candidate_weights(q, beta: float) -> np.ndarray:
 WEIGHT_MODES = ("exp_clamp", "softmax")
 
 
+def _check_beta(beta: float) -> None:
+    """Refuse a temperature that is not finite and >= 0 (0 is pretraining)."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"temperature beta must be finite and >= 0, got {beta}")
+
+
 @dataclass
 class GmpoConfig:
     beta: float = 1.0
@@ -173,6 +179,8 @@ class GmpoConfig:
             raise ValueError("w_max must be > 0")
         if self.weight_mode == "softmax" and self.k_candidates < 2:
             raise ValueError("softmax mode needs K >= 2 candidates")
+        _check_beta(self.beta)
+        check_training_loop("GMPO", self.lr, self.steps, self.batch_size)
 
 
 def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: GmpoConfig,
@@ -228,8 +236,6 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
     k_candidates actions per state from a pretrained behavior model and
     regresses onto them under softmax(beta Q) weights.
     """
-    if config.beta < 0:
-        raise ValueError("temperature beta must be >= 0")
     if config.weight_mode == "exp_clamp":
         def batch_fn(s, a):
             adv = critic.advantage(s, a)
@@ -270,6 +276,8 @@ class GmpgConfig:
             raise ValueError("t_train must be >= 1")
         if self.variant not in ("dynamic", "static"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        _check_beta(self.beta)
+        check_training_loop("GMPG", self.lr, self.steps, self.batch_size)
 
     @property
     def solver(self) -> SolverSpec:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from genpolicy.errors import NonFiniteError
+from genpolicy.critic import expectile_loss
+from genpolicy.errors import NonFiniteError, TrainingDivergedError
 from genpolicy.likelihood import TraceMode, _draw_probes, _stderr_of, trace_with_jvp
 from genpolicy.tensor import Tensor, no_tape, zero_grad
 
@@ -106,3 +107,30 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
             (field(leaf, t) * eps).sum().backward()
             est[p] = (leaf.grad * eps).sum(axis=1)
     return est.mean(axis=0), _stderr_of(est)
+
+
+def iql_step_reference(critic, batch, opt_v, opt_q) -> tuple[float, float]:
+    """The two-forward IQL step ``critic.iql_step`` must match byte for byte:
+    a tape-free Q(s, a) for the V loss, a second, taped one for the Q loss,
+    and V(s') evaluated whatever ``done`` holds."""
+    s, a, r, s2, done = (np.asarray(x, dtype=float) for x in batch)
+    r = r.reshape(-1, 1)
+    done = done.reshape(-1, 1)
+
+    with no_tape():
+        q_fixed = critic.q_tensor(s, Tensor(a))
+    opt_v.zero_grad()
+    v_loss = expectile_loss(q_fixed - critic.v_tensor(s), critic.config.tau)
+    v_loss.backward()
+    opt_v.step()
+
+    target = r + critic.config.gamma * (1.0 - done) * critic.v_values(s2)[:, None]
+    opt_q.zero_grad()
+    q_loss = (critic.q_tensor(s, Tensor(a)) - target).square().mean()
+    q_loss.backward()
+    opt_q.step()
+
+    vl, ql = float(v_loss.data), float(q_loss.data)
+    if not (np.isfinite(vl) and np.isfinite(ql)):
+        raise TrainingDivergedError("IQL loss went non-finite")
+    return vl, ql

@@ -311,6 +311,14 @@ class TestExitCodes:
         ("sample", "solver.scheme=bogus"),
         ("train-critic", "critic.tau=1.5"),
         ("make-data", "task.n=0"),
+        *[("train-critic", f"critic.{kv}") for kv in (
+            "gamma=2", "gamma=-0.1", "gamma=nan", "lr=0", "lr=-1", "lr=inf", "lr=nan",
+            "batch_size=0", "batch_size=-4", "steps=-1")],
+        *[("train-gmpo", f"policy.{kv}") for kv in (
+            "beta=-1", "beta=nan", "beta=inf", "lr=0", "lr=-1", "lr=nan", "batch_size=0",
+            "steps=-1")],
+        *[("train-gmpg", f"policy.{kv}") for kv in (
+            "gmpg_lr=-1", "gmpg_lr=inf", "gmpg_batch_size=0", "gmpg_steps=-1")],
     ])
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
         # the tiny task is a 1-d bandit with a 1-d state; every file the command

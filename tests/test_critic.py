@@ -137,3 +137,56 @@ class TestIqlTraining:
         opt_q = Adam(critic.q_net.parameters(), lr=1e-3)
         vl, ql = iql_step(critic, (ds.s, ds.a, ds.r, ds.s2, ds.done), opt_v, opt_q)
         assert np.isfinite(vl) and np.isfinite(ql)
+
+
+def _iql_batches(done, seed, steps=50, n=96, batch=32):
+    """``steps`` mini-batches of a random 2-d state, 1-d action dataset
+    whose ``done`` column is ``done(n)``."""
+    rng = np.random.default_rng(seed)
+    s, a, s2 = (rng.standard_normal((n, w)) for w in (2, 1, 2))
+    r = rng.standard_normal(n)
+    d = done(n)
+    for _ in range(steps):
+        idx = rng.integers(0, n, size=batch)
+        yield s[idx], a[idx], r[idx], s2[idx], d[idx]
+
+
+DONE_COLUMNS = {"all_terminal": np.ones,
+                "mixed": lambda n: (np.arange(n) % 3 == 0).astype(float)}
+
+
+@pytest.mark.parametrize("done", list(DONE_COLUMNS))
+def test_iql_step_matches_two_forward_reference_bytewise(done):
+    from oracles import iql_step_reference
+    runs = []
+    for step_fn in (iql_step, iql_step_reference):
+        critic = Critic(2, 1, CriticConfig(tau=0.7, gamma=0.9, hidden=(16, 16)),
+                        np.random.default_rng(5))
+        opt_v = Adam(critic.v_net.parameters(), lr=1e-3)
+        opt_q = Adam(critic.q_net.parameters(), lr=1e-3)
+        losses = [step_fn(critic, batch, opt_v, opt_q)
+                  for batch in _iql_batches(DONE_COLUMNS[done], seed=6)]
+        runs.append((np.array(losses).tobytes(),
+                     [p.data.tobytes() for p in critic.parameters()]))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("done, v_calls", [("all_terminal", 0), ("mixed", 1)])
+def test_iql_step_evaluates_q_once_and_v_of_next_state_only_when_needed(monkeypatch, done,
+                                                                       v_calls):
+    calls = {"q_tensor": 0, "v_values": 0}
+    for name in calls:
+        original = getattr(Critic, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Critic, name, counted)
+    critic = Critic(2, 1, CriticConfig(hidden=(8,)), np.random.default_rng(7))
+    opt_v = Adam(critic.v_net.parameters(), lr=1e-3)
+    opt_q = Adam(critic.q_net.parameters(), lr=1e-3)
+    for steps, batch in enumerate(_iql_batches(DONE_COLUMNS[done], seed=8, steps=3), 1):
+        iql_step(critic, batch, opt_v, opt_q)
+        assert calls == {"q_tensor": steps, "v_values": v_calls * steps}

@@ -158,13 +158,15 @@ class TestAdam:
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         opt = Adam([p], lr=1e-3)
         before = p.data.copy()
-        opt.step([np.zeros(2)])
+        p.grad = np.zeros(2)
+        opt.step()
         assert np.array_equal(p.data, before)
 
     def test_first_step_magnitude(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = Adam([p], lr=1e-3)
-        opt.step([np.array([1.0])])
+        p.grad = np.array([1.0])
+        opt.step()
         assert p.data[0] == pytest.approx(-1e-3 / (1 + 1e-8), rel=1e-12)
         assert opt.step_count == 1
 
@@ -175,14 +177,16 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         opt = Adam([p])
+        p.grad = np.zeros(3)
         with pytest.raises(ValueError):
-            opt.step([np.zeros(3)])
+            opt.step()
 
     def test_non_finite_gradient_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         opt = Adam([p])
+        p.grad = np.array([np.nan, 0.0])
         with pytest.raises(NonFiniteError):
-            opt.step([np.array([np.nan, 0.0])])
+            opt.step()
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([5.0]), requires_grad=True)

@@ -60,6 +60,11 @@ def test_tiny_chain_enters_every_traced_span(tmp_path):
                 assert cli.main(workloads.stage_argv(wl, label, ini, dirs)) == 0, label
     entered = {name for name, *_ in tracer.spans}
     assert [name for _, _, name in tracing.TARGETS if name not in entered] == []
+    # one Q forward per IQL step, and no V(s') on the all-terminal bandit
+    in_iql = [name for name, _, _, parent, _ in tracer.spans
+              if parent >= 0 and tracer.spans[parent][0] == "critic.iql_step"]
+    assert in_iql.count("critic.Critic.q_tensor") == wl.work["train-critic"]
+    assert in_iql.count("critic.Critic.v_values") == 0
     metrics = tracing.layer_metrics(tracer)
     assert metrics["critic.q_evals_per_step"][0] == 1.0
     assert metrics["likelihood.jvp_per_rhs"][0] == 1.0
