@@ -13,6 +13,6 @@ from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmp
 from .sampler import SolverSpec, Trajectory, generate, integrate
 from .schedules import (PathSchedule, alpha_sigma, convert, drift_diffusion,
                         sample_path_point, target_score, target_velocity)
-from .tensor import Tensor, backward, concat
+from .tensor import Tensor, concat
 
 __version__ = "0.1.0"

@@ -16,8 +16,10 @@ emits checkpoints in the versioned binary format. Exit codes: 0 success, 2 confi
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -143,10 +145,19 @@ def _gmpg_config(cfg: ExperimentConfig) -> GmpgConfig:
 
 
 def _check_config(cfg: ExperimentConfig) -> None:
-    """Build every spec the stages build from ``cfg``, so that a bad value
-    exits 2 before any stage writes or computes anything."""
+    """Refuse a non-finite float setting, then build every spec the stages
+    build from ``cfg``, so that a bad value exits 2 before any stage writes
+    or computes anything."""
+    for block in fields(cfg):
+        for key, value in asdict(getattr(cfg, block.name)).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{block.name}.{key} must be finite, got {value}")
     if cfg.task.kind != "file" and cfg.task.n < 1:
         raise ConfigError(f"task.n must be >= 1, got {cfg.task.n}")
+    if cfg.task.noise < 0:
+        raise ConfigError(f"task.noise must be >= 0, got {cfg.task.noise}")
+    if not cfg.model.t_emb_scale > 0:
+        raise ConfigError(f"model.t_emb_scale must be > 0, got {cfg.model.t_emb_scale}")
     try:
         schedule = _schedule(cfg)
         _solver(cfg)

@@ -17,6 +17,15 @@ from .errors import ConfigError
 OUTPUT_ROOT_ENV = "GENPOLICY_OUTPUT_ROOT"
 
 
+def _widths(text: str, key: str) -> tuple:
+    """Comma-separated layer widths, each >= 1 (a width-0 layer would cut
+    the network off from its input)."""
+    sizes = tuple(int(x) for x in text.split(",") if x.strip())
+    if any(s < 1 for s in sizes):
+        raise ConfigError(f"{key} widths must be >= 1, got {text!r}")
+    return sizes
+
+
 @dataclass
 class TaskBlock:
     kind: str = "tilted_bandit"  # tilted_bandit | swiss_roll | file
@@ -24,7 +33,7 @@ class TaskBlock:
     seed: int = 0
     dims: int = 1             # tilted_bandit
     beta_target: float = 1.0  # tilted_bandit's recorded closed-form tilt
-    noise: float = 0.6        # swiss_roll observation noise
+    noise: float = 0.6        # swiss_roll observation noise (a std, >= 0)
     path: str = ""            # kind = file
 
 
@@ -34,13 +43,13 @@ class ModelBlock:
     parameterization: str = "velocity"
     hidden: str = "256,256,256"
     t_emb_width: int = 32
-    t_emb_scale: float = 1.0
+    t_emb_scale: float = 1.0  # std of the time-feature frequencies, > 0
     path_sigma: float = 0.0
     beta_min: float = 0.1
     beta_max: float = 20.0
 
     def hidden_sizes(self) -> tuple:
-        return tuple(int(x) for x in self.hidden.split(",") if x.strip())
+        return _widths(self.hidden, "model.hidden")
 
 
 @dataclass
@@ -53,7 +62,7 @@ class CriticBlock:
     batch_size: int = 256
 
     def hidden_sizes(self) -> tuple:
-        return tuple(int(x) for x in self.hidden.split(",") if x.strip())
+        return _widths(self.hidden, "critic.hidden")
 
 
 @dataclass

@@ -18,12 +18,22 @@ Each right-hand-side evaluation makes one JVP call: the network's forward
 pass runs once, and all tangents go through one sweep, stacked as k
 blocks of rows (the d basis vectors in exact mode, which are summed to
 the exact trace; the P probes in Hutchinson mode, each giving
-eps^T J eps). The same call returns the velocity, so the state update
-needs no further forward pass. Hutchinson probes are drawn once per call
-(shared across steps, standard practice; each probe then yields an
-independent estimate of the whole integral, which is what the reported
-standard error is computed from). The log-density accumulators are kept
-as (n_estimates, batch), probe-major like the stacked tangents.
+eps^T J eps). The tangent seeds are a constant array, and the estimate
+is one taped ``trace`` node over J u: the product with the seeds, the
+row sums and, in exact mode, the sum over the d blocks. The same call
+returns the velocity, so the state update needs no further forward pass.
+Hutchinson probes are drawn once per call (shared across steps, standard
+practice; each probe then yields an independent estimate of the whole
+integral, which is what the reported standard error is computed from).
+The log-density accumulators are kept as (n_estimates, batch),
+probe-major like the stacked tangents.
+
+A stage whose tableau weight b[i] is 0 (midpoint's first) has a trace
+that nothing reads: the stepper forms stage inputs for x alone, so b[i]
+is the only reader of a stage's trace. Such a stage evaluates the
+velocity alone through ``model.velocity``, whose values are bit for bit
+the JVP call's primal rows, in training and in the tape-free
+log-densities alike.
 """
 
 from __future__ import annotations
@@ -82,32 +92,47 @@ def _draw_probes(dist: str, shape, rng: np.random.Generator) -> np.ndarray:
 def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
     """(velocity, per-sample trace estimates) from one JVP call, on the tape.
 
-    ``jvp_fn(x, t, u) -> (v, J u)`` with ``u`` holding k stacked tangent
-    blocks of ``batch`` rows. Exact mode stacks the d basis vectors and
-    returns the exact trace as a (1, batch) row; Hutchinson mode stacks
-    the P probes (``probes`` is (P, batch, d)) and returns one row per
-    probe, (P, batch).
+    ``jvp_fn(x, t, u) -> (v, J u)`` with ``u`` a constant array of k
+    stacked tangent blocks of ``batch`` rows. Exact mode stacks the d
+    basis vectors and returns the exact trace as a (1, batch) row;
+    Hutchinson mode stacks the P probes (``probes`` is (P, batch, d)) and
+    returns one row per probe, (P, batch). The estimate is one node over
+    J u: per row the sum of (J u) * u, and in exact mode the sum over the
+    d blocks.
     """
     batch, d = x.shape
     if mode.kind == "exact":
         u = np.repeat(np.eye(d), batch, axis=0)  # block i is e_i on every row
     else:
         u = probes.reshape(-1, d)
-    v, ju = jvp_fn(x, t, Tensor(u))
-    est = (ju * u).sum(axis=1).reshape(-1, batch)
+    v, ju = jvp_fn(x, t, u)
+    blocks = u.shape[0] // batch
+    est = (ju.data * u).sum(axis=1).reshape(blocks, batch)
     if mode.kind == "exact" and d > 1:
         est = est.sum(axis=0, keepdims=True)
-    return v, est
+
+    def bwd(node):
+        g = np.broadcast_to(node.grad, (blocks, batch)).reshape(-1, 1)
+        ju._accum(g * u, fresh=True)
+
+    return v, ju._node(est, (ju,), bwd, "trace")
 
 
 def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
                          spec: SolverSpec, mode: TraceMode, probes):
-    """Integrate [x; l] with dl/dt = -trace; returns (x_T, l_T (P,B))."""
+    """Integrate [x; l] with dl/dt = -trace; returns (x_T, l_T (P,B)).
+
+    A stage whose trace the step does not read (``traced`` false) gets the
+    velocity alone, from ``model.velocity``: bit for bit the primal rows
+    of the JVP call.
+    """
 
     def jvp_fn(x, t, u):
         return model.velocity_jvp(x, t, condition, u)
 
-    def rhs(x, t):
+    def rhs(x, t, traced):
+        if not traced:
+            return (model.velocity(x, t, condition),)
         v, tr = trace_with_jvp(jvp_fn, x, t, mode, probes)
         return v, tr * (-1.0)
 
@@ -131,12 +156,11 @@ def log_prob(model, x_data, spec: SolverSpec, trace_mode: TraceMode = TraceMode(
     respect to ``x_data`` (pass a Tensor leaf) and the model parameters.
     """
     x = x_data if isinstance(x_data, Tensor) else Tensor(np.asarray(x_data, dtype=float))
-    cond_t = None if condition is None else (condition if isinstance(condition, Tensor) else Tensor(condition))
     sched = model.schedule
     probes = None
     if trace_mode.kind == "hutchinson":
         probes = _draw_probes(trace_mode.probe_dist, (trace_mode.n_probes,) + x.shape, rng)
-    z, l = _augmented_integrate(model, cond_t, x, sched.data_time, sched.noise_time,
+    z, l = _augmented_integrate(model, condition, x, sched.data_time, sched.noise_time,
                                 spec, trace_mode, probes)
     logp = prior_logpdf_tensor(z) - l.mean(axis=0)
     return LogDensityResult(terminal=z, logp=logp, trace_mode=trace_mode, stderr=_stderr_of(l.data))
@@ -154,12 +178,11 @@ def generate_with_log_prob(model, n: int, spec: SolverSpec,
     """
     d = model.net.x_dim
     z0 = rng.standard_normal((n, d))
-    cond_t = None if condition is None else (condition if isinstance(condition, Tensor) else Tensor(condition))
     sched = model.schedule
     probes = None
     if trace_mode.kind == "hutchinson":
         probes = _draw_probes(trace_mode.probe_dist, (trace_mode.n_probes, n, d), rng)
-    x, l = _augmented_integrate(model, cond_t, Tensor(z0), sched.noise_time, sched.data_time,
+    x, l = _augmented_integrate(model, condition, Tensor(z0), sched.noise_time, sched.data_time,
                                 spec, trace_mode, probes)
-    logp = Tensor(prior_logpdf(z0)) + l.mean(axis=0)
+    logp = l.mean(axis=0) + prior_logpdf(z0)
     return x, logp, _stderr_of(l.data)

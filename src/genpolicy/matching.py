@@ -98,7 +98,7 @@ def dsm_loss(model, schedule: PathSchedule, x0, weights, rng,
     x_t = alpha * x0 + sigma * eps
     score_target = -eps / sigma
 
-    out = model(Tensor(x_t), Tensor(t), None if condition is None else Tensor(condition))
+    out = model(Tensor(x_t), t, condition)
     if model.parameterization == "noise":
         out = out * (-1.0 / sigma)
 
@@ -142,7 +142,7 @@ def cfm_loss(model, schedule: PathSchedule, x0, x1, weights, rng,
             x_t = x_t + schedule.path_sigma * path_eps
         v_target = target_velocity(schedule, x0, x1, t)
 
-    out = model(Tensor(x_t), Tensor(t), None if condition is None else Tensor(condition))
+    out = model(Tensor(x_t), t, condition)
     return ((out - v_target).square() * w[:, None]).mean() * 0.5
 
 

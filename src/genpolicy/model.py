@@ -53,14 +53,15 @@ class GenerativeModel:
         f, c = self._coeffs(t)
         return x * f + out * c
 
-    def velocity_jvp(self, x: Tensor, t, condition, u: Tensor):
+    def velocity_jvp(self, x: Tensor, t, condition, u: np.ndarray):
         """(velocity, d(velocity)/dx @ u), both on the tape.
 
-        ``u`` may stack k tangent blocks of x's B rows (k·B rows, see
-        ``FieldNetwork.jvp``); the tangent result has the same layout.
+        ``u`` is a constant array that may stack k tangent blocks of x's B
+        rows (k·B rows, see ``FieldNetwork.jvp``); the tangent result has
+        the same layout.
         """
         out, dout = self.net.jvp(x, t, condition, u)
         if self.parameterization == "velocity":
             return out, dout
         f, c = self._coeffs(t)
-        return x * f + out * c, u * f + dout * c
+        return x * f + out * c, dout * c + u * f

@@ -9,8 +9,11 @@ this for trainable Jacobian traces.
 
 Tangents come stacked: for a batch of B inputs, ``u`` holds k·B rows,
 k blocks of B rows each, block j being the j-th tangent for every input
-row. The input and its tangents are stacked into (k+1)·B rows, and each
-layer is one ``tensor.dense`` node over them: the primal rows get
+row. ``u`` is a constant array (the tangent seeds take no gradient) and
+enters the first layer as that node's own constant input, next to x's B
+rows; there is no stacked concat node, and the reverse pass hands x the
+gradient of its own rows only. Every layer is one ``tensor.dense`` node
+over the (k+1)·B stacked rows: the primal rows get
 ``act(h @ w + b)``, the tangent rows ``(dh @ w) * act'``, each through
 its own matmul, so the primal output is bit for bit that of
 ``__call__`` (the k = 0 case of the same node). Per hidden layer the
@@ -21,9 +24,10 @@ tangent.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent
-enters only through the weight rows of x, and the Fourier features of a
-scalar time are computed once, as one row shared by the whole batch.
-The first layer's weight stays one array, as checkpoints store it.
+enters only through the weight rows of x. Both are plain arrays: the
+Fourier features are computed in numpy, once per call, and for a scalar
+time as one row shared by the whole batch. The first layer's weight
+stays one array, as checkpoints store it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, concat, dense
+from .tensor import Tensor, as_tensor, dense
 
 _ACTIVATIONS = ("tanh", "sin")
 
@@ -51,9 +55,10 @@ class GaussianFourier:
         self.width = width
         self.freqs = rng.standard_normal(width // 2) * scale
 
-    def __call__(self, t: Tensor) -> Tensor:
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """emb(t) for a (B, 1) array of times, as a (B, width) array."""
         ang = t * (2.0 * math.pi * self.freqs)  # (B,1)*(half,) -> (B,half)
-        return concat([ang.sin(), ang.cos()], axis=1)
+        return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
 class Mlp:
@@ -93,11 +98,12 @@ class Mlp:
         """
         return self._forward(x, None, prefix)[0]
 
-    def forward_jvp(self, x: Tensor, u: Tensor, prefix=()) -> tuple[Tensor, Tensor]:
+    def forward_jvp(self, x: Tensor, u: np.ndarray, prefix=()) -> tuple[Tensor, Tensor]:
         """Forward pass plus the Jacobian-vector products d(out)/dx @ u.
 
-        ``x`` is (B, in); ``u`` is (k·B, in), k tangent blocks of B rows
-        (row j·B + i is the j-th tangent at input row i). Returns the
+        ``x`` is (B, in); ``u`` is a constant (k·B, in) array, k tangent
+        blocks of B rows (row j·B + i is the j-th tangent at input row i),
+        which takes no gradient. Returns the
         (B, out) output, bit for bit that of ``__call__``, and the
         (k·B, out) output tangents in the same block layout. Both stay
         on the tape, so the JVPs can themselves be differentiated with
@@ -105,23 +111,26 @@ class Mlp:
         """
         return self._forward(x, u, prefix)
 
-    def _forward(self, x: Tensor, u: Tensor | None, prefix):
-        """The one layer loop; the tangent ``u`` is optional (None -> None)."""
+    def _forward(self, x: Tensor, u, prefix):
+        """The one layer loop; the tangent ``u`` is optional (None -> None).
+
+        The first layer takes ``u`` as its constant tangent, so the reverse
+        pass hands x the gradient of its B rows alone.
+        """
         rows = x.shape[0]
+        jvp = u is not None
+        if jvp and (u.shape[0] < rows or u.shape[0] % rows):
+            raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
         h = x
-        if u is not None:
-            if u.shape[0] < rows or u.shape[0] % rows:
-                raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
-            h = concat([x, u], axis=0)
         *hidden, (w_out, b_out) = zip(self.weights, self.biases)
-        for i, (w, b) in enumerate(hidden):
-            h = dense(h, w, b, rows, self.activation, prefix if i == 0 else ())
-        prefix = () if hidden else prefix
-        if u is None:
+        for w, b in hidden:
+            h = dense(h, w, b, rows, self.activation, prefix, u)
+            prefix, u = (), None  # both feed the first layer only
+        if not jvp:
             return dense(h, w_out, b_out, rows, None, prefix), None
         # The output bias is added to the primal rows alone, so a loss on
         # the tangents alone leaves it without a gradient.
-        out = dense(h, w_out, None, rows, None, prefix)
+        out = dense(h, w_out, None, rows, None, prefix, u)
         return out.rows(0, rows) + b_out, out.rows(rows)
 
     def freeze(self) -> None:
@@ -149,29 +158,37 @@ class FieldNetwork:
         return self.mlp.parameters()
 
     def _prefix(self, t, condition) -> list:
-        """The input columns ahead of x: emb(t), then the condition.
+        """The input columns ahead of x, as arrays: emb(t), then the condition.
 
-        Both are constants of the network. A scalar ``t`` is embedded as
-        one row, shared by every input row.
+        Both are constants of the network: arrays, or Tensors that carry no
+        gradient. A scalar ``t`` is embedded as one row, shared by every
+        input row.
         """
-        t = t if isinstance(t, Tensor) else Tensor(np.full((1, 1), float(t)))
         parts = [t]
         if self.state_dim:
             if condition is None:
                 raise ValueError("conditional network called without a condition")
-            parts.append(as_tensor(condition))
-        if any(p.requires_grad or p._prev for p in parts):
-            raise ValueError("the time and condition inputs take no gradient")
-        return [self.t_emb(t).data] + [p.data for p in parts[1:]]
+            parts.append(condition)
+        arrays = []
+        for p in parts:
+            if isinstance(p, Tensor):
+                if p.requires_grad or p._prev:
+                    raise ValueError("the time and condition inputs take no gradient")
+                p = p.data
+            arrays.append(np.asarray(p, dtype=float))
+        if arrays[0].ndim == 0:
+            arrays[0] = arrays[0].reshape(1, 1)
+        arrays[0] = self.t_emb(arrays[0])
+        return arrays
 
     def __call__(self, x: Tensor, t, condition=None) -> Tensor:
         return self.mlp(as_tensor(x), self._prefix(t, condition))
 
-    def jvp(self, x: Tensor, t, condition, u: Tensor) -> tuple[Tensor, Tensor]:
+    def jvp(self, x: Tensor, t, condition, u: np.ndarray) -> tuple[Tensor, Tensor]:
         """(output, d(output)/dx @ u); the tangent enters through x only.
 
-        ``x`` is (B, x_dim) and ``u`` is (k·B, x_dim), k stacked tangent
-        blocks (see ``Mlp.forward_jvp``). The output has B rows, the
+        ``x`` is (B, x_dim) and ``u`` is a constant (k·B, x_dim) array, k
+        stacked tangent blocks (see ``Mlp.forward_jvp``). The output has B rows, the
         output tangent k·B rows in the same block layout.
         """
         return self.mlp.forward_jvp(as_tensor(x), u, self._prefix(t, condition))

@@ -175,8 +175,8 @@ class GmpoConfig:
     def __post_init__(self):
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}; options: {WEIGHT_MODES}")
-        if self.w_max <= 0:
-            raise ValueError("w_max must be > 0")
+        if not (np.isfinite(self.w_max) and self.w_max > 0):
+            raise ValueError(f"w_max must be finite and > 0, got {self.w_max}")
         if self.weight_mode == "softmax" and self.k_candidates < 2:
             raise ValueError("softmax mode needs K >= 2 candidates")
         _check_beta(self.beta)
@@ -292,20 +292,20 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     for the primal row and its k tangent rows (twice that for sin, whose
     layers also keep cos z and the tangents before the slope), the first
     layer's input (time embedding, condition, x), and about 4(k + 1)
-    action-wide rows for the network's input and output, the probes and
-    the trace. k is the action dimension for an exact trace and the probe
-    count for Hutchinson. The dynamic variant tapes two unrolls (pi and
-    mu), the static one only log pi. Every stage counts in full, so for
-    midpoint, whose first-stage trace the step never reads, this is an
-    upper bound.
+    action-wide rows for the stacked network input and output, the
+    tangent seeds and the state update. k is the action dimension for an
+    exact trace and the probe count for Hutchinson. A stage whose weight
+    b[i] is 0 (midpoint's first) evaluates the velocity alone, so it
+    stores the same arrays for the primal row only. The dynamic variant
+    tapes two unrolls (pi and mu), the static one only log pi.
     """
     net = policy.model.net
     k = net.x_dim if config.trace.kind == "exact" else config.trace.n_probes
     per_unit = 2 if net.mlp.activation == "sin" else 1
-    hidden = per_unit * (k + 1) * sum(net.mlp.sizes[1:-1])
-    per_stage = 8 * batch * (hidden + net.mlp.sizes[0] + 4 * (k + 1) * net.x_dim)
-    stages = len(TABLEAUX[config.scheme][1]) * config.t_train
-    return per_stage * stages * (2 if config.variant == "dynamic" else 1)
+    widths, first, d = sum(net.mlp.sizes[1:-1]), net.mlp.sizes[0], net.x_dim
+    per_step = sum((k + 1 if bi else 1) * (per_unit * widths + 4 * d) + first
+                   for bi in TABLEAUX[config.scheme][1])
+    return 8 * batch * per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
 
 
 def _check_gmpg_models(policy: GenerativePolicy, behavior: GenerativePolicy) -> None:

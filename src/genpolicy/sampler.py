@@ -66,11 +66,16 @@ def _combine(state: tuple, ks: list, coeffs, h: float) -> tuple:
 
 
 def _step(field, state: tuple, t: float, h: float, tableau) -> tuple:
-    """One step; the stage inputs are formed for x, the one component the field reads."""
+    """One step; the stage inputs are formed for x, the one component the field reads.
+
+    So a stage's accumulator rates are read only through its weight b[i];
+    the field is told whether that weight is nonzero, and where it is zero
+    it may return the x rate alone.
+    """
     a, b, c = tableau
     ks = []
-    for row, ci in zip(a, c):
-        ks.append(field(_combine(state[:1], ks, row, h)[0], t + ci * h))
+    for row, bi, ci in zip(a, b, c):
+        ks.append(field(_combine(state[:1], ks, row, h)[0], t + ci * h, bi != 0.0))
     return _combine(state, ks, b, h)
 
 
@@ -78,9 +83,11 @@ def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool =
     """Integrate dx/dt = field(x, t) from t_span[0] to t_span[1].
 
     ``field`` maps (Tensor, float t) -> Tensor. The state may also be a
-    tuple of Tensors (x, accumulators...), with ``field`` mapping (x, t)
-    to a tuple of the same layout: the field never reads the
-    accumulators, so their stage inputs are not formed. Returns the
+    tuple of Tensors (x, accumulators...), with ``field`` mapping (x, t,
+    read) to a tuple of the same layout: the field never reads the
+    accumulators, so their stage inputs are not formed, and where ``read``
+    is false the step never reads the stage's accumulator rates either,
+    so the field may return (x rate,) alone. Returns the
     final state, or (final, Trajectory) when recording (the trajectory
     holds a tuple state's first component); the
     recorded endpoint is bit-identical to the non-recorded result. Raises
@@ -89,7 +96,7 @@ def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool =
     """
     single = not isinstance(x_init, tuple)
     state = (as_tensor(x_init),) if single else x_init
-    stage_field = (lambda x, t: (field(x, t),)) if single else field
+    stage_field = (lambda x, t, _: (field(x, t),)) if single else field
     tableau = TABLEAUX[spec.scheme]
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / spec.steps
@@ -134,10 +141,9 @@ def generate(model, n: int, spec: SolverSpec, condition=None,
         if condition.shape[0] != n:
             raise ValueError(f"condition rows {condition.shape[0]} != n {n}")
     x0 = rng.standard_normal((n, d))
-    cond_t = None if condition is None else Tensor(condition)
 
     def field(x, t):
-        return model.velocity(x, t, cond_t)
+        return model.velocity(x, t, condition)
 
     with no_tape():
         out = integrate(field, Tensor(x0), spec, generation_span(model.schedule), record=record)

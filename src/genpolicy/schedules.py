@@ -49,6 +49,9 @@ class PathSchedule:
             raise UnsupportedKindError(f"unknown schedule kind {self.kind!r}")
         if self.path_sigma < 0:
             raise ValueError("path_sigma must be >= 0")
+        if not 0 <= self.beta_min <= self.beta_max or self.beta_max <= 0:
+            raise ValueError(f"vpsde needs 0 <= beta_min <= beta_max and beta_max > 0, got "
+                             f"beta_min={self.beta_min}, beta_max={self.beta_max}")
 
     @property
     def is_diffusion(self) -> bool:

@@ -13,19 +13,29 @@ on rather than one per node. A gradient a closure has just computed for
 one parent becomes that parent's ``grad`` as it is, uncopied. Leaves and
 the root keep theirs. Because of that, ``backward`` may be called more
 than once and every leaf gradient truly accumulates; training loops call
-``zero_grad`` between steps. Recording is re-entrant — new operations
+``Adam.zero_grad`` between steps. Recording is re-entrant — new operations
 may reference nodes of an existing graph at any time, which is what lets
 a solver unroll of up to T=1000 steps stay differentiable. Memory grows
 with the number of recorded operations (one array per op, plus what a
 fused node keeps in its closure), so an unroll costs O(T x state size).
 
+The node rule: only a value that can carry a gradient becomes a Tensor.
+A constant operand (a Python number or an array: time features, a
+condition, tangent seeds, a step size) stays an array, captured by the op
+that reads it, so it makes neither a node nor a finite check of its own;
+the op's result is checked. Binary ops take it on either side
+(``__array_ufunc__ = None`` makes ``array * tensor`` defer to the
+Tensor), and a number acts as the float64 scalar a Tensor of it would
+hold, so values, gradients and dtypes are those of the wrapped constant.
+
 An MLP layer is one fused node, ``dense``, over stacked rows: the B
 primal rows and k blocks of B tangent rows (forward-mode JVPs) go in and
 come out together, with one hand-written reverse rule that includes the
-derivative of the activation's slope. The node keeps its output and,
-for the first layer, the concatenated primal input; a sin layer also
-keeps cos z and its tangents before the slope. ``rows`` slices the
-stacked result back apart.
+derivative of the activation's slope. The first layer takes the tangent
+seeds as a constant array, so they get no gradient. The node keeps its
+output and, for the first layer, the concatenated primal input and the
+stacked input rows; a sin layer also keeps cos z and its tangents before
+the slope. ``rows`` slices the stacked result back apart.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -50,6 +60,7 @@ import numpy as np
 from .errors import NonFiniteError
 
 _RECORDING = True
+_FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 @contextmanager
@@ -80,14 +91,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _float_array(value) -> np.ndarray:
+    """``value`` as an array of float dtype: float32 and float64 are kept,
+    anything else is converted to float64."""
+    arr = value if type(value) is np.ndarray else np.asarray(value)
+    return arr if arr.dtype in _FLOATS else arr.astype(np.float64)
+
+
+def _constant(value):
+    """A constant operand as the value a Tensor of it would hold.
+
+    A Python number becomes an ``np.float64`` scalar, which promotes like
+    the 0-d float64 array ``Tensor(number)`` holds, so a float32 operand
+    gives the same result dtype either way.
+    """
+    if isinstance(value, (int, float)):
+        return np.float64(value)
+    return _float_array(value)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
+    __array_ufunc__ = None  # ``array * tensor`` defers to Tensor.__rmul__
 
     def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None, _op: str = "leaf"):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = _float_array(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._prev = _prev
@@ -101,21 +129,28 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op})"
-
-    def item(self) -> float:
-        return float(self.data)
 
     # -- graph nodes ---------------------------------------------------
 
     def _node(self, data, prev, backward, op):
-        needs = _RECORDING and any(p.requires_grad or p._prev for p in prev)
-        return Tensor(data, _prev=prev if needs else (), _backward=backward if needs else None, _op=op)
+        """The result of an op on the ``prev`` Tensors; it records them and
+        ``backward`` when recording is on and one of them can carry a
+        gradient. ``data`` is the op's float result."""
+        out = Tensor.__new__(Tensor)
+        out.data = data if type(data) is np.ndarray else np.asarray(data)
+        out.grad = None
+        out.requires_grad = False
+        out._prev, out._backward = (), None
+        out._op = op
+        if _RECORDING:
+            for p in prev:
+                if p.requires_grad or p._prev:
+                    out._prev, out._backward = prev, backward
+                    break
+        _check_finite(out.data, op)
+        return out
 
     def _accum(self, g: np.ndarray, fresh: bool = False, at=None) -> None:
         """Add ``g`` into ``grad`` (into rows ``at`` when given).
@@ -136,9 +171,16 @@ class Tensor:
             self.grad += g
 
     # -- binary ops (numpy broadcasting; gradients un-broadcast) --------
+    # A non-Tensor operand is a constant: the op reads it as ``_constant``
+    # makes it and records only the Tensor operand.
 
     def __add__(self, other):
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            def bwd_const(out):
+                g = _unbroadcast(out.grad, self.data.shape)
+                self._accum(g, fresh=g is not out.grad)
+
+            return self._node(self.data + _constant(other), (self,), bwd_const, "add")
         out_data = self.data + other.data
 
         def bwd(out):
@@ -150,7 +192,13 @@ class Tensor:
         return self._node(out_data, (self, other), bwd, "add")
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        if not isinstance(other, Tensor):
+            c = _constant(other)
+
+            def bwd_const(out):
+                self._accum(_unbroadcast(out.grad * c, self.data.shape), fresh=True)
+
+            return self._node(self.data * c, (self,), bwd_const, "mul")
         out_data = self.data * other.data
 
         def bwd(out):
@@ -161,28 +209,16 @@ class Tensor:
 
         return self._node(out_data, (self, other), bwd, "mul")
 
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError("matmul is defined for 2-d tensors")
-        out_data = self.data @ other.data
-
-        def bwd(out):
-            if self.requires_grad or self._prev:
-                self._accum(out.grad @ other.data.T, fresh=True)
-            if other.requires_grad or other._prev:
-                other._accum(self.data.T @ out.grad, fresh=True)
-
-        return self._node(out_data, (self, other), bwd, "matmul")
-
     def __neg__(self):
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        if not isinstance(other, Tensor):
+            return self + _constant(other) * np.float64(-1.0)  # promotes as -Tensor(other) does
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return (-self) + other
 
     def __radd__(self, other):
         return self + other
@@ -209,24 +245,6 @@ class Tensor:
 
         return self._node(out_data, (self,), bwd, op)
 
-    def exp(self):
-        return self._unary(np.exp, lambda x, y: y, "exp")
-
-    def log(self):
-        return self._unary(np.log, lambda x, y: 1.0 / x, "log")
-
-    def tanh(self):
-        return self._unary(np.tanh, lambda x, y: 1.0 - y * y, "tanh")
-
-    def sin(self):
-        return self._unary(np.sin, lambda x, y: np.cos(x), "sin")
-
-    def cos(self):
-        return self._unary(np.cos, lambda x, y: -np.sin(x), "cos")
-
-    def sqrt(self):
-        return self._unary(np.sqrt, lambda x, y: 0.5 / y, "sqrt")
-
     def square(self):
         return self._unary(np.square, lambda x, y: 2.0 * x, "square")
 
@@ -249,17 +267,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- structural ops ---------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-        out_data = self.data.reshape(shape)
-
-        def bwd(out):
-            self._accum(out.grad.reshape(old))
-
-        return self._node(out_data, (self,), bwd, "reshape")
 
     def rows(self, start: int, stop: int | None = None) -> "Tensor":
         """Rows ``start:stop`` (a view); the reverse pass adds into those rows."""
@@ -322,7 +329,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 
 def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | None = None,
-          prefix=()) -> Tensor:
+          prefix=(), tangent=None) -> Tensor:
     """One MLP layer over stacked primal and tangent rows, as one node.
 
     ``h`` holds ``rows`` primal rows, then k >= 0 blocks of ``rows``
@@ -336,6 +343,8 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | N
     (broadcast): input columns that only the primal rows have, ahead of
     h's. A tangent sees only w_h, the last ``h.shape[1]`` rows of w.
     ``activation`` is "tanh", "sin" or None (linear); ``b`` may be None.
+    ``tangent`` optionally holds the k tangent blocks as a constant array:
+    ``h`` is then the primal rows alone and receives only their gradient.
 
     The primal and the tangent rows go through separate matmuls, so the
     primal rows are bit for bit those of the layer run without tangents,
@@ -353,6 +362,10 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | N
     x, wd = h.data, w.data
     if x.ndim != 2 or wd.ndim != 2:
         raise ValueError("dense is defined for 2-d inputs and weights")
+    if tangent is not None:
+        if x.shape[0] != rows:
+            raise ValueError(f"dense: {x.shape[0]} primal rows with a constant tangent, expected {rows}")
+        x = np.concatenate([x, tangent])
     (total, n), (n_in, m) = x.shape, wd.shape
     if activation not in (None, "tanh", "sin"):
         raise ValueError(f"unknown activation {activation!r}")
@@ -418,34 +431,9 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | N
                 gw = x.T @ G
             w._accum(gw, fresh=True)
         if h.requires_grad or h._prev:
-            h._accum(G @ w_h.T, fresh=True)
+            # over every row even when only the primal rows are wanted: the
+            # BLAS kernel, and so the rounding, depends on the row count
+            gh = G @ w_h.T
+            h._accum(gh if tangent is None else gh[:rows], fresh=True)
 
     return h._node(out, parents, bwd, "dense")
-
-
-def backward(output: Tensor) -> dict[int, np.ndarray]:
-    """Run the reverse pass and return a gradient map keyed by ``id(leaf)``.
-
-    Leaves are the reachable tensors with ``requires_grad``; a constant
-    (non-recorded) input maps to a zero gradient by construction since it
-    never receives accumulation.
-    """
-    leaves: dict[int, Tensor] = {}
-    stack = [output]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.requires_grad and not node._prev:
-            node.grad = None
-            leaves[id(node)] = node
-        stack.extend(node._prev)
-    output.backward()
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data)) for k, t in leaves.items()}
-
-
-def zero_grad(params) -> None:
-    for p in params:
-        p.grad = None

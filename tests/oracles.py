@@ -1,4 +1,5 @@
-"""Finite-difference and reverse-sweep oracles that the tests check the library against."""
+"""Finite-difference and reverse-sweep oracles that the tests check the library against,
+and the tensor ops only the tests use, built on the library's node machinery."""
 
 from __future__ import annotations
 
@@ -7,7 +8,76 @@ import numpy as np
 from genpolicy.critic import expectile_loss
 from genpolicy.errors import NonFiniteError, TrainingDivergedError
 from genpolicy.likelihood import TraceMode, _draw_probes, _stderr_of, trace_with_jvp
-from genpolicy.tensor import Tensor, no_tape, zero_grad
+from genpolicy.tensor import Tensor, no_tape
+
+
+# -- tensor ops the library does not use ---------------------------------------
+
+
+def exp(x: Tensor) -> Tensor:
+    return x._unary(np.exp, lambda x, y: y, "exp")
+
+
+def log(x: Tensor) -> Tensor:
+    return x._unary(np.log, lambda x, y: 1.0 / x, "log")
+
+
+def sqrt(x: Tensor) -> Tensor:
+    return x._unary(np.sqrt, lambda x, y: 0.5 / y, "sqrt")
+
+
+def tanh(x: Tensor) -> Tensor:
+    return x._unary(np.tanh, lambda x, y: 1.0 - y * y, "tanh")
+
+
+def sin(x: Tensor) -> Tensor:
+    return x._unary(np.sin, lambda x, y: np.cos(x), "sin")
+
+
+def cos(x: Tensor) -> Tensor:
+    return x._unary(np.cos, lambda x, y: -np.sin(x), "cos")
+
+
+def reshape(x: Tensor, *shape) -> Tensor:
+    old = x.data.shape
+
+    def bwd(out):
+        x._accum(out.grad.reshape(old))
+
+    return x._node(x.data.reshape(shape), (x,), bwd, "reshape")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for 2-d Tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError("matmul is defined for 2-d tensors")
+
+    def bwd(out):
+        if a.requires_grad or a._prev:
+            a._accum(out.grad @ b.data.T, fresh=True)
+        if b.requires_grad or b._prev:
+            b._accum(a.data.T @ out.grad, fresh=True)
+
+    return a._node(a.data @ b.data, (a, b), bwd, "matmul")
+
+
+def zero_grad(params) -> None:
+    for p in params:
+        p.grad = None
+
+
+def recorded_nodes(*outputs: Tensor) -> int:
+    """Number of recorded nodes (Tensors with parents) in the graph the outputs head."""
+    seen, stack = set(), list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._prev:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return len(seen)
+
+
+# -- finite differences and reference computations -----------------------------
 
 
 def grad_check(f, point: Tensor, h: float = 1e-5) -> float:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from genpolicy import cli
 from genpolicy.checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
-from genpolicy.config import load_config
+from genpolicy.config import ExperimentConfig, load_config
 from genpolicy.critic import Critic, CriticConfig
 from genpolicy.data import OfflineDataset, make_tilted_gaussian_bandit, save_dataset
 from genpolicy.errors import ConfigError, DataFormatError
@@ -20,6 +21,12 @@ from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor
 
 ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
+_DEFAULTS = ExperimentConfig()
+FLOAT_KEYS = [f"{section.name}.{key}" for section in fields(_DEFAULTS)
+              for key, value in asdict(getattr(_DEFAULTS, section.name)).items()
+              if isinstance(value, float)]
 
 
 def run_cli(*argv, check=True):
@@ -319,6 +326,10 @@ class TestExitCodes:
             "steps=-1")],
         *[("train-gmpg", f"policy.{kv}") for kv in (
             "gmpg_lr=-1", "gmpg_lr=inf", "gmpg_batch_size=0", "gmpg_steps=-1")],
+        ("train-critic", "critic.hidden=0,4"),
+        ("train-critic", "critic.hidden=-4"),
+        ("pretrain", "model.hidden=0"),
+        ("pretrain", "model.hidden=-4"),
     ])
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
         # the tiny task is a 1-d bandit with a 1-d state; every file the command
@@ -336,6 +347,19 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("override", [
+        *[f"{key}={value}" for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")],
+        "task.noise=-0.1", "model.t_emb_scale=0", "model.t_emb_scale=-1",
+        "model.path_sigma=-0.5", "model.beta_min=-0.1", "model.beta_max=0",
+        "model.beta_min=30", "policy.w_max=0", "critic.tau=0",
+    ])
+    def test_bad_float_setting_exits_2_before_any_output(self, tmp_path, override, capsys):
+        # every stage checks the whole config first, so make-data stands for all of them
+        out = tmp_path / "o"
+        assert cli.main(["make-data", "--set", override, "--set", f"output.dir={out}"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gmpg_tape_beyond_physical_memory_exits_2_before_training(self, tmp_path):
         # about 1.5 TB of tape at t_train=1e6 and batch 512, more than any desk machine holds

@@ -12,7 +12,7 @@ from genpolicy.sampler import SCHEMES, SolverSpec, generate
 from genpolicy.schedules import PathSchedule, prior_logpdf
 from genpolicy.tensor import Tensor
 
-from oracles import jacobian_trace
+from oracles import jacobian_trace, matmul, recorded_nodes
 
 
 class LinearModel:
@@ -25,10 +25,10 @@ class LinearModel:
         self.parameterization = "velocity"
 
     def velocity(self, x, t, condition=None):
-        return x @ Tensor(self.a.T)
+        return matmul(x, Tensor(self.a.T))
 
     def velocity_jvp(self, x, t, condition, u):
-        return x @ Tensor(self.a.T), u @ Tensor(self.a.T)
+        return matmul(x, Tensor(self.a.T)), Tensor(u @ self.a.T)
 
 
 def zero_weight_model(dim=2, bias=None, kind="gvp", state_dim=0):
@@ -56,7 +56,7 @@ class TestJacobianTrace:
     def test_hutchinson_linear_field_within_3_stderr(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 4))
-        tr, se = jacobian_trace(lambda x, t: x @ Tensor(a.T), rng.standard_normal((1, 4)), 0.0,
+        tr, se = jacobian_trace(lambda x, t: matmul(x, Tensor(a.T)), rng.standard_normal((1, 4)), 0.0,
                                 TraceMode("hutchinson", n_probes=10_000), np.random.default_rng(2))
         assert abs(tr[0] - np.trace(a)) < 3 * se[0]
 
@@ -102,7 +102,7 @@ class TestJacobianTrace:
     def test_rademacher_probes(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3, 3))
-        tr, se = jacobian_trace(lambda x, t: x @ Tensor(a.T), np.zeros((1, 3)), 0.0,
+        tr, se = jacobian_trace(lambda x, t: matmul(x, Tensor(a.T)), np.zeros((1, 3)), 0.0,
                                 TraceMode("hutchinson", 4096, "rademacher"),
                                 np.random.default_rng(7))
         assert abs(tr[0] - np.trace(a)) < 4 * se[0] + 1e-6
@@ -236,7 +236,7 @@ def reference_trace(jvp_fn, x, t, mode, probes=None):
         tangents = [np.tile(e, (batch, 1)) for e in np.eye(d)]
     else:
         tangents = list(probes)
-    rows = [(jvp_fn(x, t, Tensor(u))[1].data * u).sum(axis=1) for u in tangents]
+    rows = [(jvp_fn(x, t, u)[1].data * u).sum(axis=1) for u in tangents]
     est = np.stack(rows)
     return est.sum(axis=0, keepdims=True) if mode.kind == "exact" else est
 
@@ -289,6 +289,20 @@ class TestStackedTraceSweep:
         assert np.allclose(est.data[0], fd, atol=1e-6)
 
 
+    def test_exact_stage_records_one_node_per_layer_plus_four(self):
+        # 3 layer nodes; the output's primal rows, its bias and its tangent
+        # rows; one trace node. The time features, the condition and the
+        # tangent seeds are constants and record nothing.
+        rng = np.random.default_rng(51)
+        net = FieldNetwork(2, 1, [16, 16], rng, t_emb_width=8)
+        model = GenerativeModel(net, "velocity", PathSchedule("gvp"))
+        x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        cond = rng.standard_normal((4, 1))
+        v, est = trace_with_jvp(lambda xx, t, u: model.velocity_jvp(xx, t, cond, u),
+                                x, 0.3, TraceMode())
+        assert recorded_nodes(v, est) <= 7
+
+
 class CountingModel:
     """Wraps a model and counts its forward and JVP evaluations."""
 
@@ -308,7 +322,9 @@ class CountingModel:
         return self.model.velocity_jvp(x, t, condition, u)
 
 
-STAGES = {"euler": 1, "midpoint": 2, "rk4_38": 4}
+# (JVP stages, velocity-only stages) per step: a stage whose weight b[i] is 0,
+# midpoint's first, evaluates the velocity alone
+STAGES = {"euler": (1, 0), "midpoint": (1, 1), "rk4_38": (4, 0)}
 
 
 class TestOneEvaluationPerStage:
@@ -318,8 +334,8 @@ class TestOneEvaluationPerStage:
     def test_log_prob(self, scheme, mode):
         counted = CountingModel(zero_weight_model(dim=2))
         log_prob(counted, np.zeros((3, 2)), SolverSpec(scheme, 5), mode, np.random.default_rng(0))
-        assert counted.jvp_calls == 5 * STAGES[scheme]
-        assert counted.velocity_calls == 0
+        assert counted.jvp_calls == 5 * STAGES[scheme][0]
+        assert counted.velocity_calls == 5 * STAGES[scheme][1]
 
     @pytest.mark.parametrize("scheme", sorted(STAGES))
     @pytest.mark.parametrize("mode", [TraceMode(), TraceMode("hutchinson", 3)],
@@ -327,8 +343,8 @@ class TestOneEvaluationPerStage:
     def test_generate_with_log_prob(self, scheme, mode):
         counted = CountingModel(zero_weight_model(dim=2))
         generate_with_log_prob(counted, 3, SolverSpec(scheme, 5), mode, np.random.default_rng(0))
-        assert counted.jvp_calls == 5 * STAGES[scheme]
-        assert counted.velocity_calls == 0
+        assert counted.jvp_calls == 5 * STAGES[scheme][0]
+        assert counted.velocity_calls == 5 * STAGES[scheme][1]
 
 
 @pytest.mark.parametrize("kind", ["gvp", "icfm"])

@@ -46,14 +46,14 @@ class TestDsmLoss:
 
         loss = dsm_loss(_Oracle("score", exact_score), GVP, x0, np.ones(16),
                         None, draws=(t, eps))
-        assert loss.item() == pytest.approx(0.0, abs=1e-24)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-24)
 
     def test_zero_weights_zero_loss_and_gradient(self):
         model = make_model("score", GVP, hidden=(8,))
         x0 = np.random.default_rng(0).standard_normal((8, 2))
         loss = dsm_loss(model, GVP, x0, np.zeros(8), np.random.default_rng(1))
         loss.backward()
-        assert loss.item() == 0.0
+        assert float(loss.data) == 0.0
         assert all(np.allclose(p.grad, 0.0) for p in model.parameters() if p.grad is not None)
 
     def test_rejects_negative_weights_and_icfm(self):
@@ -71,7 +71,7 @@ class TestDsmLoss:
         eps = np.random.default_rng(5).standard_normal((8, 2))
         loss = dsm_loss(_Oracle("noise", lambda x, tt: eps), GVP, x0, np.ones(8),
                         None, draws=(t, eps))
-        assert loss.item() == pytest.approx(0.0, abs=1e-24)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-24)
 
     def test_gradient_matches_finite_differences(self):
         model = make_model("score", GVP, hidden=(8, 8), seed=1)
@@ -117,7 +117,7 @@ class TestCfmLoss:
         t = draw_times(ICFM, 8, np.random.default_rng(1))
         loss = cfm_loss(_Oracle("velocity", lambda x, tt: x1 - x0), ICFM, x0, x1,
                         np.ones(8), None, draws=(t, None))
-        assert loss.item() == pytest.approx(0.0, abs=1e-24)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-24)
 
     def test_degenerate_endpoints_measure_model_norm(self):
         # source == target == 0 with sigma=0: target velocity is 0, so the
@@ -127,7 +127,7 @@ class TestCfmLoss:
         t = draw_times(ICFM, 8, np.random.default_rng(1))
         loss = cfm_loss(model, ICFM, zeros, zeros, np.ones(8), None, draws=(t, None))
         v = model(Tensor(zeros), Tensor(t)).data
-        assert loss.item() == pytest.approx(0.5 * (v ** 2).mean(), rel=1e-12)
+        assert float(loss.data) == pytest.approx(0.5 * (v ** 2).mean(), rel=1e-12)
 
     def test_rejects_wrong_parameterization(self):
         model = make_model("score", GVP, hidden=(8,))
@@ -179,7 +179,7 @@ class TestSharedProperties:
         perm = np.random.default_rng(2).permutation(16)
         base = cfm_loss(model, GVP, x0, eps, w, None, draws=(t, None))
         shuf = cfm_loss(model, GVP, x0[perm], eps[perm], w[perm], None, draws=(t[perm], None))
-        assert shuf.item() == pytest.approx(base.item(), rel=1e-12)
+        assert float(shuf.data) == pytest.approx(float(base.data), rel=1e-12)
 
     def test_dsm_and_cfm_models_agree_through_conversion(self):
         # Two heads trained on the same Gaussian data under gvp estimate
@@ -214,4 +214,4 @@ class TestSharedProperties:
         cfg = MatchingConfig(objective="cfm", time_samples=3)
         loss = cfm_loss(model, ICFM, np.zeros((4, 2)), np.ones((4, 2)), np.ones(4),
                         np.random.default_rng(0), config=cfg)
-        assert np.isfinite(loss.item())
+        assert np.isfinite(float(loss.data))

@@ -4,14 +4,16 @@ import pytest
 from genpolicy.errors import NonFiniteError
 from genpolicy.nn import FieldNetwork, GaussianFourier, Mlp
 from genpolicy.optim import Adam
-from genpolicy.tensor import Tensor, concat, zero_grad
+from genpolicy.tensor import Tensor, concat
+
+from oracles import grad_check, matmul, sin, tanh, zero_grad
 
 
 def test_param_count_matches_layer_formula():
     net = Mlp([3, 256, 256, 256, 2], np.random.default_rng(0))
     expect = (3 + 1) * 256 + (256 + 1) * 256 * 2 + (256 + 1) * 2
     assert net.param_count == expect
-    assert sum(p.size for p in net.parameters()) == expect
+    assert sum(p.data.size for p in net.parameters()) == expect
 
 
 def test_zero_weight_net_returns_output_bias():
@@ -29,11 +31,30 @@ def test_forward_jvp_matches_finite_differences():
     net = Mlp([3, 16, 16, 3], rng)
     x0 = rng.standard_normal((2, 3))
     u = rng.standard_normal((2, 3))
-    _, jvp = net.forward_jvp(Tensor(x0), Tensor(u))
+    _, jvp = net.forward_jvp(Tensor(x0), u)
     h = 1e-6
     hi = net(Tensor(x0 + h * u)).data
     lo = net(Tensor(x0 - h * u)).data
     assert np.allclose(jvp.data, (hi - lo) / (2 * h), atol=1e-6)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+@pytest.mark.parametrize("hidden, width", [([8, 8], 3), ([8], 0), ([], 2)],
+                         ids=["two-layers", "no-prefix", "no-hidden"])
+def test_first_layer_input_gradient_under_a_jvp(activation, hidden, width):
+    # the tangent seeds are a constant of the first layer; x's gradient
+    # comes from the primal rows and the slope's dependence on x
+    rng = np.random.default_rng(18)
+    net = Mlp([width + 2, *hidden, 2], rng, activation=activation)
+    prefix = [rng.standard_normal((1, width))] if width else []
+    u = rng.standard_normal((6, 2))  # k = 2 blocks of 3 rows
+    wts, dwts = rng.standard_normal((3, 2)), rng.standard_normal((6, 2))
+
+    def f(x):
+        out, dout = net.forward_jvp(x, u, prefix)
+        return (out * wts).sum() + (dout * dwts).sum()
+
+    assert grad_check(f, Tensor(rng.standard_normal((3, 2)))) < 1e-6
 
 
 def test_jvp_is_differentiable_wrt_parameters():
@@ -42,7 +63,7 @@ def test_jvp_is_differentiable_wrt_parameters():
     rng = np.random.default_rng(6)
     net = Mlp([2, 8, 2], rng)
     x = Tensor(rng.standard_normal((3, 2)))
-    u = Tensor(rng.standard_normal((3, 2)))
+    u = rng.standard_normal((3, 2))
     _, jvp = net.forward_jvp(x, u)
     jvp.sum().backward()
     assert all(w.grad is not None for w in net.weights)
@@ -55,11 +76,11 @@ def test_forward_jvp_stacked_tangents_equal_separate_calls(activation):
     net = Mlp([3, 16, 16, 2], rng, activation=activation)
     x = Tensor(rng.standard_normal((5, 3)))
     tangents = [rng.standard_normal((5, 3)) for _ in range(4)]
-    out, stacked = net.forward_jvp(x, Tensor(np.concatenate(tangents)))
+    out, stacked = net.forward_jvp(x, np.concatenate(tangents))
     assert np.array_equal(out.data, net(x).data)
     assert stacked.shape == (20, 2)
     for j, u in enumerate(tangents):
-        single_out, single = net.forward_jvp(x, Tensor(u))
+        single_out, single = net.forward_jvp(x, u)
         assert np.array_equal(single_out.data, out.data)
         assert np.allclose(stacked.data[5 * j:5 * (j + 1)], single.data, rtol=0.0, atol=1e-12)
 
@@ -73,11 +94,11 @@ def test_stacked_jvp_gradient_equals_sum_of_separate_gradients():
     def grads():
         return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in net.parameters()]
 
-    net.forward_jvp(x, Tensor(np.concatenate(tangents)))[1].sum().backward()
+    net.forward_jvp(x, np.concatenate(tangents))[1].sum().backward()
     stacked = grads()
     zero_grad(net.parameters())
     for u in tangents:
-        net.forward_jvp(x, Tensor(u))[1].sum().backward()
+        net.forward_jvp(x, u)[1].sum().backward()
     for g, expect in zip(stacked, grads()):
         assert np.allclose(g, expect, rtol=0.0, atol=1e-12)
 
@@ -86,7 +107,7 @@ def test_forward_jvp_rejects_ragged_tangent_rows():
     rng = np.random.default_rng(9)
     net = Mlp([2, 4, 2], rng)
     with pytest.raises(ValueError):
-        net.forward_jvp(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2))))
+        net.forward_jvp(Tensor(np.zeros((3, 2))), np.zeros((4, 2)))
 
 
 def test_field_network_jvp_stacked_tangent_layout():
@@ -95,11 +116,11 @@ def test_field_network_jvp_stacked_tangent_layout():
     x = Tensor(rng.standard_normal((4, 2)))
     s = Tensor(rng.standard_normal((4, 3)))
     u = np.concatenate([np.tile(e, (4, 1)) for e in np.eye(2)])
-    out, du = net.jvp(x, 0.5, s, Tensor(u))
+    out, du = net.jvp(x, 0.5, s, u)
     assert out.shape == (4, 2)
     assert du.shape == (8, 2)
     for j in range(2):
-        _, single = net.jvp(x, 0.5, s, Tensor(u[4 * j:4 * (j + 1)]))
+        _, single = net.jvp(x, 0.5, s, u[4 * j:4 * (j + 1)])
         assert np.allclose(du.data[4 * j:4 * (j + 1)], single.data, rtol=0.0, atol=1e-12)
 
 
@@ -108,9 +129,9 @@ def _unfused_forward(mlp, x, prefix=()):
     concatenated, then h @ w + b and the activation."""
     h = concat([Tensor(np.broadcast_to(p, (x.shape[0], p.shape[1]))) for p in prefix] + [x], axis=1)
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        z = h @ w + b
-        h = z.tanh() if mlp.activation == "tanh" else z.sin()
-    return h @ mlp.weights[-1] + mlp.biases[-1]
+        z = matmul(h, w) + b
+        h = tanh(z) if mlp.activation == "tanh" else sin(z)
+    return matmul(h, mlp.weights[-1]) + mlp.biases[-1]
 
 
 @pytest.mark.parametrize("activation", ["tanh", "sin"])
@@ -138,9 +159,11 @@ def test_matching_loss_gradients_equal_unfused_reference(activation, monkeypatch
 def test_gaussian_fourier_shape_and_determinism():
     emb1 = GaussianFourier(32, np.random.default_rng(9))
     emb2 = GaussianFourier(32, np.random.default_rng(9))
-    t = Tensor(np.linspace(0, 1, 5).reshape(5, 1))
+    t = np.linspace(0, 1, 5).reshape(5, 1)
     assert emb1(t).shape == (5, 32)
-    assert np.array_equal(emb1(t).data, emb2(t).data)
+    assert np.array_equal(emb1(t), emb2(t))
+    ang = 2.0 * np.pi * t * emb1.freqs
+    assert np.allclose(emb1(t), np.concatenate([np.sin(ang), np.cos(ang)], axis=1), rtol=0.0, atol=1e-12)
 
 
 def test_field_network_condition_plumbing():
@@ -204,7 +227,7 @@ def test_field_network_without_hidden_layers():
     rng = np.random.default_rng(16)
     net = FieldNetwork(x_dim=2, state_dim=1, hidden=[], rng=rng, t_emb_width=4)
     x0, s, u = rng.standard_normal((3, 2)), rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
-    out, du = net.jvp(Tensor(x0), 0.3, s, Tensor(u))
+    out, du = net.jvp(Tensor(x0), 0.3, s, u)
     assert out.data.tobytes() == net(Tensor(x0), 0.3, s).data.tobytes()
     assert np.allclose(du.data, u @ net.mlp.weights[0].data[-2:], rtol=0.0, atol=1e-12)
     du.sum().backward()

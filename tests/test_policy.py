@@ -14,8 +14,9 @@ from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyCo
                               softmax_candidate_weights, train_gmpg, train_gmpo)
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
-from genpolicy.tensor import Tensor, zero_grad
 from genpolicy.data import OfflineDataset
+
+from oracles import zero_grad
 
 
 class LinearCritic:
@@ -448,6 +449,7 @@ class TestGmpgMemory:
         (64, (32, 32), 2, GmpgConfig(t_train=4)),
         (48, (48, 48, 48), 1, GmpgConfig(t_train=2, scheme="rk4_38", variant="static",
                                          trace=TraceMode("hutchinson", 3))),
+        (96, (48, 48), 2, GmpgConfig(t_train=3, scheme="midpoint")),
     ])
     def test_tape_estimate_within_a_quarter(self, batch, hidden, action_dim, config):
         # measured as the bytes the built loss holds, closure-held arrays included

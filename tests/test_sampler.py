@@ -9,6 +9,8 @@ from genpolicy.sampler import SCHEMES, TABLEAUX, SolverSpec, Trajectory, generat
 from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor
 
+from oracles import matmul
+
 
 def exp_field(x, t):
     return x
@@ -46,7 +48,7 @@ class TestIntegrate:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 3)) * 0.5
         x0 = rng.standard_normal((1, 3))
-        out = integrate(lambda x, t: x @ Tensor(a.T), Tensor(x0), SolverSpec("rk4_38", 64))
+        out = integrate(lambda x, t: matmul(x, Tensor(a.T)), Tensor(x0), SolverSpec("rk4_38", 64))
         expect = x0 @ expm(a).T
         assert np.allclose(out.data, expect, atol=1e-7)
 
@@ -76,8 +78,8 @@ class TestIntegrate:
         a = rng.standard_normal((2, 2)) * 0.3
         x0 = rng.standard_normal((3, 2))
         spec = SolverSpec("midpoint", 9)
-        plain = integrate(lambda x, t: x @ Tensor(a), Tensor(x0), spec)
-        final, traj = integrate(lambda x, t: x @ Tensor(a), Tensor(x0), spec, record=True)
+        plain = integrate(lambda x, t: matmul(x, Tensor(a)), Tensor(x0), spec)
+        final, traj = integrate(lambda x, t: matmul(x, Tensor(a)), Tensor(x0), spec, record=True)
         assert isinstance(traj, Trajectory)
         assert plain.data.tobytes() == final.data.tobytes()
         assert traj.states.shape == (10, 3, 2)
@@ -89,18 +91,26 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_tuple_state_steps_each_component_alone(self, scheme):
-        # the field reads x alone; y integrates what the field returns for it
+        # the field reads x alone; y integrates what the field returns for it,
+        # and a stage whose weight b[i] is 0 may return the x rate alone
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal((2, 2)) * 0.4, rng.standard_normal((2, 3)) * 0.4
         x0, y0 = rng.standard_normal((4, 2)), rng.standard_normal((4, 3))
         spec = SolverSpec(scheme, 5)
-        x, y = integrate(lambda v, t: (v @ Tensor(a) * t, v @ Tensor(b)),
-                         (Tensor(x0), Tensor(y0)), spec)
+        reads = []
+
+        def both(v, t, read):
+            reads.append(read)
+            vx = matmul(v, Tensor(a)) * t
+            return (vx, matmul(v, Tensor(b))) if read else (vx,)
+
+        x, y = integrate(both, (Tensor(x0), Tensor(y0)), spec)
+        assert reads == [w != 0.0 for w in TABLEAUX[scheme][1]] * spec.steps
         stage_inputs = []
 
         def field(v, t):
             stage_inputs.append(v.data)
-            return v @ Tensor(a) * t
+            return matmul(v, Tensor(a)) * t
 
         alone_x = integrate(field, Tensor(x0), spec)
         assert x.data.tobytes() == alone_x.data.tobytes()

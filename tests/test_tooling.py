@@ -5,6 +5,7 @@ benchmark run."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,20 @@ def test_tiny_chain_enters_every_traced_span(tmp_path):
     metrics = tracing.layer_metrics(tracer)
     assert metrics["critic.q_evals_per_step"][0] == 1.0
     assert metrics["likelihood.jvp_per_rhs"][0] == 1.0
-    assert metrics["likelihood.redundant_forward_ratio"][0] == 0.0
+    # no forward pass besides the JVP call, except midpoint's first stage,
+    # whose trace nothing reads: one velocity alone per traced (second) stage
+    forwards, traced = Counter(), Counter()
+    for i, (name, *_) in enumerate(tracer.spans):
+        chain = []
+        while i >= 0:
+            chain.append(tracer.spans[i][0])
+            i = tracer.spans[i][3]
+        if name == "model.GenerativeModel.velocity" and tracing.TRACE_SPAN not in chain and any(
+                n in tracing.LIKELIHOOD_SPANS for n in chain):
+            forwards[chain[-1]] += 1
+        traced[chain[-1]] += name == tracing.TRACE_SPAN
+    assert forwards == {s: traced[s] for s in ("cli.train-gmpg.dynamic", "cli.train-gmpg.static")}
+    assert traced["cli.logprob"] > 0
 
 
 def test_eval_value_matches_the_benchmark_reference(monkeypatch):
