@@ -8,7 +8,9 @@ load never depends on the saving process's rng. A policy's state is that
 (header, arrays) pair; ``copy_policy`` rebuilds a policy from copies of
 it, the same way a load does. A load checks the file against its header
 (array shapes against the architecture, byte count, finite values) and
-reports a truncated or garbled file as ``DataFormatError``.
+reports a truncated or garbled file as ``DataFormatError``. A policy
+header names its hidden layers' activation, always "tanh"; a load
+refuses any other as ``DataFormatError`` too.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _policy_state(policy: GenerativePolicy) -> tuple[dict, list[tuple[str, np.nd
         "config": {
             "state_dim": cfg.state_dim, "action_dim": cfg.action_dim,
             "hidden": list(cfg.hidden), "t_emb_width": cfg.t_emb_width,
-            "t_emb_scale": cfg.t_emb_scale, "activation": cfg.activation,
+            "t_emb_scale": cfg.t_emb_scale, "activation": "tanh",
             "parameterization": cfg.parameterization,
             "schedule": _schedule_dict(cfg.schedule),
             "eval_solver": {"scheme": cfg.eval_solver.scheme, "steps": cfg.eval_solver.steps},
@@ -123,9 +125,11 @@ def _policy_state(policy: GenerativePolicy) -> tuple[dict, list[tuple[str, np.nd
 def _policy_from_state(header: dict, arrays: dict) -> GenerativePolicy:
     """Rebuild a policy from ``_policy_state``'s header and arrays (taken, not copied)."""
     c = header["config"]
+    if c["activation"] != "tanh":
+        raise DataFormatError(f"unsupported activation {c['activation']!r}; layers are tanh")
     cfg = PolicyConfig(
         state_dim=c["state_dim"], action_dim=c["action_dim"], hidden=tuple(c["hidden"]),
-        t_emb_width=c["t_emb_width"], t_emb_scale=c["t_emb_scale"], activation=c["activation"],
+        t_emb_width=c["t_emb_width"], t_emb_scale=c["t_emb_scale"],
         parameterization=c["parameterization"], schedule=PathSchedule(**c["schedule"]),
         eval_solver=SolverSpec(**c["eval_solver"]))
     policy = GenerativePolicy(cfg, np.random.default_rng(0))

@@ -6,11 +6,13 @@ file is written. ``train-gmpg`` also estimates its tape from the shapes
 (``policy.gmpg_tape_bytes``) and exits 2 the same way when the estimate
 exceeds physical memory. A stage then loads its dataset and checkpoints
 and refuses an empty dataset or a checkpoint whose state or action width
-differs from the dataset's (exit 3). Every stage then writes its fully
-resolved config into the output directory before any compute, appends
-plain-CSV metrics (comment char '#', comma-separated, %.17g floats) and
-emits checkpoints in the versioned binary format. Exit codes: 0 success, 2 config error,
-3 io/format error, 4 numeric divergence.
+differs from the dataset's (exit 3). Every policy a stage loads, and any
+copy of one, integrates on ``solver.*`` (``_load_policy``). Every stage
+then writes its fully resolved config into the output directory before
+any compute, appends plain-CSV metrics (comment char '#',
+comma-separated, %.17g floats) and emits checkpoints in the versioned
+binary format. Exit codes: 0 success, 2 config error, 3 io/format error,
+4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -106,6 +108,19 @@ def _schedule(cfg: ExperimentConfig) -> PathSchedule:
 
 def _solver(cfg: ExperimentConfig) -> SolverSpec:
     return SolverSpec(cfg.solver.scheme, cfg.solver.steps)
+
+
+def _load_policy(cfg: ExperimentConfig, path: str) -> GenerativePolicy:
+    """The policy saved at ``path``, integrating on ``solver.*``.
+
+    The one rule for the solver of a policy a stage loads: it samples,
+    scores and evaluates on the configured solver, never on the one its
+    checkpoint was saved with, and so does any copy of it (``train-gmpg``
+    saves its copy of the behavior policy with this solver).
+    """
+    policy = load_policy(path)
+    policy.config.eval_solver = _solver(cfg)
+    return policy
 
 
 def _new_policy(cfg: ExperimentConfig, dataset: OfflineDataset, seed: int) -> GenerativePolicy:
@@ -259,7 +274,7 @@ def cmd_train_critic(cfg: ExperimentConfig, args) -> None:
 def cmd_train_gmpo(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     critic = load_critic(args.critic)
-    behavior = load_policy(args.behavior) if args.behavior else None
+    behavior = _load_policy(cfg, args.behavior) if args.behavior else None
     if cfg.policy.weight_mode == "softmax" and behavior is None:
         raise ConfigError("policy.weight_mode=softmax needs --behavior")
     _check_inputs(ds, critic=critic, behavior=behavior)
@@ -288,7 +303,7 @@ def _check_tape_fits(behavior: GenerativePolicy, config: GmpgConfig, batch: int)
 def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, args.dataset)
     critic = load_critic(args.critic)
-    behavior = load_policy(args.behavior)
+    behavior = _load_policy(cfg, args.behavior)
     _check_inputs(ds, critic=critic, behavior=behavior)
     config = _gmpg_config(cfg)
     _check_tape_fits(behavior, config, min(config.batch_size, ds.n))
@@ -306,11 +321,11 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
 def cmd_sample(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
     ds = _build_dataset(cfg, args.dataset)
-    policy = load_policy(args.checkpoint)
+    policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
-    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed), _solver(cfg))
+    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "samples.csv")
     _write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
                ([i, *row] for i, row in enumerate(actions)))
@@ -320,12 +335,12 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
 def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 0)
     ds = _build_dataset(cfg, args.dataset)
-    policy = load_policy(args.checkpoint)
+    policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     out = _prepare_out(cfg)
     n = min(args.n, ds.n) if args.n else ds.n
-    logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], _solver(cfg), _trace_mode(cfg),
-                                           np.random.default_rng(cfg.task.seed))
+    logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], policy.config.eval_solver,
+                                           _trace_mode(cfg), np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "logprob.csv")
     _write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp, stderr))
     print(f"wrote {path}; mean logp = {logp.mean():.6g} nats")
@@ -334,11 +349,11 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
 def cmd_eval(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
     ds = _build_dataset(cfg, args.dataset)
-    policy = load_policy(args.checkpoint)
+    policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
-    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed), _solver(cfg))
+    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
     mean_value = float(assign_value_nearest(ds, actions).mean())
     path = os.path.join(out, "eval.csv")
     d = actions.shape[1]
@@ -352,13 +367,13 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
 def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
     ds = _build_dataset(cfg, args.dataset)
-    policy = load_policy(args.checkpoint)
+    policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
     path = os.path.join(out, "trajectories.csv")
-    points = export_trajectories(policy, states, _solver(cfg), np.random.default_rng(cfg.task.seed),
-                                 path)
+    points = export_trajectories(policy, states, policy.config.eval_solver,
+                                 np.random.default_rng(cfg.task.seed), path)
     print(f"wrote {path} ({args.n} samples x {points} grid points)")
 
 

@@ -115,12 +115,6 @@ class ExperimentConfig:
 def _coerce(raw: str, default):
     kind = type(default)
     try:
-        if kind is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r} as {kind.__name__}") from exc

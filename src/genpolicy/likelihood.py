@@ -17,10 +17,10 @@ Jacobian-vector product, which keeps everything first-order on the tape.
 Each right-hand-side evaluation makes one JVP call: the network's forward
 pass runs once, and all tangents go through one sweep, stacked as k
 blocks of rows (the d basis vectors in exact mode, which are summed to
-the exact trace; the P probes in Hutchinson mode, each giving
-eps^T J eps). The tangent seeds are a constant array, and the estimate
-is one taped ``trace`` node over J u: the product with the seeds, the
-row sums and, in exact mode, the sum over the d blocks. The same call
+the exact trace; the P standard-normal probes in Hutchinson mode, each
+giving eps^T J eps). The tangent seeds are a constant array, and the
+estimate is one taped ``trace`` node over J u: the product with the
+seeds, the row sums and, in exact mode, the sum over the d blocks. The same call
 returns the velocity, so the state update needs no further forward pass.
 Hutchinson probes are drawn once per call (shared across steps, standard
 practice; each probe then yields an independent estimate of the whole
@@ -46,47 +46,34 @@ from .sampler import SolverSpec, integrate
 from .schedules import prior_logpdf, prior_logpdf_tensor
 from .tensor import Tensor
 
-PROBE_DISTS = ("gaussian", "rademacher")
-
 
 @dataclass(frozen=True)
 class TraceMode:
     kind: str = "exact"  # "exact" | "hutchinson"
     n_probes: int = 1
-    probe_dist: str = "gaussian"
 
     def __post_init__(self):
         if self.kind not in ("exact", "hutchinson"):
             raise ValueError(f"unknown trace mode {self.kind!r}")
         if self.kind == "hutchinson" and self.n_probes < 1:
             raise ValueError("hutchinson needs n_probes >= 1")
-        if self.probe_dist not in PROBE_DISTS:
-            raise ValueError(f"unknown probe distribution {self.probe_dist!r}")
 
 
 @dataclass
 class LogDensityResult:
-    """Terminal prior-space point, log density in nats, and estimator error.
+    """Log density in nats and its estimator error.
 
-    ``logp``/``terminal`` are the Tensor views (differentiable w.r.t. the
-    data argument and model parameters); ``stderr`` is zero in exact mode
-    and the across-probe standard error in Hutchinson mode (zero when a
-    single probe makes it inestimable).
+    ``logp`` is a Tensor (differentiable w.r.t. the data argument and
+    model parameters); ``stderr`` is zero in exact mode and the
+    across-probe standard error in Hutchinson mode (zero when a single
+    probe makes it inestimable).
     """
-    terminal: Tensor
     logp: Tensor
-    trace_mode: TraceMode
     stderr: np.ndarray
 
     @property
     def logp_values(self) -> np.ndarray:
         return self.logp.data
-
-
-def _draw_probes(dist: str, shape, rng: np.random.Generator) -> np.ndarray:
-    if dist == "gaussian":
-        return rng.standard_normal(shape)
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
 def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
@@ -159,11 +146,11 @@ def log_prob(model, x_data, spec: SolverSpec, trace_mode: TraceMode = TraceMode(
     sched = model.schedule
     probes = None
     if trace_mode.kind == "hutchinson":
-        probes = _draw_probes(trace_mode.probe_dist, (trace_mode.n_probes,) + x.shape, rng)
+        probes = rng.standard_normal((trace_mode.n_probes,) + x.shape)
     z, l = _augmented_integrate(model, condition, x, sched.data_time, sched.noise_time,
                                 spec, trace_mode, probes)
     logp = prior_logpdf_tensor(z) - l.mean(axis=0)
-    return LogDensityResult(terminal=z, logp=logp, trace_mode=trace_mode, stderr=_stderr_of(l.data))
+    return LogDensityResult(logp=logp, stderr=_stderr_of(l.data))
 
 
 def generate_with_log_prob(model, n: int, spec: SolverSpec,
@@ -181,7 +168,7 @@ def generate_with_log_prob(model, n: int, spec: SolverSpec,
     sched = model.schedule
     probes = None
     if trace_mode.kind == "hutchinson":
-        probes = _draw_probes(trace_mode.probe_dist, (trace_mode.n_probes, n, d), rng)
+        probes = rng.standard_normal((trace_mode.n_probes, n, d))
     x, l = _augmented_integrate(model, condition, Tensor(z0), sched.noise_time, sched.data_time,
                                 spec, trace_mode, probes)
     logp = l.mean(axis=0) + prior_logpdf(z0)

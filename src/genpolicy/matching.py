@@ -1,7 +1,7 @@
 """Denoising score matching and conditional flow matching objectives.
 
 Both losses are Monte-Carlo estimates with one (t, noise) draw per batch
-item by default, reduced by the mean over batch and dimensions, and accept
+item, reduced by the mean over batch and dimensions, and accept
 per-sample nonnegative weights. With weights identically 1 they are the
 plain unweighted estimators, bit for bit, which is what makes the
 advantage-weighted training scheme degenerate exactly to behavior
@@ -29,15 +29,12 @@ LAMBDA_MODES = ("vanilla", "mlsm", "unit")
 class MatchingConfig:
     objective: str = "cfm"  # "dsm" | "cfm"
     lambda_mode: str = "vanilla"
-    time_samples: int = 1
 
     def __post_init__(self):
         if self.objective not in ("dsm", "cfm"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"unknown lambda mode {self.lambda_mode!r}")
-        if self.time_samples < 1:
-            raise ValueError("time_samples must be >= 1")
 
 
 def check_objective(objective: str, parameterization: str, schedule: PathSchedule) -> None:
@@ -64,10 +61,6 @@ def _check_weights(weights, batch: int) -> np.ndarray:
     return w
 
 
-def _tile(arr, k: int):
-    return arr if (arr is None or k == 1) else np.tile(arr, (k,) + (1,) * (arr.ndim - 1))
-
-
 def draw_times(schedule: PathSchedule, n: int, rng: np.random.Generator) -> np.ndarray:
     """Per-sample times, uniform on the clipped domain, shape (n, 1)."""
     lo, hi = schedule.t_clip, 1.0 - schedule.t_clip
@@ -86,8 +79,6 @@ def dsm_loss(model, schedule: PathSchedule, x0, weights, rng,
     check_objective("dsm", model.parameterization, schedule)
     x0 = np.asarray(x0, dtype=float)
     w = _check_weights(weights, x0.shape[0])
-    k = config.time_samples
-    x0, condition, w = _tile(x0, k), _tile(condition, k), _tile(w, k)
 
     if draws is None:
         t = draw_times(schedule, x0.shape[0], rng)
@@ -124,8 +115,6 @@ def cfm_loss(model, schedule: PathSchedule, x0, x1, weights, rng,
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     w = _check_weights(weights, x0.shape[0])
-    k = config.time_samples
-    x0, x1, condition, w = _tile(x0, k), _tile(x1, k), _tile(condition, k), _tile(w, k)
 
     if draws is None:
         t = draw_times(schedule, x0.shape[0], rng)

@@ -17,10 +17,9 @@ over the (k+1)·B stacked rows: the primal rows get
 ``act(h @ w + b)``, the tangent rows ``(dh @ w) * act'``, each through
 its own matmul, so the primal output is bit for bit that of
 ``__call__`` (the k = 0 case of the same node). Per hidden layer the
-tape keeps only the layer's (k+1)·B-row output for tanh; sin also keeps
-cos z and the tangents before the slope. The output layer's product is
-split back into the B-row output, plus its bias, and the k·B-row output
-tangent.
+tape keeps only the layer's (k+1)·B-row output. The output layer's
+product is split back into the B-row output, plus its bias, and the
+k·B-row output tangent.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent
@@ -37,8 +36,6 @@ import math
 import numpy as np
 
 from .tensor import Tensor, as_tensor, dense
-
-_ACTIVATIONS = ("tanh", "sin")
 
 
 class GaussianFourier:
@@ -62,19 +59,16 @@ class GaussianFourier:
 
 
 class Mlp:
-    """Fully connected net: linear output, tanh (default) hidden layers.
+    """Fully connected net: tanh hidden layers, linear output.
 
     Parameter count is sum over layers of (fan_in + 1) * fan_out. A
     zero-weight network returns its output bias for any input.
     """
 
-    def __init__(self, sizes, rng: np.random.Generator, activation: str = "tanh"):
+    def __init__(self, sizes, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         self.sizes = list(sizes)
-        self.activation = activation
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -84,10 +78,6 @@ class Mlp:
 
     def parameters(self) -> list[Tensor]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
-
-    @property
-    def param_count(self) -> int:
-        return sum((i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
 
     def __call__(self, x: Tensor, prefix=()) -> Tensor:
         """The (B, out) output for the (B, in) input ``x``.
@@ -124,13 +114,13 @@ class Mlp:
         h = x
         *hidden, (w_out, b_out) = zip(self.weights, self.biases)
         for w, b in hidden:
-            h = dense(h, w, b, rows, self.activation, prefix, u)
+            h = dense(h, w, b, rows, tanh=True, prefix=prefix, tangent=u)
             prefix, u = (), None  # both feed the first layer only
         if not jvp:
-            return dense(h, w_out, b_out, rows, None, prefix), None
+            return dense(h, w_out, b_out, rows, prefix=prefix), None
         # The output bias is added to the primal rows alone, so a loss on
         # the tangents alone leaves it without a gradient.
-        out = dense(h, w_out, None, rows, None, prefix, u)
+        out = dense(h, w_out, None, rows, prefix=prefix, tangent=u)
         return out.rows(0, rows) + b_out, out.rows(rows)
 
     def freeze(self) -> None:
@@ -148,11 +138,11 @@ class FieldNetwork:
     """
 
     def __init__(self, x_dim: int, state_dim: int, hidden, rng: np.random.Generator,
-                 t_emb_width: int = 32, activation: str = "tanh", t_emb_scale: float = 1.0):
+                 t_emb_width: int = 32, t_emb_scale: float = 1.0):
         self.x_dim = x_dim
         self.state_dim = state_dim
         self.t_emb = GaussianFourier(t_emb_width, rng, scale=t_emb_scale)
-        self.mlp = Mlp([t_emb_width + state_dim + x_dim, *hidden, x_dim], rng, activation)
+        self.mlp = Mlp([t_emb_width + state_dim + x_dim, *hidden, x_dim], rng)
 
     def parameters(self) -> list[Tensor]:
         return self.mlp.parameters()

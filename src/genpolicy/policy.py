@@ -44,7 +44,6 @@ class PolicyConfig:
     hidden: tuple = (256, 256, 256)
     t_emb_width: int = 32
     t_emb_scale: float = 1.0
-    activation: str = "tanh"
     parameterization: str = "velocity"
     schedule: PathSchedule = field(default_factory=PathSchedule)
     eval_solver: SolverSpec = field(default_factory=lambda: SolverSpec("euler", 32))
@@ -55,8 +54,7 @@ class GenerativePolicy:
                  action_mean=None, action_std=None):
         self.config = config
         net = FieldNetwork(config.action_dim, config.state_dim, list(config.hidden), rng,
-                           t_emb_width=config.t_emb_width, activation=config.activation,
-                           t_emb_scale=config.t_emb_scale)
+                           t_emb_width=config.t_emb_width, t_emb_scale=config.t_emb_scale)
         self.model = GenerativeModel(net, config.parameterization, config.schedule)
         self.action_mean = np.zeros(config.action_dim) if action_mean is None else np.asarray(action_mean, float)
         self.action_std = np.ones(config.action_dim) if action_std is None else np.asarray(action_std, float)
@@ -89,9 +87,6 @@ class GenerativePolicy:
         z = generate(self.model, states.shape[0], solver or self.config.eval_solver,
                      condition=states, rng=rng)
         return self.denormalize(z)
-
-    def act(self, state, rng: np.random.Generator, solver: SolverSpec | None = None) -> np.ndarray:
-        return self.sample_actions(np.atleast_2d(state), rng, solver)[0]
 
     def log_prob_actions(self, states, actions, solver: SolverSpec,
                          trace: TraceMode = TraceMode(), rng=None):
@@ -289,11 +284,10 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
 
     Analytic, from the shapes alone. Each taped solver stage of an unroll
     stores float64 arrays of ``batch`` rows: each hidden layer's output
-    for the primal row and its k tangent rows (twice that for sin, whose
-    layers also keep cos z and the tangents before the slope), the first
-    layer's input (time embedding, condition, x), and about 4(k + 1)
-    action-wide rows for the stacked network input and output, the
-    tangent seeds and the state update. k is the action dimension for an
+    for the primal row and its k tangent rows, the first layer's input
+    (time embedding, condition, x), and about 4(k + 1) action-wide rows
+    for the stacked network input and output, the tangent seeds and the
+    state update. k is the action dimension for an
     exact trace and the probe count for Hutchinson. A stage whose weight
     b[i] is 0 (midpoint's first) evaluates the velocity alone, so it
     stores the same arrays for the primal row only. The dynamic variant
@@ -301,9 +295,8 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     """
     net = policy.model.net
     k = net.x_dim if config.trace.kind == "exact" else config.trace.n_probes
-    per_unit = 2 if net.mlp.activation == "sin" else 1
     widths, first, d = sum(net.mlp.sizes[1:-1]), net.mlp.sizes[0], net.x_dim
-    per_step = sum((k + 1 if bi else 1) * (per_unit * widths + 4 * d) + first
+    per_step = sum((k + 1 if bi else 1) * (widths + 4 * d) + first
                    for bi in TABLEAUX[config.scheme][1])
     return 8 * batch * per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError, NonFiniteError
-from .schedules import PathSchedule
 from .tensor import Tensor, as_tensor, no_tape
 
 # scheme -> Butcher tableau (a, b, c): stage i is evaluated at t + c[i] h on
@@ -117,10 +116,6 @@ def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool =
     return final
 
 
-def generation_span(schedule: PathSchedule) -> tuple[float, float]:
-    return schedule.noise_time, schedule.data_time
-
-
 def generate(model, n: int, spec: SolverSpec, condition=None,
              rng: np.random.Generator | None = None, record: bool = False):
     """Draw n prior points and transport them to data space, as arrays.
@@ -145,8 +140,9 @@ def generate(model, n: int, spec: SolverSpec, condition=None,
     def field(x, t):
         return model.velocity(x, t, condition)
 
+    span = (model.schedule.noise_time, model.schedule.data_time)
     with no_tape():
-        out = integrate(field, Tensor(x0), spec, generation_span(model.schedule), record=record)
+        out = integrate(field, Tensor(x0), spec, span, record=record)
     if record:
         final, traj = out
         return final.data, traj

@@ -26,16 +26,15 @@ that reads it, so it makes neither a node nor a finite check of its own;
 the op's result is checked. Binary ops take it on either side
 (``__array_ufunc__ = None`` makes ``array * tensor`` defer to the
 Tensor), and a number acts as the float64 scalar a Tensor of it would
-hold, so values, gradients and dtypes are those of the wrapped constant.
+hold, so values and gradients are those of the wrapped constant.
 
 An MLP layer is one fused node, ``dense``, over stacked rows: the B
 primal rows and k blocks of B tangent rows (forward-mode JVPs) go in and
 come out together, with one hand-written reverse rule that includes the
-derivative of the activation's slope. The first layer takes the tangent
-seeds as a constant array, so they get no gradient. The node keeps its
-output and, for the first layer, the concatenated primal input and the
-stacked input rows; a sin layer also keeps cos z and its tangents before
-the slope. ``rows`` slices the stacked result back apart.
+derivative of tanh's slope. The first layer takes the tangent seeds as a
+constant array, so they get no gradient. The node keeps its output and,
+for the first layer, the concatenated primal input and the stacked input
+rows. ``rows`` slices the stacked result back apart.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -46,9 +45,8 @@ that returns a Tensor for training records as before. ``no_tape()`` nests
 and restores the previous setting on exit, also when an error escapes.
 
 Every library-produced value is checked for NaN/Inf and raises
-``NonFiniteError`` instead of propagating silently. Arithmetic is
-float64: non-float input is converted to float64, and a float32 array
-keeps its dtype.
+``NonFiniteError`` instead of propagating silently. Every Tensor holds
+float64: any other input is converted to it.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ import numpy as np
 from .errors import NonFiniteError
 
 _RECORDING = True
-_FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 @contextmanager
@@ -92,19 +89,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _float_array(value) -> np.ndarray:
-    """``value`` as an array of float dtype: float32 and float64 are kept,
-    anything else is converted to float64."""
+    """``value`` as a float64 array (itself when it already is one)."""
     arr = value if type(value) is np.ndarray else np.asarray(value)
-    return arr if arr.dtype in _FLOATS else arr.astype(np.float64)
+    return arr if arr.dtype == np.float64 else arr.astype(np.float64)
 
 
 def _constant(value):
-    """A constant operand as the value a Tensor of it would hold.
-
-    A Python number becomes an ``np.float64`` scalar, which promotes like
-    the 0-d float64 array ``Tensor(number)`` holds, so a float32 operand
-    gives the same result dtype either way.
-    """
+    """A constant operand: a Python number as an ``np.float64`` scalar,
+    anything else as a float64 array."""
     if isinstance(value, (int, float)):
         return np.float64(value)
     return _float_array(value)
@@ -165,8 +157,7 @@ class Tensor:
                 self.grad = np.zeros_like(self.data)
             self.grad[at] += g
         elif self.grad is None:
-            keep = fresh and g.dtype == self.data.dtype
-            self.grad = g if keep else np.array(g, dtype=self.data.dtype)
+            self.grad = g if fresh else np.array(g)
         else:
             self.grad += g
 
@@ -214,7 +205,7 @@ class Tensor:
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
-            return self + _constant(other) * np.float64(-1.0)  # promotes as -Tensor(other) does
+            return self + _constant(other) * np.float64(-1.0)  # the values of -Tensor(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -328,7 +319,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
                   _backward=bwd if needs else None, _op="concat")
 
 
-def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | None = None,
+def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
           prefix=(), tangent=None) -> Tensor:
     """One MLP layer over stacked primal and tangent rows, as one node.
 
@@ -339,23 +330,21 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | N
         primal rows      a    = act(z),  z = [prefix | h_0] @ w + b
         tangent block j  da_j = (dh_j @ w_h) * act'(z)
 
-    ``prefix`` holds constant arrays of ``rows`` rows or of one row
-    (broadcast): input columns that only the primal rows have, ahead of
-    h's. A tangent sees only w_h, the last ``h.shape[1]`` rows of w.
-    ``activation`` is "tanh", "sin" or None (linear); ``b`` may be None.
-    ``tangent`` optionally holds the k tangent blocks as a constant array:
-    ``h`` is then the primal rows alone and receives only their gradient.
+    act is tanh when ``tanh`` is true and the identity otherwise (a
+    linear layer); ``b`` may be None. ``prefix`` holds constant arrays of
+    ``rows`` rows or of one row (broadcast): input columns that only the
+    primal rows have, ahead of h's. A tangent sees only w_h, the last
+    ``h.shape[1]`` rows of w. ``tangent`` optionally holds the k tangent
+    blocks as a constant array: ``h`` is then the primal rows alone and
+    receives only their gradient.
 
     The primal and the tangent rows go through separate matmuls, so the
     primal rows are bit for bit those of the layer run without tangents,
     and no slope is computed when there are no tangents and no tape. The
     node stores its output [a; da] and, with a prefix, the primal input
-    [prefix | h_0]; sin also keeps cos z and, with tangents, the
-    tangents before the slope (dz). The reverse rule carries the slope's
-    own derivative:
+    [prefix | h_0]. The reverse rule carries the slope's own derivative:
 
-        tanh  gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j
-        sin   gz = ga * cos z     - a  * sum_j gda_j * dz_j
+        gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j   (tanh)
         gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
         gw = [prefix | h_0]^T gz + dh^T gdz  (one matmul without a prefix).
     """
@@ -367,15 +356,12 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | N
             raise ValueError(f"dense: {x.shape[0]} primal rows with a constant tangent, expected {rows}")
         x = np.concatenate([x, tangent])
     (total, n), (n_in, m) = x.shape, wd.shape
-    if activation not in (None, "tanh", "sin"):
-        raise ValueError(f"unknown activation {activation!r}")
     if rows < 1 or total % rows or n > n_in or (b is not None and b.data.shape != (m,)):
         raise ValueError(f"dense: input {x.shape}, weight {wd.shape}, bias and {rows} primal "
                          "rows do not fit")
     k = total // rows - 1
     parents = (h, w) if b is None else (h, w, b)
-    needs = _RECORDING and any(p.requires_grad or p._prev for p in parents)
-    out = np.empty((total, m), dtype=np.result_type(x, wd))
+    out = np.empty((total, m))
     a = out[:rows]
     w_h = wd[n_in - n:]
     inp = x[:rows]
@@ -386,39 +372,28 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, activation: str | N
         a += b.data
     if k:
         np.matmul(x[rows:], w_h, out=out[rows:])
-    tangents = out[rows:].reshape(k, rows, m)
-    cos_z = dz_sin = None
-    if activation == "tanh":
+    if tanh:
         np.tanh(a, out=a)
         if k:
+            tangents = out[rows:].reshape(k, rows, m)
             tangents *= 1.0 - a * a
-    elif activation == "sin":
-        if k or needs:
-            cos_z = np.cos(a)
-        np.sin(a, out=a)
-        if k:
-            if needs:
-                dz_sin = out[rows:].copy()
-            tangents *= cos_z
 
     def bwd(node):
         g = node.grad
-        if activation is None:
+        if not tanh:
             gz, G = g[:rows], g
         else:
             a = node.data[:rows]
-            slope = 1.0 - a * a if activation == "tanh" else cos_z
             G = np.empty_like(g)  # [gz; gdz]
-            np.multiply(g.reshape(k + 1, rows, m), slope, out=G.reshape(k + 1, rows, m))
+            np.multiply(g.reshape(k + 1, rows, m), 1.0 - a * a, out=G.reshape(k + 1, rows, m))
             gz = G[:rows]
             if k:  # the slope's own derivative (see the rule above)
-                d = node.data[rows:] if activation == "tanh" else dz_sin  # da or dz
-                acc = g[rows:2 * rows] * d[:rows]
+                da = node.data[rows:]
+                acc = g[rows:2 * rows] * da[:rows]
                 for j in range(1, k):
-                    acc += g[(j + 1) * rows:(j + 2) * rows] * d[j * rows:(j + 1) * rows]
+                    acc += g[(j + 1) * rows:(j + 2) * rows] * da[j * rows:(j + 1) * rows]
                 acc *= a
-                if activation == "tanh":
-                    acc *= 2.0
+                acc *= 2.0
                 gz -= acc
         if b is not None and (b.requires_grad or b._prev):
             b._accum(gz.sum(axis=0), fresh=True)

@@ -7,7 +7,7 @@ import numpy as np
 
 from genpolicy.critic import expectile_loss
 from genpolicy.errors import NonFiniteError, TrainingDivergedError
-from genpolicy.likelihood import TraceMode, _draw_probes, _stderr_of, trace_with_jvp
+from genpolicy.likelihood import TraceMode, _stderr_of, trace_with_jvp
 from genpolicy.tensor import Tensor, no_tape
 
 
@@ -160,7 +160,7 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
     if jvp_fn is not None:
         probes = None
         if mode.kind == "hutchinson":
-            probes = _draw_probes(mode.probe_dist, (mode.n_probes, batch, d), rng)
+            probes = rng.standard_normal((mode.n_probes, batch, d))
         with no_tape():
             est = trace_with_jvp(jvp_fn, Tensor(x), t, mode, probes)[1].data
     elif mode.kind == "exact":
@@ -172,7 +172,7 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
     else:
         est = np.zeros((mode.n_probes, batch))
         for p in range(mode.n_probes):
-            eps = _draw_probes(mode.probe_dist, (batch, d), rng)
+            eps = rng.standard_normal((batch, d))
             leaf = Tensor(x, requires_grad=True)
             (field(leaf, t) * eps).sum().backward()
             est[p] = (leaf.grad * eps).sum(axis=1)

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpolicy import cli
-from genpolicy.checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
+from genpolicy.checkpoint import (_read, _write, copy_policy, load_critic, load_policy, save_critic,
+                                  save_policy)
 from genpolicy.config import ExperimentConfig, load_config
 from genpolicy.critic import Critic, CriticConfig
-from genpolicy.data import OfflineDataset, make_tilted_gaussian_bandit, save_dataset
+from genpolicy.data import (OfflineDataset, assign_value_nearest, make_tilted_gaussian_bandit,
+                            save_dataset)
 from genpolicy.errors import ConfigError, DataFormatError
 from genpolicy.policy import GenerativePolicy, PolicyConfig
 from genpolicy.sampler import SolverSpec
@@ -150,6 +152,33 @@ class TestCheckpoints:
             save_policy(pol, str(tmp_path / "again.ckpt"))
             assert (tmp_path / "again.ckpt").read_bytes() == saved.read_bytes()
 
+    def test_headers_are_pinned(self, tmp_path):
+        # format v1: files written before these headers changed must still load
+        pol_path, critic_path = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
+        cfg = PolicyConfig(state_dim=1, action_dim=2, hidden=(8,), t_emb_width=4,
+                           schedule=PathSchedule("vpsde"), eval_solver=SolverSpec("midpoint", 7))
+        save_policy(GenerativePolicy(cfg, np.random.default_rng(0)), pol_path)
+        save_critic(Critic(2, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_path)
+        assert _read(pol_path, "policy")[0] == {
+            "kind": "policy",
+            "config": {"state_dim": 1, "action_dim": 2, "hidden": [8], "t_emb_width": 4,
+                       "t_emb_scale": 1.0, "activation": "tanh", "parameterization": "velocity",
+                       "schedule": {"kind": "vpsde", "beta_min": 0.1, "beta_max": 20.0,
+                                    "path_sigma": 0.0, "t_clip": 0.001},
+                       "eval_solver": {"scheme": "midpoint", "steps": 7}},
+            "arrays": [{"name": "t_emb.freqs", "shape": [2]}, {"name": "action_mean", "shape": [2]},
+                       {"name": "action_std", "shape": [2]}, {"name": "net.w0", "shape": [7, 8]},
+                       {"name": "net.b0", "shape": [8]}, {"name": "net.w1", "shape": [8, 2]},
+                       {"name": "net.b1", "shape": [2]}]}
+        assert _read(critic_path, "critic")[0] == {
+            "kind": "critic",
+            "config": {"state_dim": 2, "action_dim": 1, "tau": 0.7, "gamma": 0.99, "lr": 0.0001,
+                       "hidden": [4], "steps": 20000, "batch_size": 256},
+            "arrays": [{"name": "q.w0", "shape": [3, 4]}, {"name": "q.b0", "shape": [4]},
+                       {"name": "q.w1", "shape": [4, 1]}, {"name": "q.b1", "shape": [1]},
+                       {"name": "v.w0", "shape": [2, 4]}, {"name": "v.b0", "shape": [4]},
+                       {"name": "v.w1", "shape": [4, 1]}, {"name": "v.b1", "shape": [1]}]}
+
     def test_kind_mismatch_rejected(self, tmp_path):
         critic = Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0))
         path = str(tmp_path / "c.ckpt")
@@ -275,6 +304,30 @@ def test_sample_and_eval_integrate_on_the_configured_solver(tmp_path, command, n
     assert blobs[0] != blobs[1]
 
 
+def test_train_gmpg_integrates_on_the_configured_solver(tmp_path):
+    # the behavior checkpoint is saved with euler/3; train-gmpg runs on euler/5
+    ds = make_tilted_gaussian_bandit(1, 1.0, 256, seed=0)[0]
+    ds_path, critic_path = str(tmp_path / "d.gpds"), str(tmp_path / "c.ckpt")
+    save_dataset(ds, ds_path)
+    save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_path)
+    pre, out = str(tmp_path / "pre"), str(tmp_path / "gmpg")
+    assert cli.main(["pretrain", *tiny_args(pre, ["solver.steps=3", "policy.steps=5"]),
+                     "--dataset", ds_path]) == 0
+    behavior = load_policy(os.path.join(pre, "behavior.ckpt"))
+    assert behavior.config.eval_solver == SolverSpec("euler", 3)
+    assert cli.main(["train-gmpg", *tiny_args(out, ["solver.steps=5", "policy.gmpg_steps=1"]),
+                     "--dataset", ds_path, "--critic", critic_path,
+                     "--behavior", os.path.join(pre, "behavior.ckpt")]) == 0
+    policy = load_policy(os.path.join(out, "policy.ckpt"))  # the policy after step 0
+    assert policy.config.eval_solver == SolverSpec("euler", 5)
+    with open(os.path.join(out, "metrics.csv"), encoding="utf-8") as fh:
+        step0 = fh.read().splitlines()[1].split(",")
+    assert step0[0] == "0"
+    states = ds.s[np.arange(256) % ds.n]
+    actions = policy.sample_actions(states, np.random.default_rng([3, 0]), SolverSpec("euler", 5))
+    assert float(step0[-1]) == float(assign_value_nearest(ds, actions).mean())
+
+
 class TestExitCodes:
     def test_missing_config_file_exits_2(self, tmp_path):
         proc = run_cli("make-data", "--config", str(tmp_path / "nope.ini"), check=False)
@@ -290,6 +343,18 @@ class TestExitCodes:
         proc = run_cli("sample", *tiny_args(out), "--checkpoint",
                        str(tmp_path / "missing.ckpt"), check=False)
         assert proc.returncode == 3
+
+    def test_non_tanh_activation_in_a_policy_checkpoint_exits_3(self, tmp_path, capsys):
+        path = str(tmp_path / "p.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                     np.random.default_rng(0)), path)
+        header, arrays = _read(path, "policy")
+        header["config"]["activation"] = "sin"
+        _write(path, header, list(arrays.items()))
+        out = str(tmp_path / "o")
+        assert cli.main(["sample", *tiny_args(out), "--checkpoint", path, "--n", "4"]) == 3
+        assert "unsupported activation 'sin'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         proc = run_cli("train-gmpg", check=False)

@@ -99,21 +99,11 @@ class TestJacobianTrace:
         slope = np.polyfit(np.log(ns), np.log(variances), 1)[0]
         assert -1.2 <= slope <= -0.8
 
-    def test_rademacher_probes(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((3, 3))
-        tr, se = jacobian_trace(lambda x, t: matmul(x, Tensor(a.T)), np.zeros((1, 3)), 0.0,
-                                TraceMode("hutchinson", 4096, "rademacher"),
-                                np.random.default_rng(7))
-        assert abs(tr[0] - np.trace(a)) < 4 * se[0] + 1e-6
-
     def test_bad_modes_rejected(self):
         with pytest.raises(ValueError):
             TraceMode("hutchinson", n_probes=0)
         with pytest.raises(ValueError):
             TraceMode("exact-ish")
-        with pytest.raises(ValueError):
-            TraceMode("exact", probe_dist="uniform")
 
 
 def model_view(model):
@@ -246,14 +236,14 @@ HEADS = [("velocity", "gvp"), ("noise", "vpsde"), ("score", "vpsde")]
 
 class TestStackedTraceSweep:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("activation", ["tanh", "sin"])
+    @pytest.mark.parametrize("hidden", [[16, 16], [16]], ids=["two-layers", "one-layer"])
     @pytest.mark.parametrize("state_dim", [0, 2])
     @pytest.mark.parametrize("head", HEADS, ids=[h for h, _ in HEADS])
     @pytest.mark.parametrize("mode", [TraceMode(), TraceMode("hutchinson", 3)],
                              ids=["exact", "hutchinson"])
-    def test_matches_per_tangent_loop(self, d, activation, state_dim, head, mode):
+    def test_matches_per_tangent_loop(self, d, hidden, state_dim, head, mode):
         rng = np.random.default_rng(40 + d)
-        net = FieldNetwork(d, state_dim, [16, 16], rng, t_emb_width=8, activation=activation)
+        net = FieldNetwork(d, state_dim, hidden, rng, t_emb_width=8)
         model = GenerativeModel(net, head[0], PathSchedule(head[1]))
         batch = 5
         x = Tensor(rng.standard_normal((batch, d)))

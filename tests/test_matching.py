@@ -208,10 +208,3 @@ class TestSharedProperties:
             v_direct = vel_model(Tensor(pts), t).data
             rels.append(np.abs(v_from_score - v_direct).mean() / np.abs(v_direct).mean())
         assert np.mean(rels) < 0.15
-
-    def test_time_samples_replicate_batch(self):
-        model = make_model("velocity", ICFM, hidden=(8,))
-        cfg = MatchingConfig(objective="cfm", time_samples=3)
-        loss = cfm_loss(model, ICFM, np.zeros((4, 2)), np.ones((4, 2)), np.ones(4),
-                        np.random.default_rng(0), config=cfg)
-        assert np.isfinite(float(loss.data))

@@ -6,13 +6,12 @@ from genpolicy.nn import FieldNetwork, GaussianFourier, Mlp
 from genpolicy.optim import Adam
 from genpolicy.tensor import Tensor, concat
 
-from oracles import grad_check, matmul, sin, tanh, zero_grad
+from oracles import grad_check, matmul, tanh, zero_grad
 
 
 def test_param_count_matches_layer_formula():
     net = Mlp([3, 256, 256, 256, 2], np.random.default_rng(0))
     expect = (3 + 1) * 256 + (256 + 1) * 256 * 2 + (256 + 1) * 2
-    assert net.param_count == expect
     assert sum(p.data.size for p in net.parameters()) == expect
 
 
@@ -38,17 +37,17 @@ def test_forward_jvp_matches_finite_differences():
     assert np.allclose(jvp.data, (hi - lo) / (2 * h), atol=1e-6)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "sin"])
+@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("hidden, width", [([8, 8], 3), ([8], 0), ([], 2)],
                          ids=["two-layers", "no-prefix", "no-hidden"])
-def test_first_layer_input_gradient_under_a_jvp(activation, hidden, width):
+def test_first_layer_input_gradient_under_a_jvp(hidden, width, k):
     # the tangent seeds are a constant of the first layer; x's gradient
     # comes from the primal rows and the slope's dependence on x
     rng = np.random.default_rng(18)
-    net = Mlp([width + 2, *hidden, 2], rng, activation=activation)
+    net = Mlp([width + 2, *hidden, 2], rng)
     prefix = [rng.standard_normal((1, width))] if width else []
-    u = rng.standard_normal((6, 2))  # k = 2 blocks of 3 rows
-    wts, dwts = rng.standard_normal((3, 2)), rng.standard_normal((6, 2))
+    u = rng.standard_normal((3 * k, 2))  # k blocks of 3 rows
+    wts, dwts = rng.standard_normal((3, 2)), rng.standard_normal((3 * k, 2))
 
     def f(x):
         out, dout = net.forward_jvp(x, u, prefix)
@@ -70,15 +69,15 @@ def test_jvp_is_differentiable_wrt_parameters():
     assert net.biases[-1].grad is None
 
 
-@pytest.mark.parametrize("activation", ["tanh", "sin"])
-def test_forward_jvp_stacked_tangents_equal_separate_calls(activation):
+@pytest.mark.parametrize("k", [1, 4])
+def test_forward_jvp_stacked_tangents_equal_separate_calls(k):
     rng = np.random.default_rng(7)
-    net = Mlp([3, 16, 16, 2], rng, activation=activation)
+    net = Mlp([3, 16, 16, 2], rng)
     x = Tensor(rng.standard_normal((5, 3)))
-    tangents = [rng.standard_normal((5, 3)) for _ in range(4)]
+    tangents = [rng.standard_normal((5, 3)) for _ in range(k)]
     out, stacked = net.forward_jvp(x, np.concatenate(tangents))
     assert np.array_equal(out.data, net(x).data)
-    assert stacked.shape == (20, 2)
+    assert stacked.shape == (5 * k, 2)
     for j, u in enumerate(tangents):
         single_out, single = net.forward_jvp(x, u)
         assert np.array_equal(single_out.data, out.data)
@@ -126,20 +125,23 @@ def test_field_network_jvp_stacked_tangent_layout():
 
 def _unfused_forward(mlp, x, prefix=()):
     """The layer loop without the fused node: the prefix columns and x
-    concatenated, then h @ w + b and the activation."""
+    concatenated, then tanh(h @ w + b)."""
     h = concat([Tensor(np.broadcast_to(p, (x.shape[0], p.shape[1]))) for p in prefix] + [x], axis=1)
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        z = matmul(h, w) + b
-        h = tanh(z) if mlp.activation == "tanh" else sin(z)
+        h = tanh(matmul(h, w) + b)
     return matmul(h, mlp.weights[-1]) + mlp.biases[-1]
 
 
-@pytest.mark.parametrize("activation", ["tanh", "sin"])
-def test_matching_loss_gradients_equal_unfused_reference(activation, monkeypatch):
-    from genpolicy.matching import matching_loss
+@pytest.mark.parametrize("head, schedule, objective",
+                         [("velocity", "gvp", "cfm"), ("noise", "vpsde", "dsm"), ("score", "vpsde", "dsm")],
+                         ids=["velocity", "noise", "score"])
+def test_matching_loss_gradients_equal_unfused_reference(head, schedule, objective, monkeypatch):
+    from genpolicy.matching import MatchingConfig, matching_loss
     from genpolicy.policy import GenerativePolicy, PolicyConfig
+    from genpolicy.schedules import PathSchedule
     policy = GenerativePolicy(PolicyConfig(state_dim=1, action_dim=2, hidden=(16, 16),
-                                           activation=activation), np.random.default_rng(12))
+                                           parameterization=head, schedule=PathSchedule(schedule)),
+                              np.random.default_rng(12))
     params = policy.parameters()
     data = np.random.default_rng(13)
     s, a, w = data.standard_normal((32, 1)), data.standard_normal((32, 2)), data.uniform(0, 2, 32)
@@ -147,7 +149,8 @@ def test_matching_loss_gradients_equal_unfused_reference(activation, monkeypatch
     def loss_and_grads():
         zero_grad(params)
         loss = matching_loss(policy.model, policy.config.schedule, a, w,
-                             np.random.default_rng(14), condition=s)
+                             np.random.default_rng(14), condition=s,
+                             config=MatchingConfig(objective=objective))
         loss.backward()
         return [loss.data.tobytes()] + [p.grad.tobytes() for p in params]
 

@@ -332,8 +332,8 @@ class TestAct:
 
     def test_reproducible_under_seed(self):
         pol = small_policy(seed=51)
-        a1 = pol.act(np.zeros(1), np.random.default_rng(3))
-        a2 = pol.act(np.zeros(1), np.random.default_rng(3))
+        a1 = pol.sample_actions(np.zeros((1, 1)), np.random.default_rng(3))
+        a2 = pol.sample_actions(np.zeros((1, 1)), np.random.default_rng(3))
         assert np.array_equal(a1, a2)
 
     def test_eval_solver_default_is_32_steps(self):

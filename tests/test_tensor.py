@@ -73,7 +73,7 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        h = dense(x, w, b, 3, "tanh")
+        h = dense(x, w, b, 3, tanh=True)
         out = reshape(concat([h.rows(0, 2), (h * h).rows(1)], axis=1), -1).sum() * 0.5 + (x * x).sum()
         out.backward()
         seen, stack, interior = set(), [out], []
@@ -224,14 +224,6 @@ def test_determinism_same_seed_bitwise():
     assert g1.tobytes() == g2.tobytes()
 
 
-def _act(activation, z):
-    return z if activation is None else np.tanh(z) if activation == "tanh" else np.sin(z)
-
-
-def _slope(activation, z):
-    return 1.0 - np.tanh(z) ** 2 if activation == "tanh" else np.cos(z)
-
-
 def _grads_of(fn, *arrays, g0):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = fn(*leaves)
@@ -248,14 +240,12 @@ class TestFusedNodes:
         ref = _grads_of(lambda x, w, b: matmul(x, w) + b, *arrays, g0=g0)
         assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
 
-    @pytest.mark.parametrize("activation", ["tanh", "sin"])
-    def test_same_values_and_gradients_as_unfused_activation(self, activation):
+    def test_same_values_and_gradients_as_unfused_activation(self):
         rng = np.random.default_rng(12)
         arrays = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
         g0 = rng.standard_normal((5, 4))
-        fused = _grads_of(lambda x, w, b: dense(x, w, b, 5, activation), *arrays, g0=g0)
-        ref = _grads_of(lambda x, w, b: (tanh if activation == "tanh" else sin)(matmul(x, w) + b),
-                        *arrays, g0=g0)
+        fused = _grads_of(lambda x, w, b: dense(x, w, b, 5, tanh=True), *arrays, g0=g0)
+        ref = _grads_of(lambda x, w, b: tanh(matmul(x, w) + b), *arrays, g0=g0)
         assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
 
     def test_grad_check_with_broadcast_bias(self):
@@ -264,17 +254,17 @@ class TestFusedNodes:
         b = Tensor(rng.standard_normal(2))
         x = Tensor(rng.standard_normal((4, 3)))
         wts = rng.standard_normal((4, 2))
-        assert grad_check(lambda x: (dense(reshape(x, 4, 3), w, b, 4, "tanh") * wts).sum(),
+        assert grad_check(lambda x: (dense(reshape(x, 4, 3), w, b, 4, tanh=True) * wts).sum(),
                           Tensor(rng.standard_normal(12))) < 1e-6
-        assert grad_check(lambda w: (dense(x, reshape(w, 3, 2), b, 4, "sin") * wts).sum(),
+        assert grad_check(lambda w: (dense(x, reshape(w, 3, 2), b, 4, tanh=True) * wts).sum(),
                           Tensor(rng.standard_normal(6))) < 1e-6
-        assert grad_check(lambda b: (dense(x, w, b, 4, "tanh") * wts).sum(),
+        assert grad_check(lambda b: (dense(x, w, b, 4, tanh=True) * wts).sum(),
                           Tensor(rng.standard_normal(2))) < 1e-6
 
-    @pytest.mark.parametrize("activation", ["tanh", "sin", None])
-    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("tanh_layer", [True, False], ids=["tanh", "linear"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("prefix_rows", [None, 1, 4], ids=["no-prefix", "row-prefix", "prefix"])
-    def test_grad_check_with_tangents(self, activation, k, prefix_rows):
+    def test_grad_check_with_tangents(self, tanh_layer, k, prefix_rows):
         # every argument of the node; with k > 0 the slope's own derivative is in play
         rng = np.random.default_rng(13 + k)
         rows, n, m = 4, 3, 5
@@ -286,24 +276,26 @@ class TestFusedNodes:
         wts = rng.standard_normal(((k + 1) * rows, m))
 
         def f(h, w, b):
-            return (dense(h, w, b, rows, activation, prefix) * wts).sum()
+            return (dense(h, w, b, rows, tanh=tanh_layer, prefix=prefix) * wts).sum()
 
         assert grad_check(lambda h: f(h, Tensor(w0), Tensor(b0)), Tensor(h0)) < 1e-6
         assert grad_check(lambda w: f(Tensor(h0), w, Tensor(b0)), Tensor(w0)) < 1e-6
         assert grad_check(lambda b: f(Tensor(h0), Tensor(w0), b), Tensor(b0)) < 1e-6
 
-    @pytest.mark.parametrize("activation", ["tanh", "sin", None])
-    def test_rows_are_the_layer_and_its_jvp(self, activation):
+    @pytest.mark.parametrize("tanh_layer", [True, False], ids=["tanh", "linear"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rows_are_the_layer_and_its_jvp(self, tanh_layer, k):
         rng = np.random.default_rng(14)
-        rows, k = 4, 2
+        rows = 4
         prefix = [rng.standard_normal((1, 2))]
         h0, w0, b0 = rng.standard_normal(((k + 1) * rows, 3)), rng.standard_normal((5, 6)), rng.standard_normal(6)
-        out = dense(Tensor(h0), Tensor(w0), Tensor(b0), rows, activation, prefix).data
-        alone = dense(Tensor(h0[:rows]), Tensor(w0), Tensor(b0), rows, activation, prefix).data
+        w, b = Tensor(w0), Tensor(b0)
+        out = dense(Tensor(h0), w, b, rows, tanh=tanh_layer, prefix=prefix).data
+        alone = dense(Tensor(h0[:rows]), w, b, rows, tanh=tanh_layer, prefix=prefix).data
         assert out[:rows].tobytes() == alone.tobytes()
         z = np.concatenate([np.repeat(prefix[0], rows, axis=0), h0[:rows]], axis=1) @ w0 + b0
-        assert np.allclose(out[:rows], _act(activation, z), rtol=0.0, atol=1e-12)
-        slope = 1.0 if activation is None else _slope(activation, z)
+        assert np.allclose(out[:rows], np.tanh(z) if tanh_layer else z, rtol=0.0, atol=1e-12)
+        slope = 1.0 - np.tanh(z) ** 2 if tanh_layer else 1.0
         for j in range(1, k + 1):
             dz = h0[j * rows:(j + 1) * rows] @ w0[2:]
             assert np.allclose(out[j * rows:(j + 1) * rows], dz * slope, rtol=0.0, atol=1e-12)
@@ -318,11 +310,11 @@ class TestFusedNodes:
         with pytest.raises(ValueError):
             dense(Tensor(np.ones((4, 3))), Tensor(np.ones(3)), b, 4)
         with pytest.raises(ValueError):  # tangent rows come in whole blocks
-            dense(Tensor(np.ones((6, 3))), w, b, 4, "tanh")
+            dense(Tensor(np.ones((6, 3))), w, b, 4, tanh=True)
         with pytest.raises(ValueError):  # the input is wider than the weight
             dense(Tensor(np.ones((4, 4))), w, b, 4)
         with pytest.raises(ValueError):  # with a constant tangent, h is the primal rows alone
-            dense(Tensor(np.ones((8, 3))), w, b, 4, "tanh", tangent=np.ones((4, 3)))
+            dense(Tensor(np.ones((8, 3))), w, b, 4, tanh=True, tangent=np.ones((4, 3)))
 
     def test_non_finite_weight_raises(self):
         from genpolicy.nn import Mlp
@@ -368,18 +360,26 @@ class TestNoTape:
         assert x.grad == pytest.approx(4.0)
 
 
-def test_float32_input_keeps_its_dtype():
-    t = Tensor(np.array([1, 2, 3], dtype=np.float32))
-    assert t.data.dtype == np.float32
-    assert (t * t).data.dtype == np.float32
-    assert Tensor([1, 2, 3]).data.dtype == np.float64  # non-float input becomes float64
+INPUTS = {
+    "list": [1, 2, 3],
+    "int": 2,
+    "int-array": np.array([[2, -3], [0, 4]]),
+    "float32": np.array([1.5, -0.25, 3.0], dtype=np.float32),
+    "float16": np.array([0.5, 2.0], dtype=np.float16),
+}
 
 
-def test_preexisting_float_dtype_preserved():
-    t32 = Tensor(np.zeros(3, dtype=np.float32))
-    assert t32.data.dtype == np.float32
-    t64 = Tensor(np.zeros(3, dtype=np.float64))
-    assert t64.data.dtype == np.float64
+@pytest.mark.parametrize("value", INPUTS)
+def test_every_tensor_holds_float64(value):
+    t = Tensor(INPUTS[value])
+    assert t.data.dtype == np.float64
+    assert np.array_equal(t.data, np.asarray(INPUTS[value], dtype=np.float64))
+    assert (t * t).data.dtype == (t - t).data.dtype == t.mean().data.dtype == np.float64
+
+
+def test_float64_array_is_held_as_it_is():
+    arr = np.zeros(3)
+    assert Tensor(arr).data is arr
 
 
 CONSTANTS = {
@@ -400,7 +400,8 @@ CONSTANT_OPS = {
 @pytest.mark.parametrize("const", CONSTANTS)
 def test_constant_operand_equals_wrapped_constant(const, op, dtype):
     # an array or number operand records no node of its own, and gives the
-    # values, gradients and dtypes of the same constant wrapped as a Tensor
+    # values and gradients of the same constant wrapped as a Tensor; float32
+    # input, operand or constant, is float64 on both sides
     rng = np.random.default_rng(21)
     x0 = rng.standard_normal((2, 3)).astype(dtype)
     g0 = rng.standard_normal((2, 3))
@@ -412,7 +413,7 @@ def test_constant_operand_equals_wrapped_constant(const, op, dtype):
         return out, x.grad
 
     (out, grad), (ref, ref_grad) = run(CONSTANTS[const]), run(Tensor(CONSTANTS[const]))
-    assert out.data.dtype == ref.data.dtype and grad.dtype == ref_grad.dtype == dtype
+    assert out.data.dtype == ref.data.dtype == grad.dtype == ref_grad.dtype == np.float64
     assert out.data.tobytes() == ref.data.tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
     assert all(isinstance(p, Tensor) and p.requires_grad or p._prev for p in out._prev)
