@@ -39,22 +39,20 @@ from .sampler import SolverSpec, generate
 from .schedules import PathSchedule
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return "" if v is None else str(v)
-
-
-def _csv_line(values) -> str:
-    return ",".join(_fmt(v) for v in values) + "\n"
+def _csv_lines(rows):
+    """One comma-separated line per row, lazily: a float (``np.float64``
+    too) as %.17g, None as an empty field, any other value as ``str``
+    gives it. Rows of Python floats (``array.tolist()``) format fastest."""
+    return (",".join([f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+                      for v in row]) + "\n" for row in rows)
 
 
 def _write_csv(path: str, columns: list[str], rows=()) -> None:
     """A '# '-prefixed header line, then one comma-separated line per row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + _csv_line(columns))
-        for row in rows:
-            fh.write(_csv_line(row))
+        fh.write("# ")
+        fh.writelines(_csv_lines([columns]))
+        fh.writelines(_csv_lines(rows))
 
 
 class MetricsWriter:
@@ -68,7 +66,7 @@ class MetricsWriter:
 
     def row(self, values: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_csv_line(values.get(c, "") for c in self.columns))
+            fh.writelines(_csv_lines([[values.get(c, "") for c in self.columns]]))
 
 
 def export_trajectories(policy: GenerativePolicy, states: np.ndarray, solver: SolverSpec,
@@ -77,10 +75,10 @@ def export_trajectories(policy: GenerativePolicy, states: np.ndarray, solver: So
     every path as (sample_id, k, t, raw action); returns the grid size."""
     _, traj = generate(policy.model, states.shape[0], solver, condition=states, rng=rng,
                        record=True)
-    raw = policy.denormalize(traj.states)
-    columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(raw.shape[2])]
-    _write_csv(path, columns, ([i, k, t, *raw[k, i]] for i in range(states.shape[0])
-                               for k, t in enumerate(traj.times)))
+    raw, times = policy.denormalize(traj.states).tolist(), traj.times.tolist()
+    columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(traj.states.shape[2])]
+    _write_csv(path, columns, ([i, k, t, *raw[k][i]] for i in range(states.shape[0])
+                               for k, t in enumerate(times)))
     return len(traj.times)
 
 
@@ -328,7 +326,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "samples.csv")
     _write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
-               ([i, *row] for i, row in enumerate(actions)))
+               ([i, *row] for i, row in enumerate(actions.tolist())))
     print(f"wrote {path}; mean={actions.mean(axis=0)}, std={actions.std(axis=0)}")
 
 
@@ -342,7 +340,7 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], policy.config.eval_solver,
                                            _trace_mode(cfg), np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "logprob.csv")
-    _write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp, stderr))
+    _write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp.tolist(), stderr.tolist()))
     print(f"wrote {path}; mean logp = {logp.mean():.6g} nats")
 
 

@@ -25,8 +25,12 @@ k·B-row output tangent.
 condition as constant columns ahead of x (a ``prefix``), so the tangent
 enters only through the weight rows of x. Both are plain arrays: the
 Fourier features are computed in numpy, once per call, and for a scalar
-time as one row shared by the whole batch. The first layer's weight
-stays one array, as checkpoints store it.
+time as one row shared by the whole batch. The first layer multiplies
+that row once, emb(t) @ w_t, and adds it into its bias row, so a solver
+stage's matmul covers only the condition and x columns (``tensor.dense``);
+times drawn per sample, as the matching losses draw them, stay columns of
+that matmul. The first layer's weight stays one array, as checkpoints
+store it.
 """
 
 from __future__ import annotations

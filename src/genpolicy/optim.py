@@ -25,16 +25,19 @@ class Adam:
 
     def step(self) -> None:
         """Update every parameter from its ``grad``; a parameter without one
-        takes a zero gradient."""
-        self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        takes a zero gradient. All or nothing: every gradient is checked
+        first, so a bad one leaves the parameters, the moments and the
+        step count as they were."""
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
+        for p, g in zip(self.params, grads):
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError("non-finite gradient in Adam step")
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             p.data = p.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)

@@ -284,18 +284,20 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
 
     Analytic, from the shapes alone. Each taped solver stage of an unroll
     stores float64 arrays of ``batch`` rows: each hidden layer's output
-    for the primal row and its k tangent rows, the first layer's input
-    (time embedding, condition, x), and about 4(k + 1) action-wide rows
-    for the stacked network input and output, the tangent seeds and the
-    state update. k is the action dimension for an
-    exact trace and the probe count for Hutchinson. A stage whose weight
-    b[i] is 0 (midpoint's first) evaluates the velocity alone, so it
-    stores the same arrays for the primal row only. The dynamic variant
-    tapes two unrolls (pi and mu), the static one only log pi.
+    for the primal row and its k tangent rows, the first layer's per-row
+    input (condition, x; a stage's time embedding is one row shared by
+    the batch, which the first layer folds into its bias row), and about
+    4(k + 1) action-wide rows for the stacked network input and output,
+    the tangent seeds and the state update. k is the action dimension
+    for an exact trace and the probe count for Hutchinson. A stage whose
+    weight b[i] is 0 (midpoint's first) evaluates the velocity alone, so
+    it stores the same arrays for the primal row only. The dynamic
+    variant tapes two unrolls (pi and mu), the static one only log pi.
     """
     net = policy.model.net
     k = net.x_dim if config.trace.kind == "exact" else config.trace.n_probes
-    widths, first, d = sum(net.mlp.sizes[1:-1]), net.mlp.sizes[0], net.x_dim
+    widths, d = sum(net.mlp.sizes[1:-1]), net.x_dim
+    first = net.mlp.sizes[0] - net.t_emb.width
     per_step = sum((k + 1 if bi else 1) * (widths + 4 * d) + first
                    for bi in TABLEAUX[config.scheme][1])
     return 8 * batch * per_step * config.t_train * (2 if config.variant == "dynamic" else 1)

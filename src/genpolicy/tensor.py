@@ -32,9 +32,11 @@ An MLP layer is one fused node, ``dense``, over stacked rows: the B
 primal rows and k blocks of B tangent rows (forward-mode JVPs) go in and
 come out together, with one hand-written reverse rule that includes the
 derivative of tanh's slope. The first layer takes the tangent seeds as a
-constant array, so they get no gradient. The node keeps its output and,
-for the first layer, the concatenated primal input and the stacked input
-rows. ``rows`` slices the stacked result back apart.
+constant array, so they get no gradient, and its constant prefix columns:
+a one-row block (the time embedding at a scalar t) is multiplied once and
+added into the bias row, never broadcast to every row. The node keeps its
+output and, for the first layer, the per-row primal input and the
+stacked input rows. ``rows`` slices the stacked result back apart.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -332,21 +334,28 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
 
     act is tanh when ``tanh`` is true and the identity otherwise (a
     linear layer); ``b`` may be None. ``prefix`` holds constant arrays of
-    ``rows`` rows or of one row (broadcast): input columns that only the
-    primal rows have, ahead of h's. A tangent sees only w_h, the last
-    ``h.shape[1]`` rows of w. ``tangent`` optionally holds the k tangent
-    blocks as a constant array: ``h`` is then the primal rows alone and
-    receives only their gradient.
+    ``rows`` rows or of one row: input columns that only the primal rows
+    have, ahead of h's. A tangent sees only w_h, the last ``h.shape[1]``
+    rows of w. ``tangent`` optionally holds the k tangent blocks as a
+    constant array: ``h`` is then the primal rows alone and receives
+    only their gradient.
 
-    The primal and the tangent rows go through separate matmuls, so the
-    primal rows are bit for bit those of the layer run without tangents,
-    and no slope is computed when there are no tangents and no tape. The
-    node stores its output [a; da] and, with a prefix, the primal input
-    [prefix | h_0]. The reverse rule carries the slope's own derivative:
+    A one-row prefix block p (the time embedding at a scalar t; every
+    block when ``rows`` is 1) is shared by all primal rows, so its
+    product is taken once, p @ w_p, and added into the bias row:
+    z = [per-row blocks | h_0] @ w_rest + (b + p @ w_p). The primal and
+    the tangent rows go through separate matmuls, so the primal rows are
+    bit for bit those of the layer run without tangents, and no slope is
+    computed when there are no tangents and no tape. The node stores its
+    output [a; da] and, with a per-row prefix block, the per-row primal
+    input [per-row blocks | h_0]; a one-row block keeps only its row.
+    The reverse rule carries the slope's own derivative:
 
         gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j   (tanh)
         gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
-        gw = [prefix | h_0]^T gz + dh^T gdz  (one matmul without a prefix).
+        gw_p = outer(p, gb)  for a one-row block,
+        gw_rest = [per-row blocks | h_0]^T gz + dh^T gdz  (one matmul
+        without a per-row block).
     """
     x, wd = h.data, w.data
     if x.ndim != 2 or wd.ndim != 2:
@@ -356,20 +365,36 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
             raise ValueError(f"dense: {x.shape[0]} primal rows with a constant tangent, expected {rows}")
         x = np.concatenate([x, tangent])
     (total, n), (n_in, m) = x.shape, wd.shape
-    if rows < 1 or total % rows or n > n_in or (b is not None and b.data.shape != (m,)):
-        raise ValueError(f"dense: input {x.shape}, weight {wd.shape}, bias and {rows} primal "
-                         "rows do not fit")
+    if (rows < 1 or total % rows or n + sum(p.shape[1] for p in prefix) != n_in
+            or (b is not None and b.data.shape != (m,))):
+        raise ValueError(f"dense: input {x.shape}, weight {wd.shape}, prefix, bias and {rows} "
+                         "primal rows do not fit")
     k = total // rows - 1
     parents = (h, w) if b is None else (h, w, b)
+    shared, per_row, lo = [], [], 0  # one-row blocks come with their weight rows
+    for p in prefix:
+        if p.shape[0] == 1:
+            shared.append((p, lo, lo + p.shape[1]))
+        else:
+            per_row.append(p)
+        lo += p.shape[1]
+    w_in, bias = wd, None if b is None else b.data
+    if shared:
+        keep = np.ones(n_in, dtype=bool)
+        for p, lo, hi in shared:
+            keep[lo:hi] = False
+            row = p @ wd[lo:hi]
+            bias = row if bias is None else bias + row
+        w_in = wd[keep]
     out = np.empty((total, m))
     a = out[:rows]
     w_h = wd[n_in - n:]
     inp = x[:rows]
-    if prefix:
-        inp = np.concatenate([np.broadcast_to(p, (rows, p.shape[1])) for p in prefix] + [inp], axis=1)
-    np.matmul(inp, wd, out=a)
-    if b is not None:
-        a += b.data
+    if per_row:
+        inp = np.concatenate(per_row + [inp], axis=1)
+    np.matmul(inp, w_in, out=a)
+    if bias is not None:
+        a += bias
     if k:
         np.matmul(x[rows:], w_h, out=out[rows:])
     if tanh:
@@ -395,20 +420,24 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
                 acc *= a
                 acc *= 2.0
                 gz -= acc
-        if b is not None and (b.requires_grad or b._prev):
-            b._accum(gz.sum(axis=0), fresh=True)
+        need_b = b is not None and (b.requires_grad or b._prev)
+        gb = gz.sum(axis=0) if need_b or shared else None
+        if need_b:
+            b._accum(gb, fresh=True)
         if w.requires_grad or w._prev:
-            if prefix:
+            if per_row:
                 gw = inp.T @ gz
                 if k:
-                    gw[n_in - n:] += x[rows:].T @ G[rows:]
+                    gw[-n:] += x[rows:].T @ G[rows:]
             else:
                 gw = x.T @ G
+            if shared:
+                gw_in, gw = gw, np.empty_like(wd)
+                gw[keep] = gw_in
+                for p, lo, hi in shared:
+                    gw[lo:hi] = np.outer(p, gb)
             w._accum(gw, fresh=True)
         if h.requires_grad or h._prev:
-            # over every row even when only the primal rows are wanted: the
-            # BLAS kernel, and so the rounding, depends on the row count
-            gh = G @ w_h.T
-            h._accum(gh if tangent is None else gh[:rows], fresh=True)
+            h._accum((G if tangent is None else gz) @ w_h.T, fresh=True)
 
     return h._node(out, parents, bwd, "dense")

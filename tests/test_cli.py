@@ -217,6 +217,42 @@ def test_garbled_checkpoint_loads_or_raises_format_error(kind, pos, xor):
             pass
 
 
+def _reference_line(values) -> str:
+    # the CSV value rules: %.17g for a float, "" for None, str for the rest
+    def fmt(v):
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        return "" if v is None else str(v)
+    return ",".join(fmt(v) for v in values) + "\n"
+
+
+class TestCsvFormat:
+    EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 1e16]
+    VALUES = [0, 7, np.int64(-3), *EDGES, *np.array(EDGES), None, "", "tag"]
+
+    def test_values_are_pinned(self):
+        assert "".join(cli._csv_lines([[-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 3,
+                                        np.int64(-3), None, "x"]])) == (
+            "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,3,-3,,x\n")
+
+    def test_write_csv_and_metrics_rows_follow_the_rules(self, tmp_path):
+        rng = np.random.default_rng(20)
+        table = np.concatenate([rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-300, 300, (5, 3)),
+                                [self.EDGES[:3]]])
+        rows = [self.VALUES, self.VALUES[::-1], *([i, *r] for i, r in enumerate(table)),
+                *([i, *r] for i, r in enumerate(table.tolist()))]
+        path = tmp_path / "table.csv"
+        cli._write_csv(str(path), ["a", "b"], rows)
+        assert path.read_bytes() == ("# a,b\n" + "".join(map(_reference_line, rows))).encode()
+        columns = [f"c{i}" for i in range(len(self.VALUES))] + ["missing"]
+        writer = cli.MetricsWriter(str(tmp_path / "metrics.csv"), columns)
+        writer.row(dict(zip(columns, self.VALUES)))
+        writer.row({"c1": 2.0})
+        expected = ("# " + _reference_line(columns) + _reference_line(self.VALUES + [""])
+                    + _reference_line(["", 2.0] + [""] * (len(columns) - 2)))
+        assert (tmp_path / "metrics.csv").read_bytes() == expected.encode()
+
+
 class TestPipeline:
     def test_full_stage_chain(self, tmp_path):
         data_dir = str(tmp_path / "data")

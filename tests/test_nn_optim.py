@@ -214,6 +214,24 @@ class TestAdam:
         with pytest.raises(NonFiniteError):
             opt.step()
 
+    @pytest.mark.parametrize("bad, error", [(np.array([np.nan, 0.0]), NonFiniteError),
+                                            (np.zeros(3), ValueError)], ids=["nan", "shape"])
+    def test_rejected_step_changes_nothing(self, bad, error):
+        # the second parameter's gradient is bad: the first must not have moved either
+        rng = np.random.default_rng(19)
+        params = [Tensor(rng.standard_normal(2), requires_grad=True) for _ in range(2)]
+        opt = Adam(params, lr=1e-2)
+        for p in params:
+            p.grad = rng.standard_normal(2)
+        opt.step()
+        before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+        params[0].grad, params[1].grad = rng.standard_normal(2), bad
+        with pytest.raises(error):
+            opt.step()
+        after = [p.data for p in params] + opt.m + opt.v
+        assert opt.step_count == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
         opt = Adam([p], lr=0.1)

@@ -464,6 +464,28 @@ class TestGmpgMemory:
         assert 0.75 * held <= gmpg_tape_bytes(policy, config, batch) <= 1.25 * held
 
 
+class TestGmpgConvergenceInT:
+    """The discrete objective GMPG differentiates converges as the grid
+    refines: from T to 2T the loss and the gradient change by about
+    2^-order as much as from T/2 to T. Over T = 8..64 every change shrinks;
+    the order read at the finest doubling (16, 32, 64) was 0.93 (loss) and
+    0.98 (gradient) for euler, 2.04 and 2.01 for midpoint."""
+
+    @pytest.mark.parametrize("scheme, order", [("euler", 1.0), ("midpoint", 2.0)])
+    def test_loss_and_gradient_converge_at_the_scheme_order(self, scheme, order):
+        losses, grads = [], []
+        for t_train in (8, 16, 32, 64):
+            policy, loss_fn = _gmpg_setup(16, (16, 16), 2, GmpgConfig(t_train=t_train, scheme=scheme))
+            loss = loss_fn()
+            loss.backward()
+            losses.append(float(loss.data))
+            grads.append(np.concatenate([p.grad.ravel() for p in policy.parameters()]))
+        for values in (np.array(losses), np.array(grads)):
+            change = [np.linalg.norm(values[i + 1] - values[i]) for i in range(3)]
+            assert change[0] > change[1] > change[2] > 0.0, change
+            assert abs(np.log2(change[1] / change[2]) - order) < 0.15, change
+
+
 class TestKlDerivationCrossCheck:
     """Discrete 5-point sanity check that the two training expressions
     differ from true KL divergences by theta-independent constants."""

@@ -282,6 +282,23 @@ class TestFusedNodes:
         assert grad_check(lambda w: f(Tensor(h0), w, Tensor(b0)), Tensor(w0)) < 1e-6
         assert grad_check(lambda b: f(Tensor(h0), Tensor(w0), b), Tensor(b0)) < 1e-6
 
+    @pytest.mark.parametrize("rows, shared_first", [(4, True), (4, False), (1, True)],
+                             ids=["shared-first", "shared-last", "one-row"])
+    def test_one_row_block_folds_into_the_bias_row(self, rows, shared_first):
+        # values and gradients of the fold against the unfused layer over
+        # the concatenated input, the one-row block repeated on every row
+        rng = np.random.default_rng(21)
+        blocks = [rng.standard_normal((1, 3)), rng.standard_normal((rows, 2))]
+        blocks = blocks if shared_first else blocks[::-1]
+        arrays = rng.standard_normal((rows, 2)), rng.standard_normal((7, 4)), rng.standard_normal(4)
+        g0 = rng.standard_normal((rows, 4))
+        fused = _grads_of(lambda x, w, b: dense(x, w, b, rows, tanh=True, prefix=blocks),
+                          *arrays, g0=g0)
+        ref = _grads_of(lambda x, w, b: tanh(matmul(concat(
+            [Tensor(np.repeat(p, rows // p.shape[0], axis=0)) for p in blocks] + [x]), w) + b),
+            *arrays, g0=g0)
+        assert all(np.allclose(f, r, rtol=0.0, atol=1e-13) for f, r in zip(fused, ref))
+
     @pytest.mark.parametrize("tanh_layer", [True, False], ids=["tanh", "linear"])
     @pytest.mark.parametrize("k", [1, 2])
     def test_rows_are_the_layer_and_its_jvp(self, tanh_layer, k):

@@ -4,6 +4,7 @@ kernel that drifts from a reference, must fail here rather than in a
 benchmark run."""
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -95,3 +96,23 @@ def test_eval_value_matches_the_benchmark_reference(monkeypatch):
     want = verify.nearest_mean_value(pts, ds.a, ds.r)
     got = float(assign_value_nearest(ds, pts).mean())
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def test_compare_outputs_reports_each_stage_file(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", TRACING.parents[1] / "scripts" / "compare_outputs.py")
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+
+    def result(name, sample, passes=1, **extra):
+        digests = {"sample": {"samples.csv": sample, "resolved.ini": name}, **extra}
+        path = tmp_path / f"result-{name}.json"
+        path.write_text(json.dumps({"passes": [{"digests": digests}] * passes}))
+        return str(path)
+
+    a = result("a", "s0", passes=2, eval={"eval.csv": "e0"})
+    assert compare_outputs.main([a, result("b", "s0", eval={"eval.csv": "e0"})]) == 0
+    assert compare_outputs.compare(compare_outputs.stage_digests(a),
+                                   compare_outputs.stage_digests(result("c", "s1"))) == [
+        ("sample", "samples.csv", "differs"), ("eval", "eval.csv", "only in A")]
+    assert compare_outputs.main([a, result("c", "s1")]) == 1
