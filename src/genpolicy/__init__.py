@@ -11,8 +11,8 @@ from .optim import Adam
 from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_loss,
                      gmpo_weight, pretrain_behavior, train_gmpg, train_gmpo)
 from .sampler import SolverSpec, Trajectory, generate, integrate
-from .schedules import (PathSchedule, alpha_sigma, convert, drift_diffusion,
-                        sample_path_point, target_score, target_velocity)
+from .schedules import (PathSchedule, alpha_sigma, drift_diffusion, sample_path_point,
+                        target_velocity)
 from .tensor import Tensor, concat
 
 __version__ = "0.1.0"

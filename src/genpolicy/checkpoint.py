@@ -1,78 +1,53 @@
 """Versioned binary checkpoints for policies and critics.
 
-Layout: magic ``GPCK``, u32 version (1), u64 header length, UTF-8 JSON
-header, then raw little-endian float64 C-order parameter blobs in header
-order. The header carries everything needed to rebuild the object
-(architecture, schedule constants, normalizer, solver defaults), so a
-load never depends on the saving process's rng. A policy's state is that
-(header, arrays) pair; ``copy_policy`` rebuilds a policy from copies of
-it, the same way a load does. A load checks the file against its header
-(array shapes against the architecture, byte count, finite values) and
-reports a truncated or garbled file as ``DataFormatError``. A policy
-header names its hidden layers' activation, always "tanh"; a load
-refuses any other as ``DataFormatError`` too.
+Layout: the dataset's binary container (``data.write_container``) with
+magic ``GPCK``: u32 version (1), u64 header length, UTF-8 JSON header,
+then raw little-endian float64 C-order parameter blobs in the order of
+the header's ``arrays`` list. The header carries everything needed to
+rebuild the object (architecture, schedule constants, normalizer, solver
+defaults), so a load never depends on the saving process's rng. A
+policy's state is that (header, arrays) pair; ``copy_policy`` rebuilds a
+policy from copies of it, the same way a load does. A load checks the
+file against its header (array shapes against the architecture, byte
+count, finite values) and reports a truncated or garbled file as
+``DataFormatError``. A policy header names its hidden layers'
+activation, always "tanh"; a load refuses any other as
+``DataFormatError`` too.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
-
 import numpy as np
 
 from .critic import Critic, CriticConfig
+from .data import read_container, write_container
 from .errors import DataFormatError, data_format_errors
 from .policy import GenerativePolicy, PolicyConfig
 from .sampler import SolverSpec
 from .schedules import PathSchedule
 
 _MAGIC = b"GPCK"
-_VERSION = 1
 
 
 def _write(path: str, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     header = dict(header)
     header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", _VERSION, len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    write_container(path, _MAGIC, header, [a for _, a in arrays])
 
 
 def _read(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, named arrays) of a ``kind`` checkpoint; any truncation or
     corruption is a DataFormatError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    header, arrays = read_container(path, _MAGIC, lambda h: [m["shape"] for m in h["arrays"]])
     with data_format_errors(path):
-        if raw[:4] != _MAGIC:
-            raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
-        version, hlen = struct.unpack_from("<IQ", raw, 4)
-        if version != _VERSION:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        off = 4 + struct.calcsize("<IQ")
-        header = json.loads(raw[off:off + hlen].decode("utf-8"))
-        off += hlen
-        arrays = {}
-        for meta in header["arrays"]:
-            shape = tuple(meta["shape"])
-            if not all(type(n) is int and n >= 0 for n in shape):
-                raise DataFormatError(f"{path}: bad array shape {shape}")
-            count = math.prod(shape)
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+        named = {}
+        for meta, arr in zip(header["arrays"], arrays):
             if not np.all(np.isfinite(arr)):
                 raise DataFormatError(f"{path}: non-finite values in array {meta['name']!r}")
-            arrays[meta["name"]] = arr
-            off += count * 8
-        if off != len(raw):
-            raise DataFormatError(f"{path}: {len(raw) - off} bytes do not match the header")
+            named[meta["name"]] = arr
         if header.get("kind") != kind:
             raise DataFormatError(f"{path}: checkpoint holds a {header.get('kind')}, not a {kind}")
-    return header, arrays
+    return header, named
 
 
 def _mlp_arrays(prefix: str, mlp) -> list[tuple[str, np.ndarray]]:

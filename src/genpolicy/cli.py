@@ -28,8 +28,8 @@ import numpy as np
 from .checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
 from .config import ExperimentConfig, dump_config, load_config
 from .critic import CriticConfig, train_critic
-from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, load_dataset,
-                   make_swiss_roll, make_tilted_gaussian_bandit, save_dataset)
+from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, csv_lines, load_dataset,
+                   make_swiss_roll, make_tilted_gaussian_bandit, save_dataset, write_csv)
 from .errors import ConfigError, DataFormatError, NonFiniteError
 from .likelihood import TraceMode
 from .matching import MatchingConfig, check_objective
@@ -39,22 +39,6 @@ from .sampler import SolverSpec, generate
 from .schedules import PathSchedule
 
 
-def _csv_lines(rows):
-    """One comma-separated line per row, lazily: a float (``np.float64``
-    too) as %.17g, None as an empty field, any other value as ``str``
-    gives it. Rows of Python floats (``array.tolist()``) format fastest."""
-    return (",".join([f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
-                      for v in row]) + "\n" for row in rows)
-
-
-def _write_csv(path: str, columns: list[str], rows=()) -> None:
-    """A '# '-prefixed header line, then one comma-separated line per row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# ")
-        fh.writelines(_csv_lines([columns]))
-        fh.writelines(_csv_lines(rows))
-
-
 class MetricsWriter:
     """Per-step metrics; each row is appended as it comes, so a run that
     stops early keeps the rows it already wrote."""
@@ -62,11 +46,11 @@ class MetricsWriter:
     def __init__(self, path: str, columns: list[str]):
         self.path = path
         self.columns = columns
-        _write_csv(path, columns)
+        write_csv(path, columns)
 
     def row(self, values: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.writelines(_csv_lines([[values.get(c, "") for c in self.columns]]))
+            fh.writelines(csv_lines([[values.get(c, "") for c in self.columns]]))
 
 
 def export_trajectories(policy: GenerativePolicy, states: np.ndarray, solver: SolverSpec,
@@ -77,8 +61,8 @@ def export_trajectories(policy: GenerativePolicy, states: np.ndarray, solver: So
                        record=True)
     raw, times = policy.denormalize(traj.states).tolist(), traj.times.tolist()
     columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(traj.states.shape[2])]
-    _write_csv(path, columns, ([i, k, t, *raw[k][i]] for i in range(states.shape[0])
-                               for k, t in enumerate(times)))
+    write_csv(path, columns, ([i, k, t, *raw[k][i]] for i in range(states.shape[0])
+                              for k, t in enumerate(times)))
     return len(traj.times)
 
 
@@ -167,6 +151,13 @@ def _check_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{block.name}.{key} must be finite, got {value}")
     if cfg.task.kind != "file" and cfg.task.n < 1:
         raise ConfigError(f"task.n must be >= 1, got {cfg.task.n}")
+    if cfg.task.seed < 0:
+        raise ConfigError(f"task.seed must be >= 0, got {cfg.task.seed}")
+    if cfg.task.kind == "tilted_bandit" and cfg.task.dims < 1:
+        raise ConfigError(f"task.dims must be >= 1, got {cfg.task.dims}")
+    width = cfg.model.t_emb_width
+    if width < 1 or width % 2:
+        raise ConfigError(f"model.t_emb_width must be a positive even number, got {width}")
     if cfg.task.noise < 0:
         raise ConfigError(f"task.noise must be >= 0, got {cfg.task.noise}")
     if not cfg.model.t_emb_scale > 0:
@@ -235,8 +226,8 @@ def _policy_metrics_cb(writer: MetricsWriter, policy, dataset, cfg: ExperimentCo
 
 
 def cmd_make_data(cfg: ExperimentConfig, args) -> None:
-    out = _prepare_out(cfg)
     ds = _build_dataset(cfg, None)
+    out = _prepare_out(cfg)
     name = "dataset.csv" if args.format == "csv" else "dataset.gpds"
     save_dataset(ds, os.path.join(out, name))
     print(f"wrote {os.path.join(out, name)} ({ds.n} rows, state_dim={ds.state_dim}, "
@@ -325,8 +316,8 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
     states = ds.s[np.arange(args.n) % ds.n]
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "samples.csv")
-    _write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
-               ([i, *row] for i, row in enumerate(actions.tolist())))
+    write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
+              ([i, *row] for i, row in enumerate(actions.tolist())))
     print(f"wrote {path}; mean={actions.mean(axis=0)}, std={actions.std(axis=0)}")
 
 
@@ -340,7 +331,7 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     logp, stderr = policy.log_prob_actions(ds.s[:n], ds.a[:n], policy.config.eval_solver,
                                            _trace_mode(cfg), np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "logprob.csv")
-    _write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp.tolist(), stderr.tolist()))
+    write_csv(path, ["point_id", "logp", "stderr"], zip(range(n), logp.tolist(), stderr.tolist()))
     print(f"wrote {path}; mean logp = {logp.mean():.6g} nats")
 
 
@@ -356,8 +347,8 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
     path = os.path.join(out, "eval.csv")
     d = actions.shape[1]
     columns = ["n"] + [f"mean_a{i}" for i in range(d)] + [f"std_a{i}" for i in range(d)]
-    _write_csv(path, columns + ["mean_value"],
-               [[args.n, *actions.mean(axis=0), *actions.std(axis=0), mean_value]])
+    write_csv(path, columns + ["mean_value"],
+              [[args.n, *actions.mean(axis=0), *actions.std(axis=0), mean_value]])
     print(f"eval: n={args.n} action_mean={actions.mean(axis=0)} "
           f"action_std={actions.std(axis=0)} mean_value={mean_value:.4f}")
 

@@ -14,6 +14,10 @@ File formats (documented for cross-implementation use):
 * Binary — magic ``GPDS``, u32 version (1), u64 header length, UTF-8 JSON
   header {n, state_dim, action_dim, metadata}, then raw little-endian
   float64 C-order blobs in the order s, a, r, s2, done.
+
+The binary container (``write_container``/``read_container``) is shared
+with the checkpoints, and ``csv_lines`` formats every CSV file the
+package writes.
 """
 
 from __future__ import annotations
@@ -189,11 +193,77 @@ def _columns(state_dim: int, action_dim: int) -> list[str]:
             + ["r"] + [f"sp{i}" for i in range(state_dim)] + ["done"])
 
 
+def csv_lines(rows):
+    """One comma-separated line per row, lazily: a float (``np.float64``
+    too) as %.17g, None as an empty field, any other value as ``str``
+    gives it. Rows of Python floats (``array.tolist()``) format fastest."""
+    return (",".join([f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+                      for v in row]) + "\n" for row in rows)
+
+
+def write_csv(path: str, columns: list[str], rows=()) -> None:
+    """A '# '-prefixed header line, then one comma-separated line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# ")
+        fh.writelines(csv_lines([columns]))
+        fh.writelines(csv_lines(rows))
+
+
+def write_container(path: str, magic: bytes, header: dict, arrays) -> None:
+    """The binary container: ``magic``, u32 version, u64 header length,
+    the sorted-key JSON ``header``, then each array as little-endian
+    float64 in C order."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<IQ", _VERSION, len(blob)))
+        fh.write(blob)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_container(path: str, magic: bytes, shapes) -> tuple[dict, list[np.ndarray]]:
+    """(header, arrays) of a ``write_container`` file; ``shapes(header)``
+    gives the shape of every array in file order. A truncated or garbled
+    file, or bytes left over after the arrays, is a ``DataFormatError``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with data_format_errors(path):
+        if raw[:4] != magic:
+            raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+        version, hlen = struct.unpack_from("<IQ", raw, 4)
+        if version != _VERSION:
+            raise DataFormatError(f"{path}: unsupported container version {version}")
+        off = 4 + struct.calcsize("<IQ")
+        header = json.loads(raw[off:off + hlen].decode("utf-8"))
+        off += hlen
+        arrays = []
+        for shape in shapes(header):
+            shape = tuple(shape)
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise DataFormatError(f"{path}: bad array shape {shape}")
+            count = math.prod(shape)
+            arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+                          .reshape(shape).copy())
+            off += count * 8
+        if off != len(raw):
+            raise DataFormatError(f"{path}: {len(raw) - off} bytes do not match the header")
+    return header, arrays
+
+
 def save_dataset(dataset: OfflineDataset, path: str) -> None:
     if str(path).endswith(".csv"):
         _save_csv(dataset, path)
     else:
-        _save_binary(dataset, path)
+        header = {"n": dataset.n, "state_dim": dataset.state_dim,
+                  "action_dim": dataset.action_dim, "metadata": dataset.metadata}
+        write_container(path, _MAGIC, header,
+                        (dataset.s, dataset.a, dataset.r, dataset.s2, dataset.done))
+
+
+def _dataset_shapes(header: dict) -> list[tuple]:
+    n, sd, ad = header["n"], header["state_dim"], header["action_dim"]
+    return [(n, sd), (n, ad), (n,), (n, sd), (n,)]
 
 
 def load_dataset(path: str) -> OfflineDataset:
@@ -202,20 +272,20 @@ def load_dataset(path: str) -> OfflineDataset:
         head = fh.read(4)
     with data_format_errors(path):
         if head == _MAGIC:
-            return _load_binary(path)
+            header, (s, a, r, s2, done) = read_container(path, _MAGIC, _dataset_shapes)
+            return OfflineDataset(s=s, a=a, r=r, s2=s2, done=done,
+                                  metadata=header.get("metadata", {}))
         return _load_csv(path)
 
 
 def _save_csv(dataset: OfflineDataset, path: str) -> None:
-    cols = _columns(dataset.state_dim, dataset.action_dim)
     table = np.concatenate([dataset.s, dataset.a, dataset.r[:, None],
                             dataset.s2, dataset.done[:, None]], axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# genpolicy-dataset v1\n")
         fh.write("# meta: " + json.dumps(dataset.metadata, sort_keys=True) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(csv_lines([_columns(dataset.state_dim, dataset.action_dim)]))
+        fh.writelines(csv_lines(table.tolist()))
 
 
 def _load_csv(path: str) -> OfflineDataset:
@@ -257,46 +327,3 @@ def _load_csv(path: str) -> OfflineDataset:
         s=table[:, :sd].reshape(-1, sd), a=table[:, sd:sd + ad],
         r=table[:, sd + ad], s2=table[:, sd + ad + 1:sd + ad + 1 + sd].reshape(-1, sd),
         done=table[:, -1], metadata=metadata)
-
-
-def _save_binary(dataset: OfflineDataset, path: str) -> None:
-    header = json.dumps({
-        "n": dataset.n, "state_dim": dataset.state_dim, "action_dim": dataset.action_dim,
-        "metadata": dataset.metadata}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", _VERSION, len(header)))
-        fh.write(header)
-        for arr in (dataset.s, dataset.a, dataset.r, dataset.s2, dataset.done):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _load_binary(path: str) -> OfflineDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise DataFormatError("bad magic; not a dataset container")
-    version, hlen = struct.unpack_from("<IQ", raw, 4)
-    if version != _VERSION:
-        raise DataFormatError(f"unsupported container version {version}")
-    off = 4 + struct.calcsize("<IQ")
-    head = json.loads(raw[off:off + hlen].decode("utf-8"))
-    off += hlen
-    n, sd, ad = head["n"], head["state_dim"], head["action_dim"]
-    if not all(type(v) is int and v >= 0 for v in (n, sd, ad)):
-        raise DataFormatError(f"bad sizes n={n!r}, state_dim={sd!r}, action_dim={ad!r}")
-
-    def take(count):
-        nonlocal off
-        out = np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy()
-        off += count * 8
-        return out
-
-    s = take(n * sd).reshape(n, sd)
-    a = take(n * ad).reshape(n, ad)
-    r = take(n)
-    s2 = take(n * sd).reshape(n, sd)
-    done = take(n)
-    if off != len(raw):
-        raise DataFormatError(f"{len(raw) - off} bytes do not match the header")
-    return OfflineDataset(s=s, a=a, r=r, s2=s2, done=done, metadata=head.get("metadata", {}))

@@ -85,8 +85,8 @@ def dsm_loss(model, schedule: PathSchedule, x0, weights, rng,
         eps = rng.standard_normal(x0.shape)
     else:
         t, eps = draws
-    alpha, sigma = alpha_sigma(schedule, t)
-    x_t = alpha * x0 + sigma * eps
+    x_t = sample_path_point(schedule, x0, eps, t)
+    sigma = alpha_sigma(schedule, t)[1]
     score_target = -eps / sigma
 
     out = model(Tensor(x_t), t, condition)
@@ -122,14 +122,8 @@ def cfm_loss(model, schedule: PathSchedule, x0, x1, weights, rng,
     else:
         t, path_eps = draws
 
-    if schedule.is_diffusion:
-        x_t, eps = sample_path_point(schedule, x0, x1, t)
-        v_target = target_velocity(schedule, x0, eps, t)
-    else:
-        x_t = t * x1 + (1.0 - t) * x0
-        if path_eps is not None:
-            x_t = x_t + schedule.path_sigma * path_eps
-        v_target = target_velocity(schedule, x0, x1, t)
+    x_t = sample_path_point(schedule, x0, x1, t, path_eps)
+    v_target = target_velocity(schedule, x0, x1, t)
 
     out = model(Tensor(x_t), t, condition)
     return ((out - v_target).square() * w[:, None]).mean() * 0.5

@@ -108,6 +108,12 @@ class GenerativePolicy:
 # -- weighting ---------------------------------------------------------------
 
 
+def _check_beta(beta: float) -> None:
+    """Refuse a temperature that is not finite and >= 0 (0 is pretraining)."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"temperature beta must be finite and >= 0, got {beta}")
+
+
 def gmpo_weight(critic, s, q, beta: float, w_max: float = 100.0) -> np.ndarray:
     """Per-sample exponential regression weights from the critic.
 
@@ -118,8 +124,7 @@ def gmpo_weight(critic, s, q, beta: float, w_max: float = 100.0) -> np.ndarray:
     Softmax weights are computed per candidate set instead; see
     ``softmax_candidate_weights``.
     """
-    if beta < 0:
-        raise ValueError("temperature beta must be >= 0")
+    _check_beta(beta)
     return exp_clamp_weight(q - critic.v_values(s), beta, w_max)
 
 
@@ -135,8 +140,7 @@ def softmax_candidate_weights(q, beta: float) -> np.ndarray:
     (batch, K) weights summing to 1 per row (invariant to adding a
     constant to Q).
     """
-    if beta < 0:
-        raise ValueError("temperature beta must be >= 0")
+    _check_beta(beta)
     logits = beta * q
     logits = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
@@ -147,12 +151,6 @@ def softmax_candidate_weights(q, beta: float) -> np.ndarray:
 
 
 WEIGHT_MODES = ("exp_clamp", "softmax")
-
-
-def _check_beta(beta: float) -> None:
-    """Refuse a temperature that is not finite and >= 0 (0 is pretraining)."""
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(f"temperature beta must be finite and >= 0, got {beta}")
 
 
 @dataclass

@@ -33,8 +33,6 @@ from .tensor import Tensor
 KINDS = ("vpsde", "gvp", "icfm")
 PARAMETERIZATIONS = ("velocity", "noise", "score")
 
-_SIGMA_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class PathSchedule:
@@ -122,38 +120,24 @@ def drift_diffusion(schedule: PathSchedule, t):
     return f, g2
 
 
-def sample_path_point(schedule: PathSchedule, x0, other, t, rng: np.random.Generator | None = None):
-    """Draw x_t on the conditional path; returns (x_t, drawn noise).
+def sample_path_point(schedule: PathSchedule, x0, other, t, path_eps=None) -> np.ndarray:
+    """x_t on the conditional path.
 
-    Diffusion kinds: ``other`` is the standard-normal draw eps (drawn from
-    ``rng`` when None) and x_t = alpha_t x0 + sigma_t eps. icfm: ``other``
-    is the data endpoint x1, x_t = t x1 + (1-t) x0 + path_sigma eps.
+    Diffusion kinds: ``other`` is the standard-normal draw eps and x_t =
+    alpha_t x0 + sigma_t eps. icfm: ``other`` is the data endpoint x1 and
+    x_t = t x1 + (1-t) x0, plus path_sigma * ``path_eps`` when given.
     """
     x0 = np.asarray(x0, dtype=float)
-    t = np.asarray(t, dtype=float)
+    other = np.asarray(other, dtype=float)
+    if other.shape != x0.shape:
+        raise ValueError(f"shape mismatch {other.shape} vs {x0.shape}")
     if schedule.is_diffusion:
-        eps = np.asarray(other, dtype=float) if other is not None else rng.standard_normal(x0.shape)
-        if eps.shape != x0.shape:
-            raise ValueError(f"noise shape {eps.shape} != x0 shape {x0.shape}")
         alpha, sigma = alpha_sigma(schedule, t)
-        return alpha * x0 + sigma * eps, eps
-    x1 = np.asarray(other, dtype=float)
-    if x1.shape != x0.shape:
-        raise ValueError(f"endpoint shape {x1.shape} != x0 shape {x0.shape}")
-    eps = np.zeros_like(x0)
-    if schedule.path_sigma > 0:
-        eps = rng.standard_normal(x0.shape)
-    return t * x1 + (1.0 - t) * x0 + schedule.path_sigma * eps, eps
-
-
-def target_score(schedule: PathSchedule, x_t, x0, t):
-    """Conditional score grad log p(x_t|x0) = -(x_t - alpha x0)/sigma^2."""
-    _require_diffusion(schedule, "target_score")
-    t = schedule.clip(np.asarray(t, dtype=float))
-    alpha, sigma = alpha_sigma(schedule, t)
-    if np.any(sigma < _SIGMA_FLOOR):
-        raise NumericDomainError("sigma_t below floor; t too close to the data endpoint")
-    return -(np.asarray(x_t) - alpha * np.asarray(x0)) / (sigma * sigma)
+        return alpha * x0 + sigma * other
+    x_t = t * other + (1.0 - t) * x0
+    if path_eps is not None:
+        x_t = x_t + schedule.path_sigma * path_eps
+    return x_t
 
 
 def target_velocity(schedule: PathSchedule, x0, other, t):
@@ -166,42 +150,6 @@ def target_velocity(schedule: PathSchedule, x0, other, t):
         da, ds = alpha_sigma_prime(schedule, t)
         return da * x0 + ds * other
     return other - x0
-
-
-def convert(param_in: str, param_out: str, schedule: PathSchedule, x_t, t, value):
-    """Convert among velocity/noise/score heads at (x_t, t).
-
-    Identities (diffusion kinds): score = -eps/sigma and v = f x_t -
-    (g^2/2) score, so noise -> velocity is v = f x_t + g^2/(2 sigma) eps.
-    Works on Tensors (stays on the tape) or arrays. icfm has no score, so
-    only the velocity identity is defined there.
-    """
-    for p in (param_in, param_out):
-        if p not in PARAMETERIZATIONS:
-            raise ValueError(f"unknown parameterization {p!r}")
-    if param_in == param_out:
-        return value
-    if not schedule.is_diffusion:
-        raise UnsupportedKindError("icfm supports only the velocity parameterization")
-    t = schedule.clip(np.asarray(t, dtype=float))
-    _, sigma = alpha_sigma(schedule, t)
-    if np.any(sigma < _SIGMA_FLOOR):
-        raise NumericDomainError("sigma_t below floor in conversion")
-    f, g2 = drift_diffusion(schedule, t)
-
-    # canonicalize to score
-    if param_in == "score":
-        score = value
-    elif param_in == "noise":
-        score = value * (-1.0 / sigma)
-    else:  # velocity -> score
-        score = (x_t * f - value) * (2.0 / g2)
-
-    if param_out == "score":
-        return score
-    if param_out == "noise":
-        return score * (-sigma)
-    return x_t * f - score * (0.5 * g2)
 
 
 def prior_logpdf(z: np.ndarray) -> np.ndarray:

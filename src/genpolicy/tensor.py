@@ -108,14 +108,12 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
     __array_ufunc__ = None  # ``array * tensor`` defers to Tensor.__rmul__
 
-    def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None, _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _float_array(data)
         self.grad = None
         self.requires_grad = requires_grad
-        self._prev = _prev
-        self._backward = _backward
-        self._op = _op
-        _check_finite(self.data, _op)
+        self._prev, self._backward, self._op = (), None, "leaf"
+        _check_finite(self.data, "leaf")
 
     # -- introspection -------------------------------------------------
 
@@ -316,9 +314,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t._accum(out.grad[tuple(idx)])
 
-    needs = _RECORDING and any(t.requires_grad or t._prev for t in tensors)
-    return Tensor(out_data, _prev=tuple(tensors) if needs else (),
-                  _backward=bwd if needs else None, _op="concat")
+    return tensors[0]._node(out_data, tuple(tensors), bwd, "concat")
 
 
 def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -14,8 +16,8 @@ from genpolicy.checkpoint import (_read, _write, copy_policy, load_critic, load_
                                   save_policy)
 from genpolicy.config import ExperimentConfig, load_config
 from genpolicy.critic import Critic, CriticConfig
-from genpolicy.data import (OfflineDataset, assign_value_nearest, make_tilted_gaussian_bandit,
-                            save_dataset)
+from genpolicy.data import (OfflineDataset, assign_value_nearest, csv_lines,
+                            make_tilted_gaussian_bandit, save_dataset, write_csv)
 from genpolicy.errors import ConfigError, DataFormatError
 from genpolicy.policy import GenerativePolicy, PolicyConfig
 from genpolicy.sampler import SolverSpec
@@ -187,6 +189,25 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError):
             load_policy(path)
 
+    def test_critic_bytes_follow_the_documented_layout(self, tmp_path):
+        # magic, u32 version 1, u64 header length, sorted-key JSON header,
+        # then every array as little-endian float64 in C order
+        critic = Critic(1, 1, CriticConfig(hidden=(2,)), np.random.default_rng(0))
+        path = tmp_path / "c.ckpt"
+        save_critic(critic, str(path))
+        params = [("q", critic.q_net), ("v", critic.v_net)]
+        arrays = [(f"{prefix}.{kind}{i}", p.data) for prefix, net in params
+                  for i, (w, b) in enumerate(zip(net.weights, net.biases))
+                  for kind, p in (("w", w), ("b", b))]
+        header = json.dumps({
+            "kind": "critic",
+            "config": {"state_dim": 1, "action_dim": 1, "tau": 0.7, "gamma": 0.99, "lr": 0.0001,
+                       "hidden": [2], "steps": 20000, "batch_size": 256},
+            "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+        }, sort_keys=True).encode("utf-8")
+        blobs = b"".join(struct.pack(f"<{a.size}d", *a.ravel().tolist()) for _, a in arrays)
+        assert path.read_bytes() == b"GPCK" + struct.pack("<IQ", 1, len(header)) + header + blobs
+
 
 def _garbled(blob: bytes, pos: int, xor: int) -> bytes:
     """``blob`` cut to ``pos % len`` bytes (xor 0), or with that byte xor-ed."""
@@ -231,7 +252,7 @@ class TestCsvFormat:
     VALUES = [0, 7, np.int64(-3), *EDGES, *np.array(EDGES), None, "", "tag"]
 
     def test_values_are_pinned(self):
-        assert "".join(cli._csv_lines([[-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 3,
+        assert "".join(csv_lines([[-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 3,
                                         np.int64(-3), None, "x"]])) == (
             "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,3,-3,,x\n")
 
@@ -242,7 +263,7 @@ class TestCsvFormat:
         rows = [self.VALUES, self.VALUES[::-1], *([i, *r] for i, r in enumerate(table)),
                 *([i, *r] for i, r in enumerate(table.tolist()))]
         path = tmp_path / "table.csv"
-        cli._write_csv(str(path), ["a", "b"], rows)
+        write_csv(str(path), ["a", "b"], rows)
         assert path.read_bytes() == ("# a,b\n" + "".join(map(_reference_line, rows))).encode()
         columns = [f"c{i}" for i in range(len(self.VALUES))] + ["missing"]
         writer = cli.MetricsWriter(str(tmp_path / "metrics.csv"), columns)
@@ -431,6 +452,12 @@ class TestExitCodes:
         ("train-critic", "critic.hidden=-4"),
         ("pretrain", "model.hidden=0"),
         ("pretrain", "model.hidden=-4"),
+        *[(command, "task.seed=-1") for command in cli.COMMANDS],
+        ("make-data", "task.dims=0"),
+        ("pretrain", "model.t_emb_width=3"),
+        ("pretrain", "model.t_emb_width=0"),
+        ("make-data", "task.kind=bogus"),
+        ("make-data", "task.kind=file"),  # and no task.path
     ])
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
         # the tiny task is a 1-d bandit with a 1-d state; every file the command
@@ -442,7 +469,9 @@ class TestExitCodes:
         files = {"train-gmpo": ["--critic", critic_ckpt, "--behavior", policy_ckpt],
                  "train-gmpg": ["--critic", critic_ckpt, "--behavior", policy_ckpt],
                  "logprob": ["--checkpoint", policy_ckpt],
-                 "sample": ["--checkpoint", policy_ckpt]}.get(command, [])
+                 "sample": ["--checkpoint", policy_ckpt],
+                 "eval": ["--checkpoint", policy_ckpt],
+                 "export-trajectories": ["--checkpoint", policy_ckpt]}.get(command, [])
         out = str(tmp_path / "o")
         proc = run_cli(command, *tiny_args(out, [override]), *files, check=False)
         assert proc.returncode == 2, proc.stderr

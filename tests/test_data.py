@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import tempfile
 import tracemalloc
 
@@ -137,6 +139,21 @@ class TestIO:
             back = load_dataset(str(path))
             assert back.n == 0
             assert back.action_dim == 2 or name.endswith(".csv")  # csv infers dims from header
+
+
+def test_binary_dataset_bytes_follow_the_documented_layout(tmp_path):
+    # magic, u32 version 1, u64 header length, sorted-key JSON header (no
+    # "arrays" key), then s, a, r, s2, done as little-endian float64 in C order
+    columns = {"s": [[0.0], [-0.0]], "a": [[0.5, -1.0], [2.0, 5e-324]], "r": [1.0, -3.25],
+               "s2": [[1.0], [2.0]], "done": [1.0, 0.0]}
+    ds = OfflineDataset(**columns, metadata={"task": "tiny", "seed": 3})
+    path = tmp_path / "d.gpds"
+    save_dataset(ds, str(path))
+    header = json.dumps({"n": 2, "state_dim": 1, "action_dim": 2,
+                         "metadata": {"task": "tiny", "seed": 3}}, sort_keys=True).encode("utf-8")
+    flat = [np.ravel(columns[name]).tolist() for name in ("s", "a", "r", "s2", "done")]
+    blobs = b"".join(struct.pack(f"<{len(v)}d", *v) for v in flat)
+    assert path.read_bytes() == b"GPDS" + struct.pack("<IQ", 1, len(header)) + header + blobs
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ from genpolicy.model import GenerativeModel
 from genpolicy.nn import FieldNetwork
 from genpolicy.optim import Adam
 from genpolicy.sampler import SolverSpec, generate
-from genpolicy.schedules import PathSchedule, alpha_sigma, convert, sample_path_point, target_velocity
+from genpolicy.schedules import PathSchedule, alpha_sigma, sample_path_point, target_velocity
 from genpolicy.tensor import Tensor
 
 from oracles import param_grad_check
@@ -31,6 +31,36 @@ class _Oracle:
 
     def __call__(self, x, t, condition=None):
         return Tensor(self.fn(x.data, t.data))
+
+
+class _Recorder:
+    """Model stub that keeps the points it is evaluated at and outputs zeros."""
+
+    def __init__(self, parameterization):
+        self.parameterization = parameterization
+        self.seen = []
+
+    def __call__(self, x, t, condition=None):
+        self.seen.append(x.data)
+        return Tensor(np.zeros_like(x.data))
+
+
+@pytest.mark.parametrize("objective", ["dsm", "cfm-gvp", "cfm-icfm"])
+def test_losses_evaluate_the_head_at_the_path_point(objective):
+    rng = np.random.default_rng(8)
+    x0, other, eps = (rng.standard_normal((6, 2)) for _ in range(3))
+    noisy_icfm = PathSchedule("icfm", path_sigma=0.3)
+    schedule = noisy_icfm if objective == "cfm-icfm" else GVP
+    t = draw_times(schedule, 6, rng)
+    if objective == "dsm":
+        head = _Recorder("score")
+        dsm_loss(head, GVP, x0, np.ones(6), None, draws=(t, eps))
+        want = sample_path_point(GVP, x0, eps, t)
+    else:
+        head = _Recorder("velocity")
+        cfm_loss(head, schedule, x0, other, np.ones(6), None, draws=(t, eps))
+        want = sample_path_point(schedule, x0, other, t, eps)
+    assert head.seen[0].tobytes() == want.tobytes()
 
 
 class TestDsmLoss:
@@ -204,7 +234,7 @@ class TestSharedProperties:
         pts = np.array([[0.6, -0.2], [-0.9, 0.9], [0.1, 1.1], [1.0, 0.5]])
         rels = []
         for t in [0.3, 0.5, 0.7]:
-            v_from_score = convert("score", "velocity", GVP, pts, t, score_model(Tensor(pts), t).data)
+            v_from_score = score_model.velocity(Tensor(pts), t).data
             v_direct = vel_model(Tensor(pts), t).data
             rels.append(np.abs(v_from_score - v_direct).mean() / np.abs(v_direct).mean())
         assert np.mean(rels) < 0.15

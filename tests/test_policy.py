@@ -63,8 +63,12 @@ class TestWeights:
         critic = LinearCritic()
         w = gmpo_weight(critic, np.zeros((2, 1)), np.ones(2), beta=0.0)
         assert np.array_equal(w, np.ones(2))
-        with pytest.raises(ValueError):
-            gmpo_weight(critic, np.zeros((2, 1)), np.ones(2), beta=-1.0)
+        # one rule for both weightings: a temperature is finite and >= 0
+        for beta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                gmpo_weight(critic, np.zeros((2, 1)), np.ones(2), beta=beta)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                softmax_candidate_weights(np.zeros((2, 3)), beta=beta)
 
     def test_softmax_weights_normalize_and_shift_invariant(self):
         q = np.random.default_rng(0).standard_normal((4, 8))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpolicy.errors import NumericDomainError, UnsupportedKindError
-from genpolicy.schedules import (PathSchedule, alpha_sigma, alpha_sigma_prime, convert,
-                                 drift_diffusion, prior_logpdf, sample_path_point,
-                                 target_score, target_velocity)
+from genpolicy.model import GenerativeModel
+from genpolicy.schedules import (PathSchedule, alpha_sigma, alpha_sigma_prime, drift_diffusion,
+                                 prior_logpdf, sample_path_point, target_velocity)
+from genpolicy.tensor import Tensor
 
 GVP = PathSchedule("gvp")
 VPSDE = PathSchedule("vpsde")
@@ -88,44 +89,31 @@ class TestDriftDiffusion:
 class TestPathPoints:
     def test_diffusion_t0_is_data(self):
         x0 = np.array([[1.5, -2.0]])
-        xt, eps = sample_path_point(GVP, x0, np.zeros((1, 2)), 0.0)
+        xt = sample_path_point(GVP, x0, np.zeros((1, 2)), 0.0)
         assert np.array_equal(xt, x0)
 
     def test_icfm_midpoint(self):
-        xt, _ = sample_path_point(ICFM, np.array([0.0, 0.0]), np.array([2.0, 4.0]), 0.5)
+        xt = sample_path_point(ICFM, np.array([0.0, 0.0]), np.array([2.0, 4.0]), 0.5)
         assert np.allclose(xt, [1.0, 2.0])
 
+    def test_icfm_path_noise_added_when_given(self):
+        noisy = PathSchedule("icfm", path_sigma=0.5)
+        x0, x1, eps = np.zeros(2), np.array([2.0, 4.0]), np.array([1.0, -2.0])
+        xt = sample_path_point(noisy, x0, x1, 0.5, eps)
+        assert np.array_equal(xt, np.array([1.0, 2.0]) + 0.5 * eps)
+        assert np.array_equal(sample_path_point(noisy, x0, x1, 0.5), [1.0, 2.0])
+
     def test_gvp_midpoint_mix(self):
-        xt, _ = sample_path_point(GVP, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
+        xt = sample_path_point(GVP, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
         assert np.allclose(xt, [0.7071068, 0.7071068], atol=1e-6)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sample_path_point(GVP, np.zeros(2), np.zeros(3), 0.5)
-
-    def test_rng_draw_returned(self):
-        rng = np.random.default_rng(0)
-        x0 = np.zeros((4, 2))
-        xt, eps = sample_path_point(GVP, x0, None, 0.5, rng)
-        a, s = alpha_sigma(GVP, 0.5)
-        assert np.allclose(xt, s * eps)
+        for sched in (GVP, ICFM):
+            with pytest.raises(ValueError):
+                sample_path_point(sched, np.zeros(2), np.zeros(3), 0.5)
 
 
 class TestTargets:
-    def test_score_zero_at_mean(self):
-        x0 = np.array([0.3, -0.4])
-        a, _ = alpha_sigma(GVP, 0.5)
-        assert np.allclose(target_score(GVP, a * x0, x0, 0.5), 0.0)
-
-    def test_score_value_and_linearity(self):
-        x0 = np.zeros(2)
-        a, s = alpha_sigma(GVP, 0.5)
-        eps = np.array([1.0, 0.0])
-        sc = target_score(GVP, a * x0 + s * eps, x0, 0.5)
-        assert np.allclose(sc, [-1.41421, 0.0], atol=1e-5)  # -eps/sigma
-        sc2 = target_score(GVP, a * x0 + s * (2 * eps), x0, 0.5)
-        assert np.allclose(sc2, 2 * sc)
-
     def test_velocity_icfm_constant(self):
         for t in [0.0, 0.3, 1.0]:
             v = target_velocity(ICFM, np.array([0.0, 0.0]), np.array([2.0, 4.0]), t)
@@ -140,56 +128,62 @@ class TestTargets:
         assert np.abs(v).max() < 0.01  # alpha' ~ 0 near t=0, eps = 0
 
 
+class _FixedHead:
+    """A field network whose output is ``value`` whatever its input."""
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+
+    def __call__(self, x, t, condition=None):
+        return Tensor(np.broadcast_to(self.value, x.shape))
+
+
+def _velocity(parameterization, schedule, x_t, t, head_output):
+    """The velocity view of a head that outputs ``head_output`` at (x_t, t)."""
+    model = GenerativeModel(_FixedHead(head_output), parameterization, schedule)
+    return model.velocity(Tensor(np.atleast_2d(x_t)), t).data[0]
+
+
 class TestConvert:
+    """``GenerativeModel.velocity`` converts a score or noise head's output
+    into the velocity the sampler integrates."""
+
     def test_zero_score_gives_pure_drift(self):
         x_t = np.array([1.0, -2.0])
         f, _ = drift_diffusion(GVP, 0.3)
-        v = convert("score", "velocity", GVP, x_t, 0.3, np.zeros(2))
-        assert np.allclose(v, f * x_t)
+        assert np.allclose(_velocity("score", GVP, x_t, 0.3, np.zeros(2)), f * x_t)
 
     def test_noise_to_velocity_consistent_sign(self):
-        # noise -> velocity must agree with the conditional-velocity
-        # identity f sigma + g^2/(2 sigma) = sigma', which fixes the sign
-        # of the eps coefficient to be positive.
-        x_t = np.array([1.0, 0.0])
-        eps = np.array([0.0, 1.0])
-        v = convert("noise", "velocity", GVP, x_t, 0.5, eps)
+        # the noise head's eps coefficient c must satisfy the
+        # conditional-velocity identity f sigma + g^2/(2 sigma) = sigma',
+        # which makes it positive
+        v = _velocity("noise", GVP, np.array([1.0, 0.0]), 0.5, np.array([0.0, 1.0]))
         assert np.allclose(v, [-1.5708, 2.2214], atol=1e-4)
-
-    def test_composition_consistency(self):
-        rng = np.random.default_rng(1)
-        x_t = rng.standard_normal(3)
-        eps = rng.standard_normal(3)
-        direct = convert("noise", "velocity", VPSDE, x_t, 0.4, eps)
-        s = convert("noise", "score", VPSDE, x_t, 0.4, eps)
-        via = convert("score", "velocity", VPSDE, x_t, 0.4, s)
-        assert np.allclose(direct, via, rtol=1e-10)
-
-    def test_cycle_is_identity(self):
-        rng = np.random.default_rng(2)
-        x_t = rng.standard_normal(4)
-        val = rng.standard_normal(4)
         for sched in (GVP, VPSDE):
-            for t in [0.2, 0.5, 0.8]:
-                out = val
-                for a, b in [("velocity", "score"), ("score", "noise"), ("noise", "velocity")]:
-                    out = convert(a, b, sched, x_t, t, out)
-                assert np.allclose(out, val, rtol=1e-10)
+            for t in [0.1, 0.5, 0.9]:
+                c = _velocity("noise", sched, np.zeros(1), t, np.ones(1))[0]
+                f, _ = drift_diffusion(sched, t)
+                _, sigma = alpha_sigma(sched, t)
+                _, dsigma = alpha_sigma_prime(sched, t)
+                assert c > 0
+                assert f * sigma + c == pytest.approx(dsigma, rel=1e-12)
 
     def test_pointwise_score_velocity_identity_on_grid(self):
+        # target velocity = f x_t - g^2/2 * closed-form score of p(x_t | x0)
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(2)
         eps = rng.standard_normal(2)
         for sched in (GVP, VPSDE):
             for t in np.linspace(0.01, 0.99, 101):
-                xt, _ = sample_path_point(sched, x0, eps, t)
+                xt = sample_path_point(sched, x0, eps, t)
+                alpha, sigma = alpha_sigma(sched, t)
+                score = -(xt - alpha * x0) / (sigma * sigma)
                 v_direct = target_velocity(sched, x0, eps, t)
-                v_via = convert("score", "velocity", sched, xt, t, target_score(sched, xt, x0, t))
-                assert np.allclose(v_direct, v_via, rtol=1e-8)
+                assert np.allclose(v_direct, _velocity("score", sched, xt, t, score), rtol=1e-8)
 
     def test_icfm_has_no_score(self):
-        with pytest.raises(UnsupportedKindError):
-            convert("score", "velocity", ICFM, np.zeros(2), 0.5, np.zeros(2))
+        with pytest.raises(ValueError):
+            GenerativeModel(_FixedHead(np.zeros(2)), "score", ICFM)
 
 
 def test_prior_logpdf_matches_formula():

@@ -3,6 +3,7 @@ against its own reference computations; a renamed or deleted name, or a
 kernel that drifts from a reference, must fail here rather than in a
 benchmark run."""
 
+import importlib
 import importlib.util
 import json
 import sys
@@ -10,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from genpolicy.data import assign_value_nearest, make_tilted_gaussian_bandit
 
@@ -23,6 +25,18 @@ def test_every_traced_name_resolves():
     missing = [name for owner, attr, name in tracing.TARGETS
                if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("script", ["run_bandit.py", "run_swiss_roll.py"])
+def test_package_and_experiment_scripts_import(script):
+    # the scripts run their experiment only under ``__main__``, so importing
+    # them resolves every genpolicy name they use and runs nothing
+    importlib.import_module("genpolicy")
+    path = TRACING.parents[1] / "scripts" / script
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def _load(name: str):
