@@ -13,6 +13,6 @@ from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmp
 from .sampler import SolverSpec, Trajectory, generate, integrate
 from .schedules import (PathSchedule, alpha_sigma, drift_diffusion, sample_path_point,
                         target_velocity)
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 __version__ = "0.1.0"

@@ -53,20 +53,9 @@ class MetricsWriter:
             fh.writelines(csv_lines([[values.get(c, "") for c in self.columns]]))
 
 
-def export_trajectories(policy: GenerativePolicy, states: np.ndarray, solver: SolverSpec,
-                        rng: np.random.Generator, path: str) -> int:
-    """Generate one action per state row and write every grid point of
-    every path as (sample_id, k, t, raw action); returns the grid size."""
-    _, traj = generate(policy.model, states.shape[0], solver, condition=states, rng=rng,
-                       record=True)
-    raw, times = policy.denormalize(traj.states).tolist(), traj.times.tolist()
-    columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(traj.states.shape[2])]
-    write_csv(path, columns, ([i, k, t, *raw[k][i]] for i in range(states.shape[0])
-                              for k, t in enumerate(times)))
-    return len(traj.times)
-
-
 def _build_dataset(cfg: ExperimentConfig, path_override: str | None) -> OfflineDataset:
+    """The dataset a stage reads. A generated one that fails validation
+    (a non-finite value) is a config error: the task settings made it."""
     if path_override:
         return load_dataset(path_override)
     task = cfg.task
@@ -74,11 +63,13 @@ def _build_dataset(cfg: ExperimentConfig, path_override: str | None) -> OfflineD
         if not task.path:
             raise ConfigError("task.kind=file needs task.path")
         return load_dataset(task.path)
-    if task.kind == "swiss_roll":
-        return make_swiss_roll(SwissRollTask(n=task.n, noise=task.noise, seed=task.seed))
-    if task.kind == "tilted_bandit":
-        ds, _ = make_tilted_gaussian_bandit(task.dims, task.beta_target, task.n, task.seed)
-        return ds
+    try:
+        if task.kind == "swiss_roll":
+            return make_swiss_roll(SwissRollTask(n=task.n, noise=task.noise, seed=task.seed))
+        if task.kind == "tilted_bandit":
+            return make_tilted_gaussian_bandit(task.dims, task.beta_target, task.n, task.seed)[0]
+    except DataFormatError as exc:
+        raise ConfigError(f"the task.* settings generate an invalid dataset: {exc}") from exc
     raise ConfigError(f"unknown task kind {task.kind!r}")
 
 
@@ -162,6 +153,10 @@ def _check_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"task.noise must be >= 0, got {cfg.task.noise}")
     if not cfg.model.t_emb_scale > 0:
         raise ConfigError(f"model.t_emb_scale must be > 0, got {cfg.model.t_emb_scale}")
+    if cfg.output.metric_every < 1:
+        raise ConfigError(f"output.metric_every must be >= 1, got {cfg.output.metric_every}")
+    if not cfg.output.dir:
+        raise ConfigError("output.dir must not be empty")
     try:
         schedule = _schedule(cfg)
         _solver(cfg)
@@ -207,11 +202,11 @@ def _eval_value(policy: GenerativePolicy, dataset: OfflineDataset, seed_key, n=2
     rng = np.random.default_rng(seed_key)
     states = dataset.s[np.arange(n) % dataset.n]
     actions = policy.sample_actions(states, rng)
-    return float(assign_value_nearest(dataset, actions).mean())
+    return float(assign_value_nearest(dataset, actions)[0].mean())
 
 
 def _policy_metrics_cb(writer: MetricsWriter, policy, dataset, cfg: ExperimentConfig):
-    every = max(1, cfg.output.metric_every)
+    every = cfg.output.metric_every
 
     def cb(step, metrics):
         row = {"step": step, **metrics}
@@ -343,14 +338,16 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
     out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
     actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
-    mean_value = float(assign_value_nearest(ds, actions).mean())
+    values, distances = assign_value_nearest(ds, actions)
+    mean_value, mean_distance = float(values.mean()), float(distances.mean())
     path = os.path.join(out, "eval.csv")
     d = actions.shape[1]
     columns = ["n"] + [f"mean_a{i}" for i in range(d)] + [f"std_a{i}" for i in range(d)]
-    write_csv(path, columns + ["mean_value"],
-              [[args.n, *actions.mean(axis=0), *actions.std(axis=0), mean_value]])
+    write_csv(path, columns + ["mean_value", "mean_distance"],
+              [[args.n, *actions.mean(axis=0), *actions.std(axis=0), mean_value, mean_distance]])
     print(f"eval: n={args.n} action_mean={actions.mean(axis=0)} "
-          f"action_std={actions.std(axis=0)} mean_value={mean_value:.4f}")
+          f"action_std={actions.std(axis=0)} mean_value={mean_value:.4f} "
+          f"mean_distance={mean_distance:.4f}")
 
 
 def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
@@ -360,10 +357,14 @@ def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     _check_inputs(ds, policy=policy)
     out = _prepare_out(cfg)
     states = ds.s[np.arange(args.n) % ds.n]
+    _, traj = generate(policy.model, args.n, policy.config.eval_solver, condition=states,
+                       rng=np.random.default_rng(cfg.task.seed), record=True)
+    raw, times = policy.denormalize(traj.states).tolist(), traj.times.tolist()
     path = os.path.join(out, "trajectories.csv")
-    points = export_trajectories(policy, states, policy.config.eval_solver,
-                                 np.random.default_rng(cfg.task.seed), path)
-    print(f"wrote {path} ({args.n} samples x {points} grid points)")
+    columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(traj.states.shape[2])]
+    write_csv(path, columns, ([i, k, t, *raw[k][i]] for i in range(args.n)
+                              for k, t in enumerate(times)))
+    print(f"wrote {path} ({args.n} samples x {len(times)} grid points)")
 
 
 COMMANDS = {

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .nn import Mlp
 from .optim import Adam, check_training_loop
-from .tensor import Tensor, concat, no_tape
+from .tensor import Tensor, no_tape
 
 
 def expectile_loss(u, tau: float) -> Tensor:
@@ -65,8 +65,8 @@ class Critic:
     # -- tensor paths (differentiable) --------------------------------
 
     def q_tensor(self, s, a: Tensor) -> Tensor:
-        s_t = s if isinstance(s, Tensor) else Tensor(np.asarray(s, dtype=float))
-        return self.q_net(concat([s_t, a], axis=1))
+        """Q(s, a); the array ``s`` is a constant prefix of the first layer."""
+        return self.q_net(a, prefix=[np.asarray(s, dtype=float)])
 
     def v_tensor(self, s) -> Tensor:
         s_t = s if isinstance(s, Tensor) else Tensor(np.asarray(s, dtype=float))

@@ -143,8 +143,9 @@ def make_tilted_gaussian_bandit(dims: int, beta_target: float, n: int,
 _NEAREST_BUDGET = 1 << 16
 
 
-def _nearest_index(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Row of ``reference`` nearest to each point (the first one on ties).
+def _nearest(points: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of ``reference`` nearest to each point (the first one on ties),
+    and the Euclidean distance to it.
 
     Sweeps one dimension at a time over blocks of point rows (see
     ``_NEAREST_BUDGET``): ``d2 = (p_0 - r_0)^2``, then ``d2 += (p_j - r_j)^2``
@@ -157,7 +158,7 @@ def _nearest_index(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
         raise ValueError(f"points of shape {points.shape} do not match reference rows "
                          f"of shape {reference.shape}")
     n, refs = points.shape[0], reference.shape[0]
-    idx = np.empty(n, dtype=np.intp)
+    idx, dist = np.empty(n, dtype=np.intp), np.empty(n)
     rows = max(1, _NEAREST_BUDGET // max(refs, 1))
     d2, term = np.empty((min(rows, n), refs)), np.empty((min(rows, n), refs))
     columns = [np.ascontiguousarray(reference[:, j]) for j in range(reference.shape[1])]
@@ -170,20 +171,19 @@ def _nearest_index(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
             np.subtract.outer(block[:, j], columns[j], out=buf)
             np.square(buf, out=buf)
             acc += buf
-        idx[lo:lo + rows] = acc.argmin(axis=1)
-    return idx
+        best = acc.argmin(axis=1)
+        idx[lo:lo + rows] = best
+        dist[lo:lo + rows] = acc[np.arange(block.shape[0]), best]
+    return idx, np.sqrt(dist, out=dist)
 
 
-def nearest_distances(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to its nearest reference row."""
-    diffs = points - reference[_nearest_index(points, reference)]
-    return np.sqrt((diffs ** 2).sum(axis=1))
-
-
-def assign_value_nearest(dataset: OfflineDataset, points: np.ndarray) -> np.ndarray:
-    """Value of arbitrary action points: the reward of the nearest dataset
-    action (the first one on ties), found by ``_nearest_index``."""
-    return dataset.r[_nearest_index(points, dataset.a)]
+def assign_value_nearest(dataset: OfflineDataset,
+                         points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value of arbitrary action points and their distance to the data
+    manifold: the reward of the nearest dataset action (the first one on
+    ties) and the distance to it, both from one ``_nearest`` search."""
+    idx, dist = _nearest(points, dataset.a)
+    return dataset.r[idx], dist
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -163,7 +163,6 @@ class GmpoConfig:
     steps: int = 2000
     batch_size: int = 64
     lr: float = 1e-4
-    lr_schedule: tuple = ()  # (step, new_lr) pairs applied mid-run
 
     def __post_init__(self):
         if self.weight_mode not in WEIGHT_MODES:
@@ -187,10 +186,7 @@ def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: 
     bit-identical.
     """
     opt = Adam(policy.parameters(), lr=config.lr)
-    lr_changes = dict(config.lr_schedule)
     for step in range(config.steps):
-        if step in lr_changes:
-            opt.lr = lr_changes[step]
         idx = rng.integers(0, dataset.n, size=min(config.batch_size, dataset.n))
         s, a, w, mean_adv = batch_fn(dataset.s[idx], dataset.a[idx])
         opt.zero_grad()

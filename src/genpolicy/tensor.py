@@ -301,22 +301,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._prev:
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(out.grad[tuple(idx)])
-
-    return tensors[0]._node(out_data, tuple(tensors), bwd, "concat")
-
-
 def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
           prefix=(), tangent=None) -> Tensor:
     """One MLP layer over stacked primal and tangent rows, as one node.

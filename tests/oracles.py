@@ -8,7 +8,7 @@ import numpy as np
 from genpolicy.critic import expectile_loss
 from genpolicy.errors import NonFiniteError, TrainingDivergedError
 from genpolicy.likelihood import TraceMode, _stderr_of, trace_with_jvp
-from genpolicy.tensor import Tensor, no_tape
+from genpolicy.tensor import Tensor, as_tensor, no_tape
 
 
 # -- tensor ops the library does not use ---------------------------------------
@@ -59,6 +59,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(a.data.T @ out.grad, fresh=True)
 
     return a._node(a.data @ b.data, (a, b), bwd, "matmul")
+
+
+def concat(tensors, axis: int = 1) -> Tensor:
+    """The Tensors joined along ``axis``; the reverse pass hands each its slice."""
+    tensors = [as_tensor(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+
+    def bwd(out):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad or t._prev:
+                t._accum(np.take(out.grad, np.arange(lo, hi), axis=axis), fresh=True)
+
+    return tensors[0]._node(np.concatenate([t.data for t in tensors], axis=axis),
+                            tuple(tensors), bwd, "concat")
 
 
 def zero_grad(params) -> None:

@@ -382,7 +382,7 @@ def test_train_gmpg_integrates_on_the_configured_solver(tmp_path):
     assert step0[0] == "0"
     states = ds.s[np.arange(256) % ds.n]
     actions = policy.sample_actions(states, np.random.default_rng([3, 0]), SolverSpec("euler", 5))
-    assert float(step0[-1]) == float(assign_value_nearest(ds, actions).mean())
+    assert float(step0[-1]) == float(assign_value_nearest(ds, actions)[0].mean())
 
 
 class TestExitCodes:
@@ -458,10 +458,16 @@ class TestExitCodes:
         ("pretrain", "model.t_emb_width=0"),
         ("make-data", "task.kind=bogus"),
         ("make-data", "task.kind=file"),  # and no task.path
+        *[(command, "output.metric_every=-1") for command in ("train-gmpo", "train-gmpg")],
+        ("pretrain", "output.metric_every=0"),
+        ("make-data", "output.dir="),
+        ("make-data", "task.kind=swiss_roll task.noise=1e308"),  # a non-finite generated action
+        ("train-critic", "task.kind=swiss_roll task.noise=1e308"),
     ])
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
         # the tiny task is a 1-d bandit with a 1-d state; every file the command
-        # reads exists, so only the config value can stop it
+        # reads exists, so only the config value can stop it. ``override`` holds
+        # space-separated settings, applied after the output directory.
         policy_ckpt, critic_ckpt = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
         save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
                                      np.random.default_rng(0)), policy_ckpt)
@@ -473,9 +479,10 @@ class TestExitCodes:
                  "eval": ["--checkpoint", policy_ckpt],
                  "export-trajectories": ["--checkpoint", policy_ckpt]}.get(command, [])
         out = str(tmp_path / "o")
-        proc = run_cli(command, *tiny_args(out, [override]), *files, check=False)
+        settings = [arg for kv in override.split() for arg in ("--set", kv)]
+        proc = run_cli(command, *tiny_args(out), *settings, *files, check=False)
         assert proc.returncode == 2, proc.stderr
-        assert "config error" in proc.stderr
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("override", [

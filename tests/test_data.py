@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genpolicy.data import (_NEAREST_BUDGET, OfflineDataset, SwissRollTask, _nearest_index,
+from genpolicy.data import (_NEAREST_BUDGET, OfflineDataset, SwissRollTask, _nearest,
                             assign_value_nearest, load_dataset, make_swiss_roll,
-                            make_tilted_gaussian_bandit, nearest_distances, save_dataset)
+                            make_tilted_gaussian_bandit, save_dataset)
 from genpolicy.errors import DataFormatError
 
 
@@ -178,10 +178,11 @@ def test_garbled_binary_dataset_loads_or_raises_format_error(pos, xor):
 def test_nearest_helpers():
     ref = np.array([[0.0, 0.0], [10.0, 0.0]])
     pts = np.array([[1.0, 0.0], [9.0, 0.0]])
-    assert np.allclose(nearest_distances(pts, ref), [1.0, 1.0])
     ds = OfflineDataset(s=np.zeros((2, 1)), a=ref, r=np.array([5.0, 7.0]),
                         s2=np.zeros((2, 1)), done=np.ones(2))
-    assert np.allclose(assign_value_nearest(ds, pts), [5.0, 7.0])
+    values, distances = assign_value_nearest(ds, pts)
+    assert np.allclose(values, [5.0, 7.0])
+    assert np.allclose(distances, [1.0, 1.0])
 
 
 def _brute_force(pts, ref):
@@ -206,10 +207,10 @@ def test_chunked_nearest_search_matches_brute_force(d, refs):
     r = rng.standard_normal(refs)
     ds = OfflineDataset(s=np.zeros((refs, 1)), a=ref, r=r, s2=np.zeros((refs, 1)),
                         done=np.ones(refs))
-    assert np.array_equal(assign_value_nearest(ds, pts), r[want_idx])
-    assert nearest_distances(pts, ref).tobytes() == want_dist.tobytes()
-    assert assign_value_nearest(ds, pts[:0]).shape == (0,)
-    assert nearest_distances(pts[:0], ref).shape == (0,)
+    values, distances = assign_value_nearest(ds, pts)
+    assert np.array_equal(values, r[want_idx])
+    assert distances.tobytes() == want_dist.tobytes()
+    assert [x.shape for x in assign_value_nearest(ds, pts[:0])] == [(0,), (0,)]
 
 
 def test_nearest_index_matches_brute_force_beyond_seven_dims():
@@ -217,7 +218,7 @@ def test_nearest_index_matches_brute_force_beyond_seven_dims():
     # only the indices are compared
     rng = np.random.default_rng(9)
     ref, pts = rng.standard_normal((500, 9)), rng.standard_normal((300, 9))
-    assert np.array_equal(_nearest_index(pts, ref), _brute_force(pts, ref)[0])
+    assert np.array_equal(_nearest(pts, ref)[0], _brute_force(pts, ref)[0])
 
 
 @pytest.mark.parametrize("pts_shape, ref_shape", [((3, 3), (4, 2)), ((3, 1), (4, 2)),
@@ -225,7 +226,7 @@ def test_nearest_index_matches_brute_force_beyond_seven_dims():
 def test_nearest_index_rejects_mismatched_or_empty_reference(pts_shape, ref_shape):
     # a point with extra columns would otherwise be searched on its first ones only
     with pytest.raises(ValueError):
-        _nearest_index(np.zeros(pts_shape), np.zeros(ref_shape))
+        _nearest(np.zeros(pts_shape), np.zeros(ref_shape))
 
 
 def test_nearest_search_memory_is_one_block():

@@ -4,9 +4,9 @@ import pytest
 from genpolicy.errors import NonFiniteError
 from genpolicy.nn import FieldNetwork, GaussianFourier, Mlp
 from genpolicy.optim import Adam
-from genpolicy.tensor import Tensor, concat
+from genpolicy.tensor import Tensor
 
-from oracles import grad_check, matmul, tanh, zero_grad
+from oracles import concat, grad_check, matmul, tanh, zero_grad
 
 
 def test_param_count_matches_layer_formula():

@@ -161,23 +161,6 @@ class TestGmpo:
         assert samples.mean() > 0.4  # tilted toward high-reward actions
 
 
-    def test_softmax_mode_applies_lr_schedule(self):
-        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=3)
-        behavior = small_policy(seed=17, hidden=(8,))
-        behavior.set_normalizer_from(ds)
-        pol = small_policy(seed=18, hidden=(8,))
-        pol.set_normalizer_from(ds)
-        cfg = GmpoConfig(beta=1.0, weight_mode="softmax", k_candidates=2, steps=4,
-                         batch_size=4, lr=1e-2, lr_schedule=((2, 0.0),))
-        snapshots = []
-        train_gmpo(ds, LinearCritic(), pol, cfg, np.random.default_rng(19), behavior=behavior,
-                   on_step=lambda step, m: snapshots.append(
-                       [p.data.copy() for p in pol.parameters()]))
-        moved = any(not np.array_equal(a, b) for a, b in zip(snapshots[0], snapshots[1]))
-        assert moved  # lr 1e-2 for steps 0 and 1
-        for later in snapshots[2:]:  # lr 0 from step 2 on
-            assert all(np.array_equal(a, b) for a, b in zip(snapshots[1], later))
-
     def test_exp_clamp_evaluates_advantage_once_per_step(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=4)
         critic = CountingCritic(v0=0.25)

@@ -1,11 +1,14 @@
 """The benchmark wraps program names by attribute lookup and checks outputs
 against its own reference computations; a renamed or deleted name, or a
 kernel that drifts from a reference, must fail here rather than in a
-benchmark run."""
+benchmark run. Likewise the experiment configs and their runner must fail
+here, at a tiny size, rather than minutes into a full-size run."""
 
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -27,16 +30,63 @@ def test_every_traced_name_resolves():
     assert not missing
 
 
-@pytest.mark.parametrize("script", ["run_bandit.py", "run_swiss_roll.py"])
-def test_package_and_experiment_scripts_import(script):
-    # the scripts run their experiment only under ``__main__``, so importing
-    # them resolves every genpolicy name they use and runs nothing
+def test_package_imports():
     importlib.import_module("genpolicy")
-    path = TRACING.parents[1] / "scripts" / script
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+
+
+EXPERIMENTS = sorted((TRACING.parents[1] / "scripts" / "experiments").glob("*.ini"))
+RUNNER = TRACING.parents[1] / "scripts" / "run_experiment.py"
+# Every file a stage of the runner documents, besides resolved.ini.
+RUNNER_FILES = {
+    "make-data": ["dataset.gpds"], "train-critic": ["critic.ckpt", "metrics.csv"],
+    "pretrain": ["behavior.ckpt", "metrics.csv"], "train-gmpo": ["policy.ckpt", "metrics.csv"],
+    "train-gmpg": ["policy.ckpt", "metrics.csv"],
+    **{f"eval.{name}": ["eval.csv"] for name in ("behavior", "gmpo", "gmpg")},
+    **{f"export-trajectories.{name}": ["trajectories.csv"] for name in ("gmpo", "gmpg")},
+}
+TINY_EXPERIMENT = ["task.n=256", "model.hidden=8,8", "model.t_emb_width=4", "critic.hidden=8,8",
+                   "critic.steps=20", "policy.steps=20", "policy.batch_size=32",
+                   "policy.gmpg_steps=2", "policy.gmpg_batch_size=16", "policy.t_train=4",
+                   "solver.steps=4", "output.metric_every=10"]
+
+
+@pytest.mark.parametrize("ini", EXPERIMENTS, ids=lambda p: p.name)
+def test_experiment_config_passes_the_cli_checks(ini):
+    # a renamed or removed key fails here instead of minutes into a run
+    from genpolicy import cli
+    from genpolicy.config import load_config
+    cli._check_config(load_config(str(ini)))
+
+
+@pytest.mark.parametrize("name", ["bandit.ini", "swiss_roll.ini"])
+def test_run_experiment_runs_every_stage(tmp_path, name):
+    ini = RUNNER.parent / "experiments" / name
+    settings = [arg for kv in TINY_EXPERIMENT for arg in ("--set", kv)]
+    proc = subprocess.run([sys.executable, str(RUNNER), str(ini), "--out", str(tmp_path), *settings],
+                          capture_output=True, text=True,
+                          env={**os.environ, "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == sorted(RUNNER_FILES)
+    for label, files in RUNNER_FILES.items():
+        assert sorted(os.listdir(tmp_path / label)) == sorted(files + ["resolved.ini"]), label
+    for policy in ("behavior", "gmpo", "gmpg"):
+        with open(tmp_path / f"eval.{policy}" / "eval.csv", encoding="utf-8") as fh:
+            header, row = fh.read().splitlines()
+        assert header.endswith(",mean_value,mean_distance")
+        assert float(row.split(",")[-1]) >= 0.0
+
+
+def test_run_experiment_stops_at_the_first_failing_stage(tmp_path):
+    # train-gmpg refuses a tape beyond physical memory (exit 2) after the
+    # stages before it have run; nothing after it runs
+    spec = importlib.util.spec_from_file_location("run_experiment", RUNNER)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    settings = [arg for kv in TINY_EXPERIMENT + ["policy.t_train=1000000000"]
+                for arg in ("--set", kv)]
+    ini = RUNNER.parent / "experiments" / "bandit.ini"
+    assert runner.main([str(ini), "--out", str(tmp_path), *settings]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["make-data", "pretrain", "train-critic", "train-gmpo"]
 
 
 def _load(name: str):
@@ -108,7 +158,7 @@ def test_eval_value_matches_the_benchmark_reference(monkeypatch):
     ds, _ = make_tilted_gaussian_bandit(2, 1.0, 4096, seed=5)
     pts = np.random.default_rng(6).standard_normal((2048, 2)) + 1.0
     want = verify.nearest_mean_value(pts, ds.a, ds.r)
-    got = float(assign_value_nearest(ds, pts).mean())
+    got = float(assign_value_nearest(ds, pts)[0].mean())
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
