@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE")
     args = parser.parse_args(argv)
-    out = os.path.abspath(args.out)  # an absolute output.dir ignores GENPOLICY_OUTPUT_ROOT
+    out = os.path.abspath(args.out)
     settings = [arg for kv in args.overrides for arg in ("--set", kv)]
     start = time.perf_counter()
     for label, stage in stages(out):

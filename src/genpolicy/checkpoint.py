@@ -4,8 +4,9 @@ Layout: the dataset's binary container (``data.write_container``) with
 magic ``GPCK``: u32 version (1), u64 header length, UTF-8 JSON header,
 then raw little-endian float64 C-order parameter blobs in the order of
 the header's ``arrays`` list. The header carries everything needed to
-rebuild the object (architecture, schedule constants, normalizer, solver
-defaults), so a load never depends on the saving process's rng. A
+rebuild the object (its config dataclass's fields, exactly: architecture,
+schedule constants, solver defaults), and the arrays the normalizer and
+weights, so a load never depends on the saving process's rng. A
 policy's state is that (header, arrays) pair; ``copy_policy`` rebuilds a
 policy from copies of it, the same way a load does. A load checks the
 file against its header (array shapes against the architecture, byte
@@ -16,6 +17,8 @@ activation, always "tanh"; a load refuses any other as
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -72,25 +75,18 @@ def _load_mlp(prefix: str, mlp, arrays: dict) -> None:
         b.data = _take(arrays, f"{prefix}.b{i}", b.data)
 
 
-def _schedule_dict(s: PathSchedule) -> dict:
-    return {"kind": s.kind, "beta_min": s.beta_min, "beta_max": s.beta_max,
-            "path_sigma": s.path_sigma, "t_clip": s.t_clip}
+def _config(cls, values: dict):
+    """``cls(**values)`` from a header written with ``asdict``: the keys
+    must be exactly ``cls``'s fields, so none falls back to a default."""
+    names = sorted(f.name for f in fields(cls))
+    if sorted(values) != names:
+        raise DataFormatError(f"{cls.__name__} keys {sorted(values)}, expected {names}")
+    return cls(**values)
 
 
 def _policy_state(policy: GenerativePolicy) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     """Everything that defines a policy: its header and its named arrays."""
-    cfg = policy.config
-    header = {
-        "kind": "policy",
-        "config": {
-            "state_dim": cfg.state_dim, "action_dim": cfg.action_dim,
-            "hidden": list(cfg.hidden), "t_emb_width": cfg.t_emb_width,
-            "t_emb_scale": cfg.t_emb_scale, "activation": "tanh",
-            "parameterization": cfg.parameterization,
-            "schedule": _schedule_dict(cfg.schedule),
-            "eval_solver": {"scheme": cfg.eval_solver.scheme, "steps": cfg.eval_solver.steps},
-        },
-    }
+    header = {"kind": "policy", "config": {**asdict(policy.config), "activation": "tanh"}}
     arrays = [("t_emb.freqs", policy.model.net.t_emb.freqs),
               ("action_mean", policy.action_mean), ("action_std", policy.action_std)]
     arrays += _mlp_arrays("net", policy.model.net.mlp)
@@ -99,14 +95,13 @@ def _policy_state(policy: GenerativePolicy) -> tuple[dict, list[tuple[str, np.nd
 
 def _policy_from_state(header: dict, arrays: dict) -> GenerativePolicy:
     """Rebuild a policy from ``_policy_state``'s header and arrays (taken, not copied)."""
-    c = header["config"]
-    if c["activation"] != "tanh":
-        raise DataFormatError(f"unsupported activation {c['activation']!r}; layers are tanh")
-    cfg = PolicyConfig(
-        state_dim=c["state_dim"], action_dim=c["action_dim"], hidden=tuple(c["hidden"]),
-        t_emb_width=c["t_emb_width"], t_emb_scale=c["t_emb_scale"],
-        parameterization=c["parameterization"], schedule=PathSchedule(**c["schedule"]),
-        eval_solver=SolverSpec(**c["eval_solver"]))
+    c = dict(header["config"])
+    activation = c.pop("activation")
+    if activation != "tanh":
+        raise DataFormatError(f"unsupported activation {activation!r}; layers are tanh")
+    cfg = _config(PolicyConfig, {**c, "hidden": tuple(c["hidden"]),
+                                 "schedule": _config(PathSchedule, c["schedule"]),
+                                 "eval_solver": _config(SolverSpec, c["eval_solver"])})
     policy = GenerativePolicy(cfg, np.random.default_rng(0))
     policy.action_mean = _take(arrays, "action_mean", policy.action_mean)
     policy.action_std = _take(arrays, "action_std", policy.action_std)
@@ -135,15 +130,9 @@ def copy_policy(policy: GenerativePolicy) -> GenerativePolicy:
 
 
 def save_critic(critic: Critic, path: str) -> None:
-    cfg = critic.config
-    header = {
-        "kind": "critic",
-        "config": {
-            "state_dim": critic.state_dim, "action_dim": critic.action_dim,
-            "tau": cfg.tau, "gamma": cfg.gamma, "lr": cfg.lr, "hidden": list(cfg.hidden),
-            "steps": cfg.steps, "batch_size": cfg.batch_size,
-        },
-    }
+    header = {"kind": "critic",
+              "config": {"state_dim": critic.state_dim, "action_dim": critic.action_dim,
+                         **asdict(critic.config)}}
     arrays = _mlp_arrays("q", critic.q_net) + _mlp_arrays("v", critic.v_net)
     _write(path, header, arrays)
 
@@ -151,10 +140,10 @@ def save_critic(critic: Critic, path: str) -> None:
 def load_critic(path: str) -> Critic:
     header, arrays = _read(path, "critic")
     with data_format_errors(path):
-        c = header["config"]
-        cfg = CriticConfig(tau=c["tau"], gamma=c["gamma"], lr=c["lr"], hidden=tuple(c["hidden"]),
-                           steps=c["steps"], batch_size=c["batch_size"])
-        critic = Critic(c["state_dim"], c["action_dim"], cfg, np.random.default_rng(0))
+        c = dict(header["config"])
+        state_dim, action_dim = c.pop("state_dim"), c.pop("action_dim")
+        cfg = _config(CriticConfig, {**c, "hidden": tuple(c["hidden"])})
+        critic = Critic(state_dim, action_dim, cfg, np.random.default_rng(0))
         _load_mlp("q", critic.q_net, arrays)
         _load_mlp("v", critic.v_net, arrays)
     return critic

@@ -4,15 +4,16 @@ One stage per invocation. The whole config is checked first, by building
 every spec a stage would build from it; a bad value exits 2 before any
 file is written. ``train-gmpg`` also estimates its tape from the shapes
 (``policy.gmpg_tape_bytes``) and exits 2 the same way when the estimate
-exceeds physical memory. A stage then loads its dataset and checkpoints
-and refuses an empty dataset or a checkpoint whose state or action width
-differs from the dataset's (exit 3). Every policy a stage loads, and any
-copy of one, integrates on ``solver.*`` (``_load_policy``). Every stage
-then writes its fully resolved config into the output directory before
-any compute, appends plain-CSV metrics (comment char '#',
+exceeds physical memory. A stage then loads its dataset (the GPDS file
+that ``--dataset`` names, or else the one ``task.*`` generates) and its
+checkpoints, and refuses an empty dataset or a checkpoint whose state or
+action width differs from the dataset's (exit 3). Every policy a stage
+loads, and any copy of one, integrates on ``solver.*`` (``_load_policy``).
+Every stage then writes its fully resolved config into ``output.dir``
+before any compute, appends plain-CSV metrics (comment char '#',
 comma-separated, %.17g floats) and emits checkpoints in the versioned
-binary format. Exit codes: 0 success, 2 config error, 3 io/format error,
-4 numeric divergence.
+binary format. Exit codes: 0 success, 2 config error (running out of
+memory included), 3 io/format error, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -53,24 +54,23 @@ class MetricsWriter:
             fh.writelines(csv_lines([[values.get(c, "") for c in self.columns]]))
 
 
-def _build_dataset(cfg: ExperimentConfig, path_override: str | None) -> OfflineDataset:
-    """The dataset a stage reads. A generated one that fails validation
-    (a non-finite value) is a config error: the task settings made it."""
-    if path_override:
-        return load_dataset(path_override)
-    task = cfg.task
-    if task.kind == "file":
-        if not task.path:
-            raise ConfigError("task.kind=file needs task.path")
-        return load_dataset(task.path)
+# The dataset each task.kind generates from the task.* settings.
+_TASKS = {
+    "tilted_bandit": lambda t: make_tilted_gaussian_bandit(t.dims, t.beta_target, t.n, t.seed)[0],
+    "swiss_roll": lambda t: make_swiss_roll(SwissRollTask(n=t.n, noise=t.noise, seed=t.seed)),
+}
+
+
+def _build_dataset(cfg: ExperimentConfig, path: str | None) -> OfflineDataset:
+    """The dataset a stage reads: the file at ``path`` if given, else the
+    one ``task.*`` generates. A generated one that fails validation (a
+    non-finite value) is a config error: the task settings made it."""
+    if path:
+        return load_dataset(path)
     try:
-        if task.kind == "swiss_roll":
-            return make_swiss_roll(SwissRollTask(n=task.n, noise=task.noise, seed=task.seed))
-        if task.kind == "tilted_bandit":
-            return make_tilted_gaussian_bandit(task.dims, task.beta_target, task.n, task.seed)[0]
+        return _TASKS[cfg.task.kind](cfg.task)
     except DataFormatError as exc:
         raise ConfigError(f"the task.* settings generate an invalid dataset: {exc}") from exc
-    raise ConfigError(f"unknown task kind {task.kind!r}")
 
 
 def _schedule(cfg: ExperimentConfig) -> PathSchedule:
@@ -140,7 +140,9 @@ def _check_config(cfg: ExperimentConfig) -> None:
         for key, value in asdict(getattr(cfg, block.name)).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{block.name}.{key} must be finite, got {value}")
-    if cfg.task.kind != "file" and cfg.task.n < 1:
+    if cfg.task.kind not in _TASKS:
+        raise ConfigError(f"unknown task kind {cfg.task.kind!r}; options: {tuple(_TASKS)}")
+    if cfg.task.n < 1:
         raise ConfigError(f"task.n must be >= 1, got {cfg.task.n}")
     if cfg.task.seed < 0:
         raise ConfigError(f"task.seed must be >= 0, got {cfg.task.seed}")
@@ -192,7 +194,7 @@ def _check_n(args, minimum: int) -> None:
 
 
 def _prepare_out(cfg: ExperimentConfig) -> str:
-    out = cfg.output_dir()
+    out = cfg.output.dir
     os.makedirs(out, exist_ok=True)
     dump_config(cfg, os.path.join(out, "resolved.ini"))
     return out
@@ -223,10 +225,9 @@ def _policy_metrics_cb(writer: MetricsWriter, policy, dataset, cfg: ExperimentCo
 def cmd_make_data(cfg: ExperimentConfig, args) -> None:
     ds = _build_dataset(cfg, None)
     out = _prepare_out(cfg)
-    name = "dataset.csv" if args.format == "csv" else "dataset.gpds"
-    save_dataset(ds, os.path.join(out, name))
-    print(f"wrote {os.path.join(out, name)} ({ds.n} rows, state_dim={ds.state_dim}, "
-          f"action_dim={ds.action_dim})")
+    path = os.path.join(out, "dataset.gpds")
+    save_dataset(ds, path)
+    print(f"wrote {path} ({ds.n} rows, state_dim={ds.state_dim}, action_dim={ds.action_dim})")
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kw)
         return p
 
-    add("make-data", **{"--format": dict(choices=("csv", "binary"), default="binary")})
+    add("make-data")
     add("pretrain", **{"--dataset": dict(default=None)})
     add("train-critic", **{"--dataset": dict(default=None)})
     add("train-gmpo", **{"--dataset": dict(default=None),
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
         COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (DataFormatError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)

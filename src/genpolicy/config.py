@@ -9,12 +9,9 @@ makes a run directory self-describing and exactly reproducible.
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
-
-OUTPUT_ROOT_ENV = "GENPOLICY_OUTPUT_ROOT"
 
 
 def _widths(text: str, key: str) -> tuple:
@@ -28,13 +25,12 @@ def _widths(text: str, key: str) -> tuple:
 
 @dataclass
 class TaskBlock:
-    kind: str = "tilted_bandit"  # tilted_bandit | swiss_roll | file
+    kind: str = "tilted_bandit"  # tilted_bandit | swiss_roll
     n: int = 10_000
     seed: int = 0
     dims: int = 1             # tilted_bandit
     beta_target: float = 1.0  # tilted_bandit's recorded closed-form tilt
     noise: float = 0.6        # swiss_roll observation noise (a std, >= 0)
-    path: str = ""            # kind = file
 
 
 @dataclass
@@ -106,10 +102,6 @@ class ExperimentConfig:
     policy: PolicyBlock = field(default_factory=PolicyBlock)
     solver: SolverBlock = field(default_factory=SolverBlock)
     output: OutputBlock = field(default_factory=OutputBlock)
-
-    def output_dir(self) -> str:
-        root = os.environ.get(OUTPUT_ROOT_ENV, "")
-        return os.path.join(root, self.output.dir) if root else self.output.dir
 
 
 def _coerce(raw: str, default):

@@ -6,18 +6,15 @@ terminal, s' = s), which lets the same critic and policy machinery run
 unchanged: the value head collapses to a scalar and Q regresses directly
 onto the reward surface over actions.
 
-File formats (documented for cross-implementation use):
-
-* CSV — header row ``s0..,a0..,r,sp0..,done`` preceded by comment lines
-  starting with ``#`` (``# genpolicy-dataset v1`` and ``# meta: {json}``).
-  Values are printed with %.17g, so a round trip is lossless for float64.
-* Binary — magic ``GPDS``, u32 version (1), u64 header length, UTF-8 JSON
-  header {n, state_dim, action_dim, metadata}, then raw little-endian
-  float64 C-order blobs in the order s, a, r, s2, done.
+Dataset file format (documented for cross-implementation use): magic
+``GPDS``, u32 version (1), u64 header length, UTF-8 JSON header {n,
+state_dim, action_dim, metadata}, then raw little-endian float64 C-order
+blobs in the order s, a, r, s2, done. Any arrays become such a file in one
+call: ``save_dataset(OfflineDataset(s=..., a=..., r=..., s2=..., done=...), path)``.
 
 The binary container (``write_container``/``read_container``) is shared
-with the checkpoints, and ``csv_lines`` formats every CSV file the
-package writes.
+with the checkpoints, and ``csv_lines`` formats every CSV output and
+metrics file the package writes.
 """
 
 from __future__ import annotations
@@ -96,7 +93,8 @@ def make_swiss_roll(task: SwissRollTask) -> OfflineDataset:
     lo, hi = task.angle_range
     theta = rng.uniform(lo, hi, size=task.n)
     spiral = np.stack([theta * np.cos(theta), theta * np.sin(theta)], axis=1)
-    a = spiral + task.noise * rng.standard_normal((task.n, 2))
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below, as non-finite
+        a = spiral + task.noise * rng.standard_normal((task.n, 2))
     v_lo, v_hi = task.value_range
     r = v_lo + (theta - lo) / (hi - lo) * (v_hi - v_lo)
     s = np.zeros((task.n, 1))
@@ -188,11 +186,6 @@ def assign_value_nearest(dataset: OfflineDataset,
 
 # -- file I/O ---------------------------------------------------------------
 
-def _columns(state_dim: int, action_dim: int) -> list[str]:
-    return ([f"s{i}" for i in range(state_dim)] + [f"a{i}" for i in range(action_dim)]
-            + ["r"] + [f"sp{i}" for i in range(state_dim)] + ["done"])
-
-
 def csv_lines(rows):
     """One comma-separated line per row, lazily: a float (``np.float64``
     too) as %.17g, None as an empty field, any other value as ``str``
@@ -252,13 +245,10 @@ def read_container(path: str, magic: bytes, shapes) -> tuple[dict, list[np.ndarr
 
 
 def save_dataset(dataset: OfflineDataset, path: str) -> None:
-    if str(path).endswith(".csv"):
-        _save_csv(dataset, path)
-    else:
-        header = {"n": dataset.n, "state_dim": dataset.state_dim,
-                  "action_dim": dataset.action_dim, "metadata": dataset.metadata}
-        write_container(path, _MAGIC, header,
-                        (dataset.s, dataset.a, dataset.r, dataset.s2, dataset.done))
+    header = {"n": dataset.n, "state_dim": dataset.state_dim,
+              "action_dim": dataset.action_dim, "metadata": dataset.metadata}
+    write_container(path, _MAGIC, header,
+                    (dataset.s, dataset.a, dataset.r, dataset.s2, dataset.done))
 
 
 def _dataset_shapes(header: dict) -> list[tuple]:
@@ -267,63 +257,7 @@ def _dataset_shapes(header: dict) -> list[tuple]:
 
 
 def load_dataset(path: str) -> OfflineDataset:
-    """Load either format; a truncated or garbled file raises ``DataFormatError``."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    with data_format_errors(path):
-        if head == _MAGIC:
-            header, (s, a, r, s2, done) = read_container(path, _MAGIC, _dataset_shapes)
-            return OfflineDataset(s=s, a=a, r=r, s2=s2, done=done,
-                                  metadata=header.get("metadata", {}))
-        return _load_csv(path)
-
-
-def _save_csv(dataset: OfflineDataset, path: str) -> None:
-    table = np.concatenate([dataset.s, dataset.a, dataset.r[:, None],
-                            dataset.s2, dataset.done[:, None]], axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# genpolicy-dataset v1\n")
-        fh.write("# meta: " + json.dumps(dataset.metadata, sort_keys=True) + "\n")
-        fh.writelines(csv_lines([_columns(dataset.state_dim, dataset.action_dim)]))
-        fh.writelines(csv_lines(table.tolist()))
-
-
-def _load_csv(path: str) -> OfflineDataset:
-    metadata = {}
-    header = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# meta:"):
-                    metadata = json.loads(line[len("# meta:"):])
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DataFormatError(f"row {lineno} has {len(parts)} fields, header has {len(header)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DataFormatError(f"unparseable value at row {lineno}: {exc}") from exc
-    if header is None:
-        raise DataFormatError("missing header row")
-    state_dim = sum(1 for c in header if c.startswith("s") and not c.startswith("sp"))
-    action_dim = sum(1 for c in header if c.startswith("a"))
-    expected = _columns(state_dim, action_dim)
-    for col in expected:
-        if col not in header:
-            raise DataFormatError(f"missing column {col!r}")
-    if header != expected:
-        raise DataFormatError(f"column order must be {expected}")
-    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    sd, ad = state_dim, action_dim
-    return OfflineDataset(
-        s=table[:, :sd].reshape(-1, sd), a=table[:, sd:sd + ad],
-        r=table[:, sd + ad], s2=table[:, sd + ad + 1:sd + ad + 1 + sd].reshape(-1, sd),
-        done=table[:, -1], metadata=metadata)
+    """A ``save_dataset`` file; a truncated or garbled one, a file of any
+    other format included, raises ``DataFormatError``."""
+    header, (s, a, r, s2, done) = read_container(path, _MAGIC, _dataset_shapes)
+    return OfflineDataset(s=s, a=a, r=r, s2=s2, done=done, metadata=header.get("metadata", {}))

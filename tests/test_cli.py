@@ -189,6 +189,26 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError):
             load_policy(path)
 
+    @pytest.mark.parametrize("kind, key", [
+        ("policy", "t_emb_scale"), ("policy", "schedule.t_clip"), ("policy", "eval_solver.steps"),
+        ("critic", "tau")])
+    def test_header_config_missing_a_field_rejected(self, tmp_path, kind, key):
+        # a header config must name every field, so that none falls back to a default
+        path = str(tmp_path / "m.ckpt")
+        if kind == "policy":
+            save_policy(GenerativePolicy(PolicyConfig(hidden=(4,)), np.random.default_rng(0)), path)
+        else:
+            save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), path)
+        header, arrays = _read(path, kind)
+        *parents, name = key.split(".")
+        config = header["config"]
+        for parent in parents:
+            config = config[parent]
+        del config[name]
+        _write(path, header, list(arrays.items()))
+        with pytest.raises(DataFormatError, match=f"keys .*expected .*'{name}'"):
+            (load_policy if kind == "policy" else load_critic)(path)
+
     def test_critic_bytes_follow_the_documented_layout(self, tmp_path):
         # magic, u32 version 1, u64 header length, sorted-key JSON header,
         # then every array as little-endian float64 in C order
@@ -457,7 +477,9 @@ class TestExitCodes:
         ("pretrain", "model.t_emb_width=3"),
         ("pretrain", "model.t_emb_width=0"),
         ("make-data", "task.kind=bogus"),
-        ("make-data", "task.kind=file"),  # and no task.path
+        ("make-data", "task.kind=file"),  # a dataset on disk is read through --dataset only
+        ("pretrain", "task.kind=bogus --dataset"),  # checked even when no dataset is generated
+        ("sample", "task.kind=bogus --dataset"),
         *[(command, "output.metric_every=-1") for command in ("train-gmpo", "train-gmpg")],
         ("pretrain", "output.metric_every=0"),
         ("make-data", "output.dir="),
@@ -467,8 +489,11 @@ class TestExitCodes:
     def test_bad_config_value_exits_2_before_any_output(self, tmp_path, command, override):
         # the tiny task is a 1-d bandit with a 1-d state; every file the command
         # reads exists, so only the config value can stop it. ``override`` holds
-        # space-separated settings, applied after the output directory.
+        # space-separated settings, applied after the output directory, and the
+        # token --dataset, which reads a saved tiny bandit instead of generating one.
         policy_ckpt, critic_ckpt = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
+        dataset = str(tmp_path / "d.gpds")
+        save_dataset(make_tilted_gaussian_bandit(1, 1.0, 64, seed=0)[0], dataset)
         save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
                                      np.random.default_rng(0)), policy_ckpt)
         save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_ckpt)
@@ -479,10 +504,40 @@ class TestExitCodes:
                  "eval": ["--checkpoint", policy_ckpt],
                  "export-trajectories": ["--checkpoint", policy_ckpt]}.get(command, [])
         out = str(tmp_path / "o")
-        settings = [arg for kv in override.split() for arg in ("--set", kv)]
+        settings = [arg for kv in override.split()
+                    for arg in ((kv, dataset) if kv == "--dataset" else ("--set", kv))]
         proc = run_cli(command, *tiny_args(out), *settings, *files, check=False)
         assert proc.returncode == 2, proc.stderr
-        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+        # one line, with no traceback and no numpy warning before it
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, \
+            proc.stderr
+        assert not os.path.exists(out)
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 59.6 GiB for an array")
+
+        monkeypatch.setattr(cli, "make_tilted_gaussian_bandit", too_big)
+        out = tmp_path / "o"
+        assert cli.main(["make-data", *tiny_args(str(out))]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: out of memory: Unable to allocate 59.6 GiB for an array\n"
+        assert not out.exists()
+
+    def test_csv_dataset_exits_3_with_the_bad_magic(self, tmp_path, capsys):
+        # datasets are GPDS containers only; a CSV table is refused by its first bytes
+        path = tmp_path / "d.csv"
+        path.write_text("s0,a0,r,sp0,done\n0,1,2,0,1\n")
+        out = tmp_path / "o"
+        assert cli.main(["pretrain", *tiny_args(str(out)), "--dataset", str(path)]) == 3
+        assert "bad magic b's0,a', expected b'GPDS'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_make_data_has_no_format_flag(self, tmp_path):
+        out = str(tmp_path / "o")
+        proc = run_cli("make-data", "--format", "csv", *tiny_args(out), check=False)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --format csv" in proc.stderr
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("override", [

@@ -116,29 +116,14 @@ class TestIO:
             assert getattr(ds, name).tobytes() == getattr(back, name).tobytes()
         assert back.metadata == ds.metadata
 
-    def test_csv_round_trip_lossless(self, tmp_path):
-        ds, _ = make_tilted_gaussian_bandit(2, 1.0, 32, seed=4)
-        path = tmp_path / "bandit.csv"
-        save_dataset(ds, str(path))
-        back = load_dataset(str(path))
-        for name in ("s", "a", "r", "s2", "done"):
-            assert np.array_equal(getattr(ds, name), getattr(back, name))
-
-    def test_missing_column_named(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# genpolicy-dataset v1\ns0,a0,r,done\n0,1,2,1\n")
-        with pytest.raises(DataFormatError, match="sp0"):
-            load_dataset(str(path))
-
     def test_empty_dataset_round_trip(self, tmp_path):
         ds = OfflineDataset(s=np.zeros((0, 1)), a=np.zeros((0, 2)), r=np.zeros(0),
                             s2=np.zeros((0, 1)), done=np.zeros(0), metadata={"task": "none"})
-        for name in ("e.csv", "e.gpds"):
-            path = tmp_path / name
-            save_dataset(ds, str(path))
-            back = load_dataset(str(path))
-            assert back.n == 0
-            assert back.action_dim == 2 or name.endswith(".csv")  # csv infers dims from header
+        path = tmp_path / "e.gpds"
+        save_dataset(ds, str(path))
+        back = load_dataset(str(path))
+        assert back.n == 0
+        assert back.action_dim == 2
 
 
 def test_binary_dataset_bytes_follow_the_documented_layout(tmp_path):

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -48,6 +50,29 @@ TINY_EXPERIMENT = ["task.n=256", "model.hidden=8,8", "model.t_emb_width=4", "cri
                    "critic.steps=20", "policy.steps=20", "policy.batch_size=32",
                    "policy.gmpg_steps=2", "policy.gmpg_batch_size=16", "policy.t_train=4",
                    "solver.steps=4", "output.metric_every=10"]
+
+
+def readme_cli_commands(text: str) -> list[list[str]]:
+    """The argv of every ``genpolicy ...`` command in ``text``'s bash
+    blocks, with backslash-continued lines joined."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("genpolicy "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_commands_parse():
+    # a flag the CLI dropped or renamed, left in the docs, fails here
+    from genpolicy import cli
+    commands = readme_cli_commands((TRACING.parents[1] / "README.md").read_text(encoding="utf-8"))
+    assert len(commands) >= 9
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README's `genpolicy {shlex.join(argv)}` does not parse")
 
 
 @pytest.mark.parametrize("ini", EXPERIMENTS, ids=lambda p: p.name)
