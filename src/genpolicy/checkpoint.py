@@ -6,7 +6,8 @@ then raw little-endian float64 C-order parameter blobs in the order of
 the header's ``arrays`` list. The header carries everything needed to
 rebuild the object (its config dataclass's fields, exactly: architecture,
 schedule constants, solver defaults), and the arrays the normalizer and
-weights, so a load never depends on the saving process's rng. A
+weights, so a load never depends on the saving process's rng: it
+builds the networks from the loaded arrays and draws nothing. A
 policy's state is that (header, arrays) pair; ``copy_policy`` rebuilds a
 policy from copies of it, the same way a load does. A load checks the
 file against its header (array shapes against the architecture, byte
@@ -53,26 +54,27 @@ def _read(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, named
 
 
+def _mlp_names(prefix: str, layers: int) -> list[str]:
+    """The names of an MLP's arrays, in ``Mlp.parameters()`` order."""
+    return [f"{prefix}.{kind}{i}" for i in range(layers) for kind in "wb"]
+
+
 def _mlp_arrays(prefix: str, mlp) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out.append((f"{prefix}.w{i}", w.data))
-        out.append((f"{prefix}.b{i}", b.data))
-    return out
+    return list(zip(_mlp_names(prefix, len(mlp.weights)), (p.data for p in mlp.parameters())))
 
 
-def _take(arrays: dict, name: str, like: np.ndarray) -> np.ndarray:
-    """``arrays[name]``, which must have the shape the header's architecture gives ``like``."""
+def _take(arrays: dict, name: str, shape: tuple) -> np.ndarray:
+    """``arrays[name]``, which must have the ``shape`` the header's architecture gives it."""
     arr = arrays[name]
-    if arr.shape != like.shape:
-        raise DataFormatError(f"array {name!r} has shape {arr.shape}, expected {like.shape}")
+    if arr.shape != shape:
+        raise DataFormatError(f"array {name!r} has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def _load_mlp(prefix: str, mlp, arrays: dict) -> None:
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        w.data = _take(arrays, f"{prefix}.w{i}", w.data)
-        b.data = _take(arrays, f"{prefix}.b{i}", b.data)
+def _mlp_params(prefix: str, hidden, arrays: dict) -> list[np.ndarray]:
+    """The arrays of an MLP with ``hidden`` layers in ``Mlp.parameters()``
+    order, which ``Mlp`` checks against its layer shapes."""
+    return [arrays[name] for name in _mlp_names(prefix, len(hidden) + 1)]
 
 
 def _config(cls, values: dict):
@@ -102,15 +104,12 @@ def _policy_from_state(header: dict, arrays: dict) -> GenerativePolicy:
     cfg = _config(PolicyConfig, {**c, "hidden": tuple(c["hidden"]),
                                  "schedule": _config(PathSchedule, c["schedule"]),
                                  "eval_solver": _config(SolverSpec, c["eval_solver"])})
-    policy = GenerativePolicy(cfg, np.random.default_rng(0))
-    policy.action_mean = _take(arrays, "action_mean", policy.action_mean)
-    policy.action_std = _take(arrays, "action_std", policy.action_std)
-    if not np.all(policy.action_std > 0):
+    action_std = _take(arrays, "action_std", (cfg.action_dim,))
+    if not np.all(action_std > 0):
         raise DataFormatError("action_std must be positive")
-    net = policy.model.net
-    net.t_emb.freqs = _take(arrays, "t_emb.freqs", net.t_emb.freqs)
-    _load_mlp("net", net.mlp, arrays)
-    return policy
+    return GenerativePolicy(cfg, action_mean=_take(arrays, "action_mean", (cfg.action_dim,)),
+                            action_std=action_std, freqs=arrays["t_emb.freqs"],
+                            params=_mlp_params("net", cfg.hidden, arrays))
 
 
 def save_policy(policy: GenerativePolicy, path: str) -> None:
@@ -143,7 +142,5 @@ def load_critic(path: str) -> Critic:
         c = dict(header["config"])
         state_dim, action_dim = c.pop("state_dim"), c.pop("action_dim")
         cfg = _config(CriticConfig, {**c, "hidden": tuple(c["hidden"])})
-        critic = Critic(state_dim, action_dim, cfg, np.random.default_rng(0))
-        _load_mlp("q", critic.q_net, arrays)
-        _load_mlp("v", critic.v_net, arrays)
-    return critic
+        return Critic(state_dim, action_dim, cfg, q_params=_mlp_params("q", cfg.hidden, arrays),
+                      v_params=_mlp_params("v", cfg.hidden, arrays))

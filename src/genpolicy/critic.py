@@ -52,15 +52,16 @@ class CriticConfig:
 
 
 class Critic:
-    """Q(s||a) and V(s) heads over the shared tensor engine."""
+    """Q(s||a) and V(s) heads over the shared tensor engine; each head's
+    weights are drawn from ``rng`` unless given (``Mlp``'s ``params``)."""
 
     def __init__(self, state_dim: int, action_dim: int, config: CriticConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None = None, q_params=None, v_params=None):
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.config = config
-        self.q_net = Mlp([state_dim + action_dim, *config.hidden, 1], rng)
-        self.v_net = Mlp([state_dim, *config.hidden, 1], rng)
+        self.q_net = Mlp([state_dim + action_dim, *config.hidden, 1], rng, q_params)
+        self.v_net = Mlp([state_dim, *config.hidden, 1], rng, v_params)
 
     # -- tensor paths (differentiable) --------------------------------
 

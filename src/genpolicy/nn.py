@@ -1,8 +1,8 @@
 """Multilayer perceptrons and time-feature embeddings on the tensor engine.
 
 ``Mlp.forward_jvp`` propagates tangents alongside the forward pass
-(forward-mode through the layers, expressed in taped nodes; it runs the
-same layer loop as ``Mlp.__call__``, with the tangent switched on), so
+(forward-mode through the layers, in the same one-node ``tensor.network``
+call that ``Mlp.__call__`` records, with the tangent switched on), so
 Jacobian-vector products remain differentiable with respect to the
 parameters by the ordinary reverse pass. The likelihood module relies on
 this for trainable Jacobian traces.
@@ -10,16 +10,16 @@ this for trainable Jacobian traces.
 Tangents come stacked: for a batch of B inputs, ``u`` holds k·B rows,
 k blocks of B rows each, block j being the j-th tangent for every input
 row. ``u`` is a constant array (the tangent seeds take no gradient) and
-enters the first layer as that node's own constant input, next to x's B
+enters the first layer as the node's own constant input, next to x's B
 rows; there is no stacked concat node, and the reverse pass hands x the
-gradient of its own rows only. Every layer is one ``tensor.dense`` node
-over the (k+1)·B stacked rows: the primal rows get
+gradient of its own rows only. Every call is one ``tensor.network`` node
+over the (k+1)·B stacked rows: per layer the primal rows get
 ``act(h @ w + b)``, the tangent rows ``(dh @ w) * act'``, each through
 its own matmul, so the primal output is bit for bit that of
-``__call__`` (the k = 0 case of the same node). Per hidden layer the
-tape keeps only the layer's (k+1)·B-row output. The output layer's
-product is split back into the B-row output, plus its bias, and the
-k·B-row output tangent.
+``__call__`` (the k = 0 case of the same node). The node keeps each
+layer's (k+1)·B-row output. Its stacked product, taken without the
+output bias, is split back into the B-row output, plus that bias, and
+the k·B-row output tangent.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent
@@ -27,7 +27,7 @@ enters only through the weight rows of x. Both are plain arrays: the
 Fourier features are computed in numpy, once per call, and for a scalar
 time as one row shared by the whole batch. The first layer multiplies
 that row once, emb(t) @ w_t, and adds it into its bias row, so a solver
-stage's matmul covers only the condition and x columns (``tensor.dense``);
+stage's matmul covers only the condition and x columns (``tensor.network``);
 times drawn per sample, as the matching losses draw them, stay columns of
 that matmul. The first layer's weight stays one array, as checkpoints
 store it.
@@ -36,25 +36,31 @@ store it.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, dense
+from .tensor import Tensor, as_tensor, network
 
 
 class GaussianFourier:
     """Random Fourier features of scalar time, fixed at construction.
 
-    emb(t) = [sin(2 pi w_i t), cos(2 pi w_i t)] with w ~ N(0, scale^2).
-    The frequencies are part of the model state (saved in checkpoints)
-    but are never trained.
+    emb(t) = [sin(2 pi w_i t), cos(2 pi w_i t)] with w ~ N(0, scale^2),
+    drawn from ``rng``, or the given ``freqs``. The frequencies are part
+    of the model state (saved in checkpoints) but are never trained.
     """
 
-    def __init__(self, width: int, rng: np.random.Generator, scale: float = 1.0):
+    def __init__(self, width: int, rng: np.random.Generator | None = None, scale: float = 1.0,
+                 freqs: np.ndarray | None = None):
         if width % 2 != 0 or width < 2:
             raise ValueError("time-embedding width must be a positive even number")
         self.width = width
-        self.freqs = rng.standard_normal(width // 2) * scale
+        if freqs is None:
+            freqs = rng.standard_normal(width // 2) * scale
+        elif freqs.shape != (width // 2,):
+            raise ValueError(f"frequencies have shape {freqs.shape}, expected {(width // 2,)}")
+        self.freqs = freqs
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """emb(t) for a (B, 1) array of times, as a (B, width) array."""
@@ -66,66 +72,58 @@ class Mlp:
     """Fully connected net: tanh hidden layers, linear output.
 
     Parameter count is sum over layers of (fan_in + 1) * fan_out. A
-    zero-weight network returns its output bias for any input.
+    zero-weight network returns its output bias for any input. The
+    weights are drawn from ``rng`` (N(0, 1/fan_in), zero biases), or
+    taken as they are from ``params``, arrays in ``parameters()`` order.
     """
 
-    def __init__(self, sizes, rng: np.random.Generator):
+    def __init__(self, sizes, rng: np.random.Generator | None = None, params=None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.sizes = list(sizes)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+        self.sizes = [operator.index(n) for n in sizes]
+        layers = list(zip(self.sizes[:-1], self.sizes[1:]))
+        if params is None:
+            params = []
+            for fan_in, fan_out in layers:
+                params += [rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in),
+                           np.zeros(fan_out)]
+        shapes = [s for fan_in, fan_out in layers for s in ((fan_in, fan_out), (fan_out,))]
+        if len(params) != len(shapes):
+            raise ValueError(f"{len(params)} parameter arrays for {len(layers)} layers")
+        for i, (arr, shape) in enumerate(zip(params, shapes)):
+            if arr.shape != shape:
+                raise ValueError(f"parameter {i} has shape {arr.shape}, expected {shape}")
+        self.weights = [Tensor(w, requires_grad=True) for w in params[0::2]]
+        self.biases = [Tensor(b, requires_grad=True) for b in params[1::2]]
 
     def parameters(self) -> list[Tensor]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def __call__(self, x: Tensor, prefix=()) -> Tensor:
-        """The (B, out) output for the (B, in) input ``x``.
+        """The (B, out) output for the (B, in) input ``x``, one ``network`` node.
 
         ``prefix`` optionally holds constant arrays (B rows, or one row
         for all) whose columns come before x's in the first layer's input;
         ``sizes[0]`` counts them. No gradient flows into them.
         """
-        return self._forward(x, None, prefix)[0]
+        return network(x, self.weights, self.biases, prefix)
 
     def forward_jvp(self, x: Tensor, u: np.ndarray, prefix=()) -> tuple[Tensor, Tensor]:
         """Forward pass plus the Jacobian-vector products d(out)/dx @ u.
 
         ``x`` is (B, in); ``u`` is a constant (k·B, in) array, k tangent
         blocks of B rows (row j·B + i is the j-th tangent at input row i),
-        which takes no gradient. Returns the
-        (B, out) output, bit for bit that of ``__call__``, and the
-        (k·B, out) output tangents in the same block layout. Both stay
-        on the tape, so the JVPs can themselves be differentiated with
-        respect to the parameters. ``prefix`` is as in ``__call__``.
-        """
-        return self._forward(x, u, prefix)
-
-    def _forward(self, x: Tensor, u, prefix):
-        """The one layer loop; the tangent ``u`` is optional (None -> None).
-
-        The first layer takes ``u`` as its constant tangent, so the reverse
-        pass hands x the gradient of its B rows alone.
+        which takes no gradient. Returns the (B, out) output, bit for bit
+        that of ``__call__``, and the (k·B, out) output tangents in the
+        same block layout. Both stay on the tape, so the JVPs can
+        themselves be differentiated with respect to the parameters.
+        ``prefix`` is as in ``__call__``.
         """
         rows = x.shape[0]
-        jvp = u is not None
-        if jvp and (u.shape[0] < rows or u.shape[0] % rows):
-            raise ValueError(f"tangent rows {u.shape[0]} are not a multiple of batch {rows}")
-        h = x
-        *hidden, (w_out, b_out) = zip(self.weights, self.biases)
-        for w, b in hidden:
-            h = dense(h, w, b, rows, tanh=True, prefix=prefix, tangent=u)
-            prefix, u = (), None  # both feed the first layer only
-        if not jvp:
-            return dense(h, w_out, b_out, rows, prefix=prefix), None
         # The output bias is added to the primal rows alone, so a loss on
         # the tangents alone leaves it without a gradient.
-        out = dense(h, w_out, None, rows, prefix=prefix, tangent=u)
-        return out.rows(0, rows) + b_out, out.rows(rows)
+        out = network(x, self.weights, self.biases[:-1] + [None], prefix, u)
+        return out.rows(0, rows) + self.biases[-1], out.rows(rows)
 
     def freeze(self) -> None:
         for p in self.parameters():
@@ -138,15 +136,16 @@ class FieldNetwork:
     Input layout: time-embedding || condition || x. ``condition`` may be
     omitted for unconditional density models (state_dim = 0). The time
     and the condition are constants of the network: no gradient flows
-    into them.
+    into them. The embedding's ``freqs`` and the MLP's ``params`` are
+    drawn from ``rng`` unless given (see ``GaussianFourier`` and ``Mlp``).
     """
 
-    def __init__(self, x_dim: int, state_dim: int, hidden, rng: np.random.Generator,
-                 t_emb_width: int = 32, t_emb_scale: float = 1.0):
+    def __init__(self, x_dim: int, state_dim: int, hidden, rng: np.random.Generator | None = None,
+                 t_emb_width: int = 32, t_emb_scale: float = 1.0, freqs=None, params=None):
         self.x_dim = x_dim
         self.state_dim = state_dim
-        self.t_emb = GaussianFourier(t_emb_width, rng, scale=t_emb_scale)
-        self.mlp = Mlp([t_emb_width + state_dim + x_dim, *hidden, x_dim], rng)
+        self.t_emb = GaussianFourier(t_emb_width, rng, scale=t_emb_scale, freqs=freqs)
+        self.mlp = Mlp([t_emb_width + state_dim + x_dim, *hidden, x_dim], rng, params)
 
     def parameters(self) -> list[Tensor]:
         return self.mlp.parameters()

@@ -1,4 +1,20 @@
-"""Adam optimizer with bias correction."""
+"""Adam optimizer with bias correction, over one flat parameter buffer.
+
+At construction ``Adam`` copies its parameters into one float64 array
+and rebinds each parameter's ``data`` to its view of that array; the two
+moments are flat arrays of the same length. A step gathers the
+gradients into one flat array and updates every parameter with one set
+of ufunc calls, in place: the same operations, in the same order, as
+the per-tensor formula
+
+    m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+    p = p - lr (m / c1) / (sqrt(v / c2) + eps),  c_i = 1 - b_i^step,
+
+so the parameters are bit for bit those of updating each tensor alone.
+A parameter therefore belongs to one optimizer and keeps its view:
+listing it twice, or replacing its ``data`` after construction, is
+refused (``ValueError``); changing the values in place is fine.
+"""
 
 from __future__ import annotations
 
@@ -9,38 +25,63 @@ from .tensor import Tensor
 
 
 class Adam:
-    """Standard Adam. Moments live alongside the parameter list; the step
-    counter strictly increases and parameters are updated in place."""
+    """Standard Adam. The step counter strictly increases and parameters
+    are updated in place, in their views of ``flat``."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter is listed twice; Adam holds each in its buffer once")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params] or [np.zeros(0)])
+        self._spans = []  # per parameter: (slice of flat, its view)
+        lo = 0
+        for p in self.params:
+            at = slice(lo, lo + p.data.size)
+            p.data = self.flat[at].reshape(p.data.shape)
+            self._spans.append((at, p.data))
+            lo = at.stop
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self) -> None:
         """Update every parameter from its ``grad``; a parameter without one
-        takes a zero gradient. All or nothing: every gradient is checked
-        first, so a bad one leaves the parameters, the moments and the
-        step count as they were."""
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        for p, g in zip(self.params, grads):
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError("non-finite gradient in Adam step")
+        takes a zero gradient. All or nothing: every parameter and gradient
+        is checked first, so a bad one leaves the parameters, the moments
+        and the step count as they were."""
+        g = np.zeros_like(self.flat)
+        for p, (at, view) in zip(self.params, self._spans):
+            if p.data is not view:
+                raise ValueError("a parameter's data was replaced after the optimizer took it; "
+                                 "change it in place")
+            if p.grad is not None:
+                if np.shape(p.grad) != view.shape:
+                    raise ValueError(f"gradient shape {np.shape(p.grad)} != parameter shape {view.shape}")
+                g[at].reshape(view.shape)[...] = p.grad
+        if not np.isfinite(g).all():
+            raise NonFiniteError("non-finite gradient in Adam step")
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        t = (1.0 - self.beta1) * g
+        self.m *= self.beta1
+        self.m += t
+        np.multiply(g, 1.0 - self.beta2, out=t)
+        t *= g
+        self.v *= self.beta2
+        self.v += t
+        np.divide(self.m, c1, out=t)
+        t *= self.lr
+        np.divide(self.v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        t /= g
+        self.flat -= t
 
     def zero_grad(self) -> None:
         for p in self.params:

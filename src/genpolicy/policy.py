@@ -50,11 +50,15 @@ class PolicyConfig:
 
 
 class GenerativePolicy:
-    def __init__(self, config: PolicyConfig, rng: np.random.Generator,
-                 action_mean=None, action_std=None):
+    """A policy over z-scored actions; its network's ``freqs`` and
+    ``params`` are drawn from ``rng`` unless given (``FieldNetwork``)."""
+
+    def __init__(self, config: PolicyConfig, rng: np.random.Generator | None = None,
+                 action_mean=None, action_std=None, freqs=None, params=None):
         self.config = config
         net = FieldNetwork(config.action_dim, config.state_dim, list(config.hidden), rng,
-                           t_emb_width=config.t_emb_width, t_emb_scale=config.t_emb_scale)
+                           t_emb_width=config.t_emb_width, t_emb_scale=config.t_emb_scale,
+                           freqs=freqs, params=params)
         self.model = GenerativeModel(net, config.parameterization, config.schedule)
         self.action_mean = np.zeros(config.action_dim) if action_mean is None else np.asarray(action_mean, float)
         self.action_std = np.ones(config.action_dim) if action_std is None else np.asarray(action_std, float)

@@ -17,7 +17,7 @@ than once and every leaf gradient truly accumulates; training loops call
 may reference nodes of an existing graph at any time, which is what lets
 a solver unroll of up to T=1000 steps stay differentiable. Memory grows
 with the number of recorded operations (one array per op, plus what a
-fused node keeps in its closure), so an unroll costs O(T x state size).
+network node keeps in its closure), so an unroll costs O(T x state size).
 
 The node rule: only a value that can carry a gradient becomes a Tensor.
 A constant operand (a Python number or an array: time features, a
@@ -28,15 +28,19 @@ the op's result is checked. Binary ops take it on either side
 Tensor), and a number acts as the float64 scalar a Tensor of it would
 hold, so values and gradients are those of the wrapped constant.
 
-An MLP layer is one fused node, ``dense``, over stacked rows: the B
+A whole MLP call is one node, ``network``, over stacked rows: the B
 primal rows and k blocks of B tangent rows (forward-mode JVPs) go in and
-come out together, with one hand-written reverse rule that includes the
-derivative of tanh's slope. The first layer takes the tangent seeds as a
-constant array, so they get no gradient, and its constant prefix columns:
-a one-row block (the time embedding at a scalar t) is multiplied once and
-added into the bias row, never broadcast to every row. The node keeps its
-output and, for the first layer, the per-row primal input and the
-stacked input rows. ``rows`` slices the stacked result back apart.
+come out together, with one hand-written reverse rule that runs the
+layers from the last to the first and includes the derivative of tanh's
+slope. The tangent seeds are a constant array, so they get no gradient,
+and so are the first layer's prefix columns: a one-row block (the time
+embedding at a scalar t) is multiplied once and added into the bias row,
+never broadcast to every row. The node keeps every layer's output and,
+for the first layer, the stacked input rows and the per-row primal
+input; the hidden activations are its internal values, so they make no
+nodes and no finite checks of their own. ``rows`` slices the stacked
+result back apart. A loss is a handful of nodes: ``a - b`` of two
+Tensors is one ``sub`` node and a full ``mean()`` one ``mean`` node.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -206,7 +210,16 @@ class Tensor:
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return self + _constant(other) * np.float64(-1.0)  # the values of -Tensor(other)
-        return self + (-other)
+
+        def bwd(out):  # the gradients of self + other * (-1.0)
+            if self.requires_grad or self._prev:
+                g = _unbroadcast(out.grad, self.data.shape)
+                self._accum(g, fresh=g is not out.grad)
+            if other.requires_grad or other._prev:
+                other._accum(_unbroadcast(out.grad, other.data.shape) * np.float64(-1.0), fresh=True)
+
+        # a - b is a + (-b) exactly, in IEEE arithmetic
+        return self._node(self.data - other.data, (self, other), bwd, "sub")
 
     def __rsub__(self, other):
         return (-self) + other
@@ -254,8 +267,17 @@ class Tensor:
         return self._node(out_data, (self,), bwd, "sum")
 
     def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        """The sum times 1/n; a full mean is one node with the values and
+        gradients of ``sum() * (1 / n)``."""
+        if axis is not None:
+            return self.sum(axis=axis, keepdims=keepdims) * (1.0 / self.data.shape[axis])
+        c = np.float64(1.0 / self.data.size)
+        shape = self.data.shape
+
+        def bwd(out):
+            self._accum(np.broadcast_to(out.grad * c, shape).copy(), fresh=True)
+
+        return self._node(self.data.sum(keepdims=keepdims) * c, (self,), bwd, "mean")
 
     # -- structural ops ---------------------------------------------------
 
@@ -301,56 +323,70 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
-          prefix=(), tangent=None) -> Tensor:
-    """One MLP layer over stacked primal and tangent rows, as one node.
+def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
+    """One call of a multilayer perceptron, tanh hidden layers and a linear
+    output layer, as one node.
 
-    ``h`` holds ``rows`` primal rows, then k >= 0 blocks of ``rows``
-    tangent rows (block j is the j-th tangent at every primal row). The
-    result has the same layout:
+    ``x`` holds B primal rows; ``weights`` and ``biases`` list the layers,
+    first to last (a bias may be None). ``tangent`` optionally holds k >= 1
+    blocks of B tangent rows as a constant array (block j is the j-th
+    tangent at every primal row). Every layer runs over the stacked rows
+    [primal; tangents]:
 
         primal rows      a    = act(z),  z = [prefix | h_0] @ w + b
         tangent block j  da_j = (dh_j @ w_h) * act'(z)
 
-    act is tanh when ``tanh`` is true and the identity otherwise (a
-    linear layer); ``b`` may be None. ``prefix`` holds constant arrays of
-    ``rows`` rows or of one row: input columns that only the primal rows
-    have, ahead of h's. A tangent sees only w_h, the last ``h.shape[1]``
-    rows of w. ``tangent`` optionally holds the k tangent blocks as a
-    constant array: ``h`` is then the primal rows alone and receives
-    only their gradient.
+    act is tanh on the hidden layers and the identity on the last one; the
+    result is the last layer's stacked output, (k+1)·B rows. ``prefix``
+    holds constant arrays of B rows or of one row: first-layer input
+    columns that only the primal rows have, ahead of x's. A tangent sees
+    only w_h, the rows of a weight that multiply the layer's own input.
 
-    A one-row prefix block p (the time embedding at a scalar t; every
-    block when ``rows`` is 1) is shared by all primal rows, so its
-    product is taken once, p @ w_p, and added into the bias row:
-    z = [per-row blocks | h_0] @ w_rest + (b + p @ w_p). The primal and
-    the tangent rows go through separate matmuls, so the primal rows are
-    bit for bit those of the layer run without tangents, and no slope is
-    computed when there are no tangents and no tape. The node stores its
-    output [a; da] and, with a per-row prefix block, the per-row primal
-    input [per-row blocks | h_0]; a one-row block keeps only its row.
-    The reverse rule carries the slope's own derivative:
+    A one-row prefix block p (the time embedding at a scalar t; every block
+    when B is 1) is shared by all primal rows, so its product is taken
+    once, p @ w_p, and added into the bias row: z = [per-row blocks | x] @
+    w_rest + (b + p @ w_p). The primal and the tangent rows go through
+    separate matmuls, so the primal rows are bit for bit those of the call
+    without tangents, and no slope is computed when there are no tangents
+    and no tape. On the tape the node keeps every layer's output [a; da]
+    (the last one as its value), the first layer's stacked input and, with
+    a per-row prefix block, its per-row primal input [per-row blocks | x];
+    a one-row block keeps only its row. The reverse rule runs the layers
+    from the last to the first and carries the slope's own derivative:
 
         gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j   (tanh)
         gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
         gw_p = outer(p, gb)  for a one-row block,
         gw_rest = [per-row blocks | h_0]^T gz + dh^T gdz  (one matmul
-        without a per-row block).
+        without a per-row block),
+        g[h] = [gz; gdz] @ w_h^T  into the layer below,
+
+    and hands x the gradient of its primal rows, gz @ w_h^T; the tangent
+    seeds take none. It stops at the lowest layer that still owes a
+    gradient. The hidden activations are the node's internal values: only
+    its output and the gradients it hands to x and to each w and b are
+    checked, and a NaN inside the call reaches the output.
     """
-    x, wd = h.data, w.data
-    if x.ndim != 2 or wd.ndim != 2:
-        raise ValueError("dense is defined for 2-d inputs and weights")
+    xd = x.data
+    if xd.ndim != 2 or any(w.data.ndim != 2 for w in weights):
+        raise ValueError("network is defined for 2-d inputs and weights")
+    rows = xd.shape[0]
+    if rows < 1:
+        raise ValueError("network needs at least one input row")
+    h = xd
     if tangent is not None:
-        if x.shape[0] != rows:
-            raise ValueError(f"dense: {x.shape[0]} primal rows with a constant tangent, expected {rows}")
-        x = np.concatenate([x, tangent])
-    (total, n), (n_in, m) = x.shape, wd.shape
-    if (rows < 1 or total % rows or n + sum(p.shape[1] for p in prefix) != n_in
-            or (b is not None and b.data.shape != (m,))):
-        raise ValueError(f"dense: input {x.shape}, weight {wd.shape}, prefix, bias and {rows} "
-                         "primal rows do not fit")
-    k = total // rows - 1
-    parents = (h, w) if b is None else (h, w, b)
+        if tangent.shape[0] < rows or tangent.shape[0] % rows:
+            raise ValueError(f"tangent rows {tangent.shape[0]} are not a multiple of batch {rows}")
+        h = np.concatenate([xd, tangent])
+    k = h.shape[0] // rows - 1
+    width = xd.shape[1] + sum(p.shape[1] for p in prefix)
+    for w, b in zip(weights, biases):
+        if w.data.shape[0] != width or (b is not None and b.data.shape != w.data.shape[1:]):
+            raise ValueError(f"network: input width {width}, weight {w.data.shape} and bias "
+                             "do not fit")
+        width = w.data.shape[1]
+    parents = (x, *weights, *(b for b in biases if b is not None))
+    taped = _RECORDING and any(p.requires_grad or p._prev for p in parents)
     shared, per_row, lo = [], [], 0  # one-row blocks come with their weight rows
     for p in prefix:
         if p.shape[0] == 1:
@@ -358,66 +394,86 @@ def dense(h: Tensor, w: Tensor, b: Tensor | None, rows: int, tanh: bool = False,
         else:
             per_row.append(p)
         lo += p.shape[1]
-    w_in, bias = wd, None if b is None else b.data
-    if shared:
-        keep = np.ones(n_in, dtype=bool)
-        for p, lo, hi in shared:
-            keep[lo:hi] = False
-            row = p @ wd[lo:hi]
-            bias = row if bias is None else bias + row
-        w_in = wd[keep]
-    out = np.empty((total, m))
-    a = out[:rows]
-    w_h = wd[n_in - n:]
-    inp = x[:rows]
-    if per_row:
-        inp = np.concatenate(per_row + [inp], axis=1)
-    np.matmul(inp, w_in, out=a)
-    if bias is not None:
-        a += bias
-    if k:
-        np.matmul(x[rows:], w_h, out=out[rows:])
-    if tanh:
-        np.tanh(a, out=a)
+    last = len(weights) - 1
+    saved = []  # per layer on the tape: (weight, stacked input, per-row primal input, output)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        wd = w.data
+        n_in, m = wd.shape
+        w_in, bias = wd, None if b is None else b.data
+        inp = h[:rows]
+        if i == 0:
+            if shared:
+                keep = np.ones(n_in, dtype=bool)
+                for p, lo, hi in shared:
+                    keep[lo:hi] = False
+                    row = p @ wd[lo:hi]
+                    bias = row if bias is None else bias + row
+                w_in = wd[keep]
+            if per_row:
+                inp = np.concatenate(per_row + [inp], axis=1)
+        out = np.empty((h.shape[0], m))
+        a = out[:rows]
+        np.matmul(inp, w_in, out=a)
+        if bias is not None:
+            a += bias
         if k:
-            tangents = out[rows:].reshape(k, rows, m)
-            tangents *= 1.0 - a * a
+            np.matmul(h[rows:], wd[n_in - h.shape[1]:], out=out[rows:])
+        if i < last:
+            np.tanh(a, out=a)
+            if k:
+                tangents = out[rows:].reshape(k, rows, m)
+                tangents *= 1.0 - a * a
+        if taped:
+            saved.append((wd, h, inp, out))
+        h = out
 
     def bwd(node):
+        stop = 0 if x.requires_grad or x._prev else next(
+            i for i, (w, b) in enumerate(zip(weights, biases))
+            if w.requires_grad or w._prev or (b is not None and (b.requires_grad or b._prev)))
         g = node.grad
-        if not tanh:
-            gz, G = g[:rows], g
-        else:
-            a = node.data[:rows]
-            G = np.empty_like(g)  # [gz; gdz]
-            np.multiply(g.reshape(k + 1, rows, m), 1.0 - a * a, out=G.reshape(k + 1, rows, m))
-            gz = G[:rows]
-            if k:  # the slope's own derivative (see the rule above)
-                da = node.data[rows:]
-                acc = g[rows:2 * rows] * da[:rows]
-                for j in range(1, k):
-                    acc += g[(j + 1) * rows:(j + 2) * rows] * da[j * rows:(j + 1) * rows]
-                acc *= a
-                acc *= 2.0
-                gz -= acc
-        need_b = b is not None and (b.requires_grad or b._prev)
-        gb = gz.sum(axis=0) if need_b or shared else None
-        if need_b:
-            b._accum(gb, fresh=True)
-        if w.requires_grad or w._prev:
-            if per_row:
-                gw = inp.T @ gz
-                if k:
-                    gw[-n:] += x[rows:].T @ G[rows:]
+        for i in range(last, stop - 1, -1):
+            w, b = weights[i], biases[i]
+            wd, h, inp, out = saved[i]
+            n, m = h.shape[1], out.shape[1]
+            if i == last:
+                gz, G = g[:rows], g
             else:
-                gw = x.T @ G
-            if shared:
-                gw_in, gw = gw, np.empty_like(wd)
-                gw[keep] = gw_in
-                for p, lo, hi in shared:
-                    gw[lo:hi] = np.outer(p, gb)
-            w._accum(gw, fresh=True)
-        if h.requires_grad or h._prev:
-            h._accum((G if tangent is None else gz) @ w_h.T, fresh=True)
+                a = out[:rows]
+                G = np.empty_like(g)  # [gz; gdz]
+                np.multiply(g.reshape(k + 1, rows, m), 1.0 - a * a, out=G.reshape(k + 1, rows, m))
+                gz = G[:rows]
+                if k:  # the slope's own derivative (see the rule above)
+                    da = out[rows:]
+                    acc = g[rows:2 * rows] * da[:rows]
+                    for j in range(1, k):
+                        acc += g[(j + 1) * rows:(j + 2) * rows] * da[j * rows:(j + 1) * rows]
+                    acc *= a
+                    acc *= 2.0
+                    gz -= acc
+            first_shared = shared if i == 0 else ()
+            need_w = w.requires_grad or w._prev
+            need_b = b is not None and (b.requires_grad or b._prev)
+            gb = gz.sum(axis=0) if need_b or (need_w and first_shared) else None
+            if need_b:
+                b._accum(gb, fresh=True)
+            if need_w:
+                if i == 0 and per_row:
+                    gw = inp.T @ gz
+                    if k:
+                        gw[-n:] += h[rows:].T @ G[rows:]
+                else:
+                    gw = h.T @ G
+                if first_shared:
+                    gw_in, gw = gw, np.empty_like(wd)
+                    gw[keep] = gw_in
+                    for p, lo, hi in first_shared:
+                        gw[lo:hi] = np.outer(p, gb)
+                w._accum(gw, fresh=True)
+            w_h = wd[wd.shape[0] - n:]
+            if i > stop:
+                g = G @ w_h.T
+            elif i == 0 and (x.requires_grad or x._prev):
+                x._accum(gz @ w_h.T, fresh=True)
 
-    return h._node(out, parents, bwd, "dense")
+    return x._node(h, parents, bwd, "network")

@@ -218,3 +218,25 @@ def iql_step_reference(critic, batch, opt_v, opt_q) -> tuple[float, float]:
     if not (np.isfinite(vl) and np.isfinite(ql)):
         raise TrainingDivergedError("IQL loss went non-finite")
     return vl, ql
+
+
+class AdamReference:
+    """Adam applied tensor by tensor, each moment and parameter a fresh
+    array per step: the update ``optim.Adam`` must match byte for byte."""
+
+    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = list(params), lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self) -> None:
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            p.data = p.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)

@@ -209,6 +209,21 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match=f"keys .*expected .*'{name}'"):
             (load_policy if kind == "policy" else load_critic)(path)
 
+    @pytest.mark.parametrize("kind, name", [("policy", "net.w1"), ("policy", "t_emb.freqs"),
+                                            ("policy", "action_mean"), ("critic", "v.b0")])
+    def test_misshapen_array_rejected(self, tmp_path, kind, name):
+        # the header's architecture fixes every array's shape
+        path = str(tmp_path / "m.ckpt")
+        if kind == "policy":
+            save_policy(GenerativePolicy(PolicyConfig(hidden=(4,)), np.random.default_rng(0)), path)
+        else:
+            save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), path)
+        header, arrays = _read(path, kind)
+        arrays[name] = np.zeros(arrays[name].size + 1)
+        _write(path, header, list(arrays.items()))
+        with pytest.raises(DataFormatError, match="shape"):
+            (load_policy if kind == "policy" else load_critic)(path)
+
     def test_critic_bytes_follow_the_documented_layout(self, tmp_path):
         # magic, u32 version 1, u64 header length, sorted-key JSON header,
         # then every array as little-endian float64 in C order

@@ -190,3 +190,21 @@ def test_iql_step_evaluates_q_once_and_v_of_next_state_only_when_needed(monkeypa
     for steps, batch in enumerate(_iql_batches(DONE_COLUMNS[done], seed=8, steps=3), 1):
         iql_step(critic, batch, opt_v, opt_q)
         assert calls == {"q_tensor": steps, "v_values": v_calls * steps}
+
+
+def test_iql_losses_record_one_node_per_network_call(monkeypatch):
+    # the V loss: V(s), the residual (sub), square, the expectile weight, mean;
+    # the Q loss: Q(s, a), the residual against the constant target, square, mean
+    from oracles import recorded_nodes
+    counts, backward = [], Tensor.backward
+
+    def counting(self):
+        counts.append(recorded_nodes(self))
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    critic = Critic(2, 1, CriticConfig(hidden=(8, 8)), np.random.default_rng(9))
+    opt_v = Adam(critic.v_net.parameters(), lr=1e-3)
+    opt_q = Adam(critic.q_net.parameters(), lr=1e-3)
+    iql_step(critic, next(_iql_batches(DONE_COLUMNS["mixed"], seed=10, steps=1)), opt_v, opt_q)
+    assert counts == [5, 4]

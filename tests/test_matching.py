@@ -10,7 +10,7 @@ from genpolicy.sampler import SolverSpec, generate
 from genpolicy.schedules import PathSchedule, alpha_sigma, sample_path_point, target_velocity
 from genpolicy.tensor import Tensor
 
-from oracles import param_grad_check
+from oracles import param_grad_check, recorded_nodes
 
 GVP = PathSchedule("gvp")
 ICFM = PathSchedule("icfm")
@@ -238,3 +238,12 @@ class TestSharedProperties:
             v_direct = vel_model(Tensor(pts), t).data
             rels.append(np.abs(v_from_score - v_direct).mean() / np.abs(v_direct).mean())
         assert np.mean(rels) < 0.15
+
+
+def test_matching_loss_records_one_node_per_network_call():
+    # the network, the residual against the constant target, square, weight,
+    # mean and the factor 1/2
+    model = make_model("velocity", GVP, hidden=(8, 8))
+    rng = np.random.default_rng(15)
+    loss = matching_loss(model, GVP, rng.standard_normal((6, 2)), np.ones(6), rng)
+    assert recorded_nodes(loss) == 6

@@ -15,6 +15,22 @@ def test_param_count_matches_layer_formula():
     assert sum(p.data.size for p in net.parameters()) == expect
 
 
+def test_mlp_takes_given_arrays_as_they_are():
+    # a checkpoint load builds the network from its arrays and draws nothing
+    rng = np.random.default_rng(3)
+    params = [rng.standard_normal(shape) for shape in [(3, 4), (4,), (4, 2), (2,)]]
+    net = Mlp([3, 4, 2], params=params)
+    assert all(p.data is a and p.requires_grad for p, a in zip(net.parameters(), params))
+    with pytest.raises(ValueError, match="shape"):
+        Mlp([3, 4, 2], params=params[:2] + [params[2].T, params[3]])
+    with pytest.raises(ValueError):
+        Mlp([3, 4, 2], params=params[:2])
+    with pytest.raises(TypeError):  # layer sizes are integers
+        Mlp([3, 4.0, 2], params=params)
+    with pytest.raises(ValueError, match="shape"):
+        GaussianFourier(4, freqs=np.zeros(3))
+
+
 def test_zero_weight_net_returns_output_bias():
     rng = np.random.default_rng(0)
     net = Mlp([2, 8, 8, 3], rng)
@@ -224,11 +240,53 @@ class TestAdam:
         for p in params:
             p.grad = rng.standard_normal(2)
         opt.step()
-        before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+        before = [a.copy() for a in [p.data for p in params] + [opt.m, opt.v]]
         params[0].grad, params[1].grad = rng.standard_normal(2), bad
         with pytest.raises(error):
             opt.step()
-        after = [p.data for p in params] + opt.m + opt.v
+        after = [p.data for p in params] + [opt.m, opt.v]
+        assert opt.step_count == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+    def test_flat_buffer_matches_the_per_tensor_update(self):
+        # parameters and moments byte-equal to Adam applied tensor by tensor,
+        # over steps where some parameters have no gradient
+        from oracles import AdamReference
+        rng = np.random.default_rng(20)
+        shapes = [(3, 4), (4,), (), (2, 1)]
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        flat = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        alone = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        opt, ref = Adam(flat, lr=1e-2), AdamReference(alone, lr=1e-2)
+        for step in range(5):
+            for i, shape in enumerate(shapes):
+                g = None if (i + step) % 3 == 0 else rng.standard_normal(shape)
+                flat[i].grad, alone[i].grad = g, g
+            opt.step()
+            ref.step()
+            assert all(p.data.tobytes() == q.data.tobytes() for p, q in zip(flat, alone))
+            assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref.m]).tobytes()
+            assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref.v]).tobytes()
+        assert opt.step_count == ref.step_count == 5
+        assert all(np.shares_memory(p.data, opt.flat) for p in flat)
+
+    def test_parameter_listed_twice_rejected(self):
+        p, q = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+        with pytest.raises(ValueError):
+            Adam([p, q, p])
+
+    def test_replaced_parameter_data_rejected_before_anything_changes(self):
+        rng = np.random.default_rng(22)
+        params = [Tensor(rng.standard_normal(2), requires_grad=True) for _ in range(2)]
+        opt = Adam(params, lr=1e-2)
+        for p in params:
+            p.grad = rng.standard_normal(2)
+        opt.step()
+        params[1].data = params[1].data.copy()  # no longer the optimizer's view
+        before = [a.copy() for a in [p.data for p in params] + [opt.m, opt.v, opt.flat]]
+        with pytest.raises(ValueError):
+            opt.step()
+        after = [p.data for p in params] + [opt.m, opt.v, opt.flat]
         assert opt.step_count == 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 

@@ -16,7 +16,7 @@ from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
 from genpolicy.data import OfflineDataset
 
-from oracles import zero_grad
+from oracles import recorded_nodes, zero_grad
 
 
 class LinearCritic:
@@ -402,6 +402,26 @@ def _gmpg_setup(batch, hidden, action_dim, config):
     loss_fn = gmpg_loss if config.variant == "dynamic" else gmpg_static_surrogate
     return policy, lambda: loss_fn(policy, behavior, LinearCritic(), rng.standard_normal((batch, 1)),
                                    config, np.random.default_rng(72))
+
+
+def test_gmpg_euler_stage_records_one_node_per_network_call():
+    # per euler stage and unroll (pi and mu): the network, its output's
+    # primal and tangent rows, the output bias, the trace node and its sign,
+    # and the two state updates (x and l, two nodes each); Q(s, a) is one node
+    from genpolicy.critic import Critic, CriticConfig
+    behavior = small_policy(seed=75, hidden=(8, 8), action_dim=2)
+    policy = copy_policy(behavior)
+    critic = Critic(1, 2, CriticConfig(hidden=(8, 8)), np.random.default_rng(76))
+    behavior.model.freeze()
+    critic.freeze()
+
+    def nodes(t_train):
+        return recorded_nodes(gmpg_loss(policy, behavior, critic, np.zeros((4, 1)),
+                                        GmpgConfig(t_train=t_train, scheme="euler"),
+                                        np.random.default_rng(77)))
+
+    assert nodes(1) == 38
+    assert nodes(2) - nodes(1) == 20
 
 
 class TestGmpgMemory:

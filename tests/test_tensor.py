@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genpolicy.errors import NonFiniteError
-from genpolicy.tensor import Tensor, dense, no_tape
+from genpolicy.tensor import Tensor, network, no_tape
 
-from oracles import (concat, cos, exp, grad_check, log, matmul, reshape, sin, sqrt, tanh,
-                     zero_grad)
+from oracles import (concat, cos, exp, grad_check, log, matmul, recorded_nodes, reshape, sin,
+                     sqrt, tanh, zero_grad)
 
 
 def _fd(f, x, h=1e-5):
@@ -74,7 +74,8 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        h = dense(x, w, b, 3, tanh=True)
+        w2, b2 = Tensor(rng.standard_normal((4, 4)), requires_grad=True), Tensor(np.zeros(4))
+        h = network(x, [w, w2], [b, b2])
         out = reshape(concat([h.rows(0, 2), (h * h).rows(1)], axis=1), -1).sum() * 0.5 + (x * x).sum()
         out.backward()
         seen, stack, interior = set(), [out], []
@@ -87,7 +88,7 @@ class TestBackward:
                     interior.append(node)
         assert len(interior) >= 6
         assert all(node.grad is None for node in interior)
-        assert all(p.grad is not None for p in (x, w, b))
+        assert all(p.grad is not None for p in (x, w, b, w2))
         assert out.grad == 1.0
 
     def test_first_accumulation_copies_the_incoming_gradient(self):
@@ -223,91 +224,152 @@ def _grads_of(fn, *arrays, g0):
     return [out.data] + [t.grad for t in leaves]
 
 
-class TestFusedNodes:
-    def test_same_values_and_gradients_as_matmul_plus_bias(self):
-        rng = np.random.default_rng(9)
-        arrays = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
-        g0 = rng.standard_normal((5, 4))
-        fused = _grads_of(lambda x, w, b: dense(x, w, b, 5), *arrays, g0=g0)
-        ref = _grads_of(lambda x, w, b: matmul(x, w) + b, *arrays, g0=g0)
+def _layers(rng, widths):
+    """Weight and bias arrays of the layers between ``widths``."""
+    return ([rng.standard_normal((n, m)) for n, m in zip(widths[:-1], widths[1:])],
+            [rng.standard_normal(m) for m in widths[1:]])
+
+
+def _unfused(x, ws, bs, prefix=()):
+    """The network without its node: the prefix blocks, repeated on every
+    row, and x concatenated, then tanh(h @ w + b) per hidden layer and a
+    linear last layer."""
+    if prefix:
+        rows = x.shape[0]
+        x = concat([Tensor(np.repeat(p, rows // p.shape[0], axis=0)) for p in prefix] + [x])
+    for w, b in zip(ws[:-1], bs[:-1]):
+        x = tanh(matmul(x, w) + b)
+    return matmul(x, ws[-1]) + bs[-1]
+
+
+class TestNetworkNode:
+    """``tensor.network``: one node for a whole MLP call (tanh hidden
+    layers, a linear last layer), with constant prefix blocks and tangents."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_same_values_and_gradients_as_the_unfused_layers(self, depth):
+        rng = np.random.default_rng(9 + depth)
+        ws, bs = _layers(rng, [3, 4, 5, 2][:depth] + [2])
+        x0, g0 = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+
+        def run(f):
+            return _grads_of(lambda x, *p: f(x, list(p[:depth]), list(p[depth:])),
+                             x0, *ws, *bs, g0=g0)
+
+        fused, ref = run(network), run(_unfused)
         assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
 
-    def test_same_values_and_gradients_as_unfused_activation(self):
-        rng = np.random.default_rng(12)
-        arrays = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
-        g0 = rng.standard_normal((5, 4))
-        fused = _grads_of(lambda x, w, b: dense(x, w, b, 5, tanh=True), *arrays, g0=g0)
-        ref = _grads_of(lambda x, w, b: tanh(matmul(x, w) + b), *arrays, g0=g0)
-        assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, ref))
+    def test_one_node_per_call(self):
+        rng = np.random.default_rng(11)
+        ws, bs = _layers(rng, [3, 4, 4, 2])
+        out = network(Tensor(rng.standard_normal((5, 3)), requires_grad=True),
+                      [Tensor(w) for w in ws], [Tensor(b) for b in bs],
+                      tangent=rng.standard_normal((10, 3)))
+        assert out.shape == (15, 2)
+        assert recorded_nodes(out) == 1
 
     def test_grad_check_with_broadcast_bias(self):
         rng = np.random.default_rng(10)
-        w = Tensor(rng.standard_normal((3, 2)))
-        b = Tensor(rng.standard_normal(2))
+        (w0, w1), (b0, b1) = _layers(rng, [3, 2, 2])
+        w, w2, b, b2 = Tensor(w0), Tensor(w1), Tensor(b0), Tensor(b1)
         x = Tensor(rng.standard_normal((4, 3)))
         wts = rng.standard_normal((4, 2))
-        assert grad_check(lambda x: (dense(reshape(x, 4, 3), w, b, 4, tanh=True) * wts).sum(),
+        assert grad_check(lambda x: (network(reshape(x, 4, 3), [w, w2], [b, b2]) * wts).sum(),
                           Tensor(rng.standard_normal(12))) < 1e-6
-        assert grad_check(lambda w: (dense(x, reshape(w, 3, 2), b, 4, tanh=True) * wts).sum(),
+        assert grad_check(lambda w: (network(x, [reshape(w, 3, 2), w2], [b, b2]) * wts).sum(),
                           Tensor(rng.standard_normal(6))) < 1e-6
-        assert grad_check(lambda b: (dense(x, w, b, 4, tanh=True) * wts).sum(),
+        assert grad_check(lambda b: (network(x, [w, w2], [b, b2]) * wts).sum(),
                           Tensor(rng.standard_normal(2))) < 1e-6
 
-    @pytest.mark.parametrize("tanh_layer", [True, False], ids=["tanh", "linear"])
+    @pytest.mark.parametrize("depth", [1, 2, 3], ids=["linear", "one-hidden", "two-hidden"])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("prefix_rows", [None, 1, 4], ids=["no-prefix", "row-prefix", "prefix"])
-    def test_grad_check_with_tangents(self, tanh_layer, k, prefix_rows):
+    def test_grad_check_with_tangents(self, depth, k, prefix_rows):
         # every argument of the node; with k > 0 the slope's own derivative is in play
         rng = np.random.default_rng(13 + k)
-        rows, n, m = 4, 3, 5
+        rows, n = 4, 3
         prefix = [] if prefix_rows is None else [rng.standard_normal((prefix_rows, 2)),
                                                  rng.standard_normal((rows, 1))]
         width = n + sum(p.shape[1] for p in prefix)
-        h0, w0, b0 = (rng.standard_normal(((k + 1) * rows, n)), rng.standard_normal((width, m)),
-                      rng.standard_normal(m))
-        wts = rng.standard_normal(((k + 1) * rows, m))
+        ws, bs = _layers(rng, [width, 5, 4][:depth] + [3])
+        x0 = rng.standard_normal((rows, n))
+        tangent = rng.standard_normal((k * rows, n)) if k else None
+        wts = rng.standard_normal(((k + 1) * rows, 3))
+        leaves = [Tensor(a) for a in ws + bs]
 
-        def f(h, w, b):
-            return (dense(h, w, b, rows, tanh=tanh_layer, prefix=prefix) * wts).sum()
+        def f(i, arg):
+            args = [Tensor(x0)] + leaves
+            args[i] = arg
+            out = network(args[0], args[1:depth + 1], args[depth + 1:], prefix, tangent)
+            return (out * wts).sum()
 
-        assert grad_check(lambda h: f(h, Tensor(w0), Tensor(b0)), Tensor(h0)) < 1e-6
-        assert grad_check(lambda w: f(Tensor(h0), w, Tensor(b0)), Tensor(w0)) < 1e-6
-        assert grad_check(lambda b: f(Tensor(h0), Tensor(w0), b), Tensor(b0)) < 1e-6
+        for i, a in enumerate([x0] + ws + bs):
+            fd = _fd(lambda v: float(f(i, Tensor(v)).data), a)
+            leaf = Tensor(a, requires_grad=True)
+            f(i, leaf).backward()
+            assert np.abs(leaf.grad - fd).max() < 1e-6 * (np.abs(fd).max() + 1e-8), i
 
     @pytest.mark.parametrize("rows, shared_first", [(4, True), (4, False), (1, True)],
                              ids=["shared-first", "shared-last", "one-row"])
     def test_one_row_block_folds_into_the_bias_row(self, rows, shared_first):
-        # values and gradients of the fold against the unfused layer over
+        # values and gradients of the fold against the unfused layers over
         # the concatenated input, the one-row block repeated on every row
         rng = np.random.default_rng(21)
         blocks = [rng.standard_normal((1, 3)), rng.standard_normal((rows, 2))]
         blocks = blocks if shared_first else blocks[::-1]
-        arrays = rng.standard_normal((rows, 2)), rng.standard_normal((7, 4)), rng.standard_normal(4)
-        g0 = rng.standard_normal((rows, 4))
-        fused = _grads_of(lambda x, w, b: dense(x, w, b, rows, tanh=True, prefix=blocks),
-                          *arrays, g0=g0)
-        ref = _grads_of(lambda x, w, b: tanh(matmul(concat(
-            [Tensor(np.repeat(p, rows // p.shape[0], axis=0)) for p in blocks] + [x]), w) + b),
-            *arrays, g0=g0)
+        ws, bs = _layers(rng, [7, 4, 3])
+        x0, g0 = rng.standard_normal((rows, 2)), rng.standard_normal((rows, 3))
+
+        def run(f):
+            return _grads_of(lambda x, w0, w1, b0, b1: f(x, [w0, w1], [b0, b1], blocks),
+                             x0, *ws, *bs, g0=g0)
+
+        fused, ref = run(network), run(_unfused)
         assert all(np.allclose(f, r, rtol=0.0, atol=1e-13) for f, r in zip(fused, ref))
 
-    @pytest.mark.parametrize("tanh_layer", [True, False], ids=["tanh", "linear"])
+    @pytest.mark.parametrize("depth", [1, 2], ids=["linear", "tanh"])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_rows_are_the_layer_and_its_jvp(self, tanh_layer, k):
+    def test_rows_are_the_call_and_its_jvp(self, depth, k):
         rng = np.random.default_rng(14)
         rows = 4
         prefix = [rng.standard_normal((1, 2))]
-        h0, w0, b0 = rng.standard_normal(((k + 1) * rows, 3)), rng.standard_normal((5, 6)), rng.standard_normal(6)
-        w, b = Tensor(w0), Tensor(b0)
-        out = dense(Tensor(h0), w, b, rows, tanh=tanh_layer, prefix=prefix).data
-        alone = dense(Tensor(h0[:rows]), w, b, rows, tanh=tanh_layer, prefix=prefix).data
+        ws, bs = _layers(rng, [5, 6, 3][:depth] + [3])
+        x0, u = rng.standard_normal((rows, 3)), rng.standard_normal((k * rows, 3))
+        args = [Tensor(w) for w in ws], [Tensor(b) for b in bs]
+        out = network(Tensor(x0), *args, prefix, u).data
+        alone = network(Tensor(x0), *args, prefix).data
         assert out[:rows].tobytes() == alone.tobytes()
-        z = np.concatenate([np.repeat(prefix[0], rows, axis=0), h0[:rows]], axis=1) @ w0 + b0
-        assert np.allclose(out[:rows], np.tanh(z) if tanh_layer else z, rtol=0.0, atol=1e-12)
-        slope = 1.0 - np.tanh(z) ** 2 if tanh_layer else 1.0
-        for j in range(1, k + 1):
-            dz = h0[j * rows:(j + 1) * rows] @ w0[2:]
-            assert np.allclose(out[j * rows:(j + 1) * rows], dz * slope, rtol=0.0, atol=1e-12)
+        z = np.concatenate([np.repeat(prefix[0], rows, axis=0), x0], axis=1) @ ws[0] + bs[0]
+        dz = [u[j * rows:(j + 1) * rows] @ ws[0][2:] for j in range(k)]
+        if depth == 2:
+            slope = 1.0 - np.tanh(z) ** 2
+            z = np.tanh(z) @ ws[1] + bs[1]
+            dz = [(d * slope) @ ws[1] for d in dz]
+        assert np.allclose(out[:rows], z, rtol=0.0, atol=1e-12)
+        for j in range(k):
+            assert np.allclose(out[(j + 1) * rows:(j + 2) * rows], dz[j], rtol=0.0, atol=1e-12)
+
+    def test_frozen_layers_take_no_gradient(self):
+        # frozen weights get no gradient; the others, and x, get the same bytes
+        rng = np.random.default_rng(15)
+        ws, bs = _layers(rng, [3, 4, 4, 2])
+        x0, u, g0 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3)), rng.standard_normal((10, 2))
+
+        def grads(frozen, x_grad):
+            x = Tensor(x0, requires_grad=x_grad)
+            params = [Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(ws + bs)]
+            (network(x, params[:3], params[3:], tangent=u) * g0).sum().backward()
+            return [x.grad] + [p.grad for p in params]
+
+        full = grads(set(), True)
+        for frozen, x_grad in [({0, 3}, False), ({0, 1, 3, 4}, False), (set(range(6)), True),
+                               ({1, 4}, True)]:
+            part = grads(frozen, x_grad)
+            assert (part[0] is None) != x_grad
+            for i, (g, ref) in enumerate(zip(part[1:], full[1:])):
+                assert g is None if i in frozen else g.tobytes() == ref.tobytes()
+            if x_grad:
+                assert part[0].tobytes() == full[0].tobytes()
 
     def test_rejects_non_2d_like_matmul(self):
         w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
@@ -315,26 +377,71 @@ class TestFusedNodes:
             with pytest.raises(ValueError):
                 matmul(x, w)
             with pytest.raises(ValueError):
-                dense(x, w, b, 2)
+                network(x, [w], [b])
         with pytest.raises(ValueError):
-            dense(Tensor(np.ones((4, 3))), Tensor(np.ones(3)), b, 4)
+            network(Tensor(np.ones((4, 3))), [Tensor(np.ones(3))], [b])
         with pytest.raises(ValueError):  # tangent rows come in whole blocks
-            dense(Tensor(np.ones((6, 3))), w, b, 4, tanh=True)
+            network(Tensor(np.ones((4, 3))), [w], [b], tangent=np.ones((6, 3)))
+        with pytest.raises(ValueError):  # and at least one of them
+            network(Tensor(np.ones((4, 3))), [w], [b], tangent=np.ones((0, 3)))
         with pytest.raises(ValueError):  # the input is wider than the weight
-            dense(Tensor(np.ones((4, 4))), w, b, 4)
-        with pytest.raises(ValueError):  # with a constant tangent, h is the primal rows alone
-            dense(Tensor(np.ones((8, 3))), w, b, 4, tanh=True, tangent=np.ones((4, 3)))
+            network(Tensor(np.ones((4, 4))), [w], [b])
+        with pytest.raises(ValueError):  # the layers do not chain
+            network(Tensor(np.ones((4, 3))), [w, w], [b, b])
+        with pytest.raises(ValueError):  # the bias does not fit the weight
+            network(Tensor(np.ones((4, 3))), [w], [Tensor(np.zeros(3))])
+        with pytest.raises(ValueError):  # no rows
+            network(Tensor(np.ones((0, 3))), [w], [b])
 
     def test_non_finite_weight_raises(self):
         from genpolicy.nn import Mlp
         w = Tensor(np.ones((3, 2)), requires_grad=True)
         w.data[1, 0] = np.inf  # set after the leaf's own check, as a diverged update would
         with pytest.raises(NonFiniteError):
-            dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), 4)
+            network(Tensor(np.ones((4, 3))), [w], [Tensor(np.zeros(2))])
         net = Mlp([3, 4, 2], np.random.default_rng(0))
         net.weights[-1].data[0, 0] = np.inf
         with pytest.raises(NonFiniteError):
             net(Tensor(np.ones((4, 3))))
+
+    def test_nan_in_a_hidden_layer_reaches_the_output(self):
+        # the hidden activations are not checked on their own
+        from genpolicy.nn import Mlp
+        net = Mlp([3, 4, 4, 2], np.random.default_rng(0))
+        net.weights[0].data[0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            net(Tensor(np.ones((4, 3))))
+        with pytest.raises(NonFiniteError):
+            net.forward_jvp(Tensor(np.ones((4, 3))), np.ones((4, 3)))
+
+
+class TestLossNodes:
+    @pytest.mark.parametrize("b_shape", [(4, 3), (3,), (4, 1), ()])
+    def test_sub_is_one_node_equal_to_adding_the_negation(self, b_shape):
+        rng = np.random.default_rng(31)
+        arrays, g0 = (rng.standard_normal((4, 3)), rng.standard_normal(b_shape)), rng.standard_normal((4, 3))
+        one = _grads_of(lambda a, b: a - b, *arrays, g0=g0)
+        composed = _grads_of(lambda a, b: a + b * (-1.0), *arrays, g0=g0)
+        assert all(f.tobytes() == r.tobytes() for f, r in zip(one, composed))
+        a, b = Tensor(arrays[0], requires_grad=True), Tensor(arrays[1], requires_grad=True)
+        assert recorded_nodes(a - b) == 1
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_is_one_node_equal_to_the_scaled_sum(self, keepdims):
+        rng = np.random.default_rng(32)
+        a0 = rng.standard_normal((5, 3))
+
+        def run(f):
+            a = Tensor(a0, requires_grad=True)
+            out = f(a)
+            (out * 1.7).sum().backward()
+            return out, a.grad
+
+        (out, grad), (ref, ref_grad) = run(lambda a: a.mean(keepdims=keepdims)), \
+            run(lambda a: a.sum(keepdims=keepdims) * (1.0 / a0.size))
+        assert out.data.tobytes() == ref.data.tobytes() and out.shape == ref.shape
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert recorded_nodes(Tensor(a0, requires_grad=True).mean()) == 1
 
 
 class TestNoTape:
