@@ -57,6 +57,8 @@ class GaussianFourier:
             raise ValueError("time-embedding width must be a positive even number")
         self.width = width
         if freqs is None:
+            if rng is None:
+                raise ValueError("GaussianFourier needs an rng or its freqs")
             freqs = rng.standard_normal(width // 2) * scale
         elif freqs.shape != (width // 2,):
             raise ValueError(f"frequencies have shape {freqs.shape}, expected {(width // 2,)}")
@@ -83,6 +85,8 @@ class Mlp:
         self.sizes = [operator.index(n) for n in sizes]
         layers = list(zip(self.sizes[:-1], self.sizes[1:]))
         if params is None:
+            if rng is None:
+                raise ValueError("Mlp needs an rng or its params")
             params = []
             for fan_in, fan_out in layers:
                 params += [rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in),

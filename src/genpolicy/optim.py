@@ -14,6 +14,8 @@ so the parameters are bit for bit those of updating each tensor alone.
 A parameter therefore belongs to one optimizer and keeps its view:
 listing it twice, or replacing its ``data`` after construction, is
 refused (``ValueError``); changing the values in place is fine.
+Because the step writes into the arrays a recorded graph refers to, a
+graph must not be backpropagated after a step over its parameters.
 """
 
 from __future__ import annotations

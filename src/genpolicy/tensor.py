@@ -13,7 +13,10 @@ on rather than one per node. A gradient a closure has just computed for
 one parent becomes that parent's ``grad`` as it is, uncopied. Leaves and
 the root keep theirs. Because of that, ``backward`` may be called more
 than once and every leaf gradient truly accumulates; training loops call
-``Adam.zero_grad`` between steps. Recording is re-entrant — new operations
+``Adam.zero_grad`` between steps. Closures keep references to the weight
+arrays, not copies, and ``Adam.step`` updates those arrays in place, so a
+graph must not be backpropagated after an optimizer step over its
+parameters. Recording is re-entrant — new operations
 may reference nodes of an existing graph at any time, which is what lets
 a solver unroll of up to T=1000 steps stay differentiable. Memory grows
 with the number of recorded operations (one array per op, plus what a

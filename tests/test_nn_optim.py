@@ -29,6 +29,10 @@ def test_mlp_takes_given_arrays_as_they_are():
         Mlp([3, 4.0, 2], params=params)
     with pytest.raises(ValueError, match="shape"):
         GaussianFourier(4, freqs=np.zeros(3))
+    with pytest.raises(ValueError, match="rng"):  # neither weights nor a way to draw them
+        Mlp([3, 4, 2])
+    with pytest.raises(ValueError, match="rng"):
+        GaussianFourier(4)
 
 
 def test_zero_weight_net_returns_output_bias():

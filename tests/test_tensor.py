@@ -295,19 +295,23 @@ class TestNetworkNode:
         x0 = rng.standard_normal((rows, n))
         tangent = rng.standard_normal((k * rows, n)) if k else None
         wts = rng.standard_normal(((k + 1) * rows, 3))
-        leaves = [Tensor(a) for a in ws + bs]
+        arrays = [x0] + ws + bs
 
         def f(i, arg):
-            args = [Tensor(x0)] + leaves
+            # the probe ``arg`` stands in for argument i of the network call
+            args = [Tensor(a) for a in arrays]
             args[i] = arg
             out = network(args[0], args[1:depth + 1], args[depth + 1:], prefix, tangent)
             return (out * wts).sum()
 
-        for i, a in enumerate([x0] + ws + bs):
-            fd = _fd(lambda v: float(f(i, Tensor(v)).data), a)
-            leaf = Tensor(a, requires_grad=True)
-            f(i, leaf).backward()
-            assert np.abs(leaf.grad - fd).max() < 1e-6 * (np.abs(fd).max() + 1e-8), i
+        # Past one layer the bound is 1e-4: with a tanh layer in front, the
+        # row-prefix k=0 case has a weight whose gradient is 3e-7, and central
+        # differences miss it by 6e-5 of itself (truncation error, of order
+        # h^2 times the third derivative); the unfused primitive ops show the
+        # same error on the same coordinate.
+        bound = 1e-6 if depth == 1 else 1e-4
+        for i, a in enumerate(arrays):
+            assert grad_check(lambda arg: f(i, arg), Tensor(a)) < bound, i
 
     @pytest.mark.parametrize("rows, shared_first", [(4, True), (4, False), (1, True)],
                              ids=["shared-first", "shared-last", "one-row"])
