@@ -58,6 +58,11 @@ class TraceMode:
         if self.kind == "hutchinson" and self.n_probes < 1:
             raise ValueError("hutchinson needs n_probes >= 1")
 
+    def tangents(self, d: int) -> int:
+        """Tangent blocks a JVP call carries at dimension d: the d basis
+        vectors for an exact trace, one per probe for Hutchinson."""
+        return d if self.kind == "exact" else self.n_probes
+
 
 @dataclass
 class LogDensityResult:

@@ -17,9 +17,11 @@ over the (k+1)·B stacked rows: per layer the primal rows get
 ``act(h @ w + b)``, the tangent rows ``(dh @ w) * act'``, each through
 its own matmul, so the primal output is bit for bit that of
 ``__call__`` (the k = 0 case of the same node). The node keeps each
-layer's (k+1)·B-row output. Its stacked product, taken without the
-output bias, is split back into the B-row output, plus that bias, and
-the k·B-row output tangent.
+later layer's (k+1)·B-row output but only the B primal rows of the first
+hidden layer's, whose tangent rows its reverse rule rebuilds from the
+seeds. Its stacked product, taken without the output bias, is split
+back into the B-row output, plus that bias, and the k·B-row output
+tangent.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent

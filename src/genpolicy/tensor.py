@@ -38,12 +38,15 @@ layers from the last to the first and includes the derivative of tanh's
 slope. The tangent seeds are a constant array, so they get no gradient,
 and so are the first layer's prefix columns: a one-row block (the time
 embedding at a scalar t) is multiplied once and added into the bias row,
-never broadcast to every row. The node keeps every layer's output and,
-for the first layer, the stacked input rows and the per-row primal
-input; the hidden activations are its internal values, so they make no
-nodes and no finite checks of their own. ``rows`` slices the stacked
-result back apart. A loss is a handful of nodes: ``a - b`` of two
-Tensors is one ``sub`` node and a full ``mean()`` one ``mean`` node.
+never broadcast to every row. The node keeps every layer's output, but
+of a hidden first layer only the B primal rows when tangents ride along
+(the reverse rule rebuilds its k·B tangent rows, the seeds times w_x
+times the slope, with the forward's own ops), and, for the first layer,
+the stacked input rows and the per-row primal input; the hidden
+activations are its internal values, so they make no nodes and no finite
+checks of their own. ``rows`` slices the stacked result back apart. A
+loss is a handful of nodes: ``a - b`` of two Tensors is one ``sub`` node
+and a full ``mean()`` one ``mean`` node.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -354,8 +357,14 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     and no tape. On the tape the node keeps every layer's output [a; da]
     (the last one as its value), the first layer's stacked input and, with
     a per-row prefix block, its per-row primal input [per-row blocks | x];
-    a one-row block keeps only its row. The reverse rule runs the layers
-    from the last to the first and carries the slope's own derivative:
+    a one-row block keeps only its row. With tangents, a hidden first
+    layer keeps only its B primal rows a: its tangent rows are the
+    constant seeds times w_x, scaled by the slope 1 - a*a, so the reverse
+    rule rebuilds them with the forward's own ops (``seeds @ w_x``, then
+    ``*= 1 - a*a``, into one stacked [a; da] that serves the first
+    layer's slope term and the second layer's weight gradient), bit for
+    bit the rows it dropped. The reverse rule runs the layers from the
+    last to the first and carries the slope's own derivative:
 
         gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j   (tanh)
         gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
@@ -365,10 +374,12 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
         g[h] = [gz; gdz] @ w_h^T  into the layer below,
 
     and hands x the gradient of its primal rows, gz @ w_h^T; the tangent
-    seeds take none. It stops at the lowest layer that still owes a
-    gradient. The hidden activations are the node's internal values: only
-    its output and the gradients it hands to x and to each w and b are
-    checked, and a NaN inside the call reaches the output.
+    seeds take none. A hidden layer's [ga; gda] is the pass's own array,
+    so it is scaled into [gz; gdz] in place, after the slope term has read
+    its unscaled tangent rows. It stops at the lowest layer that still
+    owes a gradient. The hidden activations are the node's internal
+    values: only its output and the gradients it hands to x and to each w
+    and b are checked, and a NaN inside the call reaches the output.
     """
     xd = x.data
     if xd.ndim != 2 or any(w.data.ndim != 2 for w in weights):
@@ -429,34 +440,50 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
         if taped:
             saved.append((wd, h, inp, out))
         h = out
+    if taped and k and last:  # a hidden first layer keeps its primal rows alone
+        saved[0] = (*saved[0][:3], saved[0][3][:rows].copy())
+        saved[1] = (saved[1][0], None, None, saved[1][3])
 
     def bwd(node):
         stop = 0 if x.requires_grad or x._prev else next(
             i for i, (w, b) in enumerate(zip(weights, biases))
             if w.requires_grad or w._prev or (b is not None and (b.requires_grad or b._prev)))
         g = node.grad
+        first_out = None
         for i in range(last, stop - 1, -1):
             w, b = weights[i], biases[i]
+            need_w = w.requires_grad or w._prev
+            need_b = b is not None and (b.requires_grad or b._prev)
             wd, h, inp, out = saved[i]
-            n, m = h.shape[1], out.shape[1]
+            if i == 1 and h is None and (need_w or stop == 0):
+                # the first layer's stacked output, rebuilt by the forward's own ops
+                wd0, h0, _, a0 = saved[0]
+                h = first_out = np.empty((h0.shape[0], a0.shape[1]))
+                h[:rows] = a0
+                np.matmul(h0[rows:], wd0[wd0.shape[0] - h0.shape[1]:], out=h[rows:])
+                tangents = h[rows:].reshape(k, rows, -1)
+                tangents *= 1.0 - a0 * a0
+            elif i == 0 and first_out is not None:
+                out = first_out
+            n, m = h.shape[1] if i == 0 else wd.shape[0], out.shape[1]  # n: x's or h's width
             if i == last:
                 gz, G = g[:rows], g
             else:
                 a = out[:rows]
-                G = np.empty_like(g)  # [gz; gdz]
-                np.multiply(g.reshape(k + 1, rows, m), 1.0 - a * a, out=G.reshape(k + 1, rows, m))
-                gz = G[:rows]
-                if k:  # the slope's own derivative (see the rule above)
+                if k:  # the slope's own derivative (see the rule above), from the unscaled g
                     da = out[rows:]
                     acc = g[rows:2 * rows] * da[:rows]
                     for j in range(1, k):
                         acc += g[(j + 1) * rows:(j + 2) * rows] * da[j * rows:(j + 1) * rows]
                     acc *= a
                     acc *= 2.0
+                G = g  # [gz; gdz], scaled in place: g is this pass's own array
+                blocks = G.reshape(k + 1, rows, m)
+                blocks *= 1.0 - a * a
+                gz = G[:rows]
+                if k:
                     gz -= acc
             first_shared = shared if i == 0 else ()
-            need_w = w.requires_grad or w._prev
-            need_b = b is not None and (b.requires_grad or b._prev)
             gb = gz.sum(axis=0) if need_b or (need_w and first_shared) else None
             if need_b:
                 b._accum(gb, fresh=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from genpolicy import tensor
 from genpolicy.critic import expectile_loss
 from genpolicy.errors import NonFiniteError, TrainingDivergedError
 from genpolicy.likelihood import TraceMode, _stderr_of, trace_with_jvp
@@ -191,6 +192,122 @@ def jacobian_trace(field, x, t, mode: TraceMode = TraceMode(), rng=None):
             (field(leaf, t) * eps).sum().backward()
             est[p] = (leaf.grad * eps).sum(axis=1)
     return est.mean(axis=0), _stderr_of(est)
+
+
+def network_reference(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
+    """``tensor.network`` as it was when the node kept every layer's whole
+    stacked output on the tape: the tangent-carrying call's values and
+    gradients that the library's node must reproduce byte for byte."""
+    xd = x.data
+    if xd.ndim != 2 or any(w.data.ndim != 2 for w in weights):
+        raise ValueError("network is defined for 2-d inputs and weights")
+    rows = xd.shape[0]
+    if rows < 1:
+        raise ValueError("network needs at least one input row")
+    h = xd
+    if tangent is not None:
+        if tangent.shape[0] < rows or tangent.shape[0] % rows:
+            raise ValueError(f"tangent rows {tangent.shape[0]} are not a multiple of batch {rows}")
+        h = np.concatenate([xd, tangent])
+    k = h.shape[0] // rows - 1
+    width = xd.shape[1] + sum(p.shape[1] for p in prefix)
+    for w, b in zip(weights, biases):
+        if w.data.shape[0] != width or (b is not None and b.data.shape != w.data.shape[1:]):
+            raise ValueError(f"network: input width {width}, weight {w.data.shape} and bias "
+                             "do not fit")
+        width = w.data.shape[1]
+    parents = (x, *weights, *(b for b in biases if b is not None))
+    taped = tensor._RECORDING and any(p.requires_grad or p._prev for p in parents)
+    shared, per_row, lo = [], [], 0  # one-row blocks come with their weight rows
+    for p in prefix:
+        if p.shape[0] == 1:
+            shared.append((p, lo, lo + p.shape[1]))
+        else:
+            per_row.append(p)
+        lo += p.shape[1]
+    last = len(weights) - 1
+    saved = []  # per layer on the tape: (weight, stacked input, per-row primal input, output)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        wd = w.data
+        n_in, m = wd.shape
+        w_in, bias = wd, None if b is None else b.data
+        inp = h[:rows]
+        if i == 0:
+            if shared:
+                keep = np.ones(n_in, dtype=bool)
+                for p, lo, hi in shared:
+                    keep[lo:hi] = False
+                    row = p @ wd[lo:hi]
+                    bias = row if bias is None else bias + row
+                w_in = wd[keep]
+            if per_row:
+                inp = np.concatenate(per_row + [inp], axis=1)
+        out = np.empty((h.shape[0], m))
+        a = out[:rows]
+        np.matmul(inp, w_in, out=a)
+        if bias is not None:
+            a += bias
+        if k:
+            np.matmul(h[rows:], wd[n_in - h.shape[1]:], out=out[rows:])
+        if i < last:
+            np.tanh(a, out=a)
+            if k:
+                tangents = out[rows:].reshape(k, rows, m)
+                tangents *= 1.0 - a * a
+        if taped:
+            saved.append((wd, h, inp, out))
+        h = out
+
+    def bwd(node):
+        stop = 0 if x.requires_grad or x._prev else next(
+            i for i, (w, b) in enumerate(zip(weights, biases))
+            if w.requires_grad or w._prev or (b is not None and (b.requires_grad or b._prev)))
+        g = node.grad
+        for i in range(last, stop - 1, -1):
+            w, b = weights[i], biases[i]
+            wd, h, inp, out = saved[i]
+            n, m = h.shape[1], out.shape[1]
+            if i == last:
+                gz, G = g[:rows], g
+            else:
+                a = out[:rows]
+                G = np.empty_like(g)  # [gz; gdz]
+                np.multiply(g.reshape(k + 1, rows, m), 1.0 - a * a, out=G.reshape(k + 1, rows, m))
+                gz = G[:rows]
+                if k:  # the slope's own derivative (see the rule above)
+                    da = out[rows:]
+                    acc = g[rows:2 * rows] * da[:rows]
+                    for j in range(1, k):
+                        acc += g[(j + 1) * rows:(j + 2) * rows] * da[j * rows:(j + 1) * rows]
+                    acc *= a
+                    acc *= 2.0
+                    gz -= acc
+            first_shared = shared if i == 0 else ()
+            need_w = w.requires_grad or w._prev
+            need_b = b is not None and (b.requires_grad or b._prev)
+            gb = gz.sum(axis=0) if need_b or (need_w and first_shared) else None
+            if need_b:
+                b._accum(gb, fresh=True)
+            if need_w:
+                if i == 0 and per_row:
+                    gw = inp.T @ gz
+                    if k:
+                        gw[-n:] += h[rows:].T @ G[rows:]
+                else:
+                    gw = h.T @ G
+                if first_shared:
+                    gw_in, gw = gw, np.empty_like(wd)
+                    gw[keep] = gw_in
+                    for p, lo, hi in first_shared:
+                        gw[lo:hi] = np.outer(p, gb)
+                w._accum(gw, fresh=True)
+            w_h = wd[wd.shape[0] - n:]
+            if i > stop:
+                g = G @ w_h.T
+            elif i == 0 and (x.requires_grad or x._prev):
+                x._accum(gz @ w_h.T, fresh=True)
+
+    return x._node(h, parents, bwd, "network")
 
 
 def iql_step_reference(critic, batch, opt_v, opt_q) -> tuple[float, float]:

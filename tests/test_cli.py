@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -584,6 +585,66 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "GiB of tape" in proc.stderr and "t_train=1000000" in proc.stderr
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "export-trajectories"])
+    def test_huge_n_exits_2_before_it_allocates(self, tmp_path, capsys, command):
+        # 2e9 rows of even a 4-wide network need hundreds of GiB: the stage
+        # refuses from the shapes, before it writes its config or draws a row
+        ckpt = str(tmp_path / "p.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                     np.random.default_rng(0)), ckpt)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = cli.main([command, *tiny_args(str(out)), "--checkpoint", ckpt,
+                             "--n", "2000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {command} would hold an estimated ")
+        assert err.count("\n") == 1 and "for 2000000000 rows" in err and "physical memory" in err
+        assert not out.exists()
+        assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "logprob", "export-trajectories"])
+    def test_pass_beyond_physical_memory_exits_2_before_any_output(self, tmp_path, capsys,
+                                                                   monkeypatch, command):
+        # logprob scores at most the dataset's rows, so no --n pushes it past
+        # memory; a 4 KiB machine stands in for a dataset too large to score
+        monkeypatch.setattr(cli, "_physical_bytes", lambda: 2**12)
+        ckpt = str(tmp_path / "p.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                     np.random.default_rng(0)), ckpt)
+        out = tmp_path / "o"
+        assert cli.main([command, *tiny_args(str(out)), "--checkpoint", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command} would hold an estimated ")
+        assert err.count("\n") == 1 and "more than the 0.0 GiB of physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, n, k, grid", [
+        ("sample", 4096, 0, 0), ("eval", 4096, 0, 0), ("logprob", 2048, 2, 0),
+        ("export-trajectories", 512, 0, 9)])
+    def test_pass_estimate_within_a_quarter_of_the_peak(self, tmp_path, capsys, command, n, k,
+                                                        grid):
+        # the estimate against the whole stage's tracemalloc peak (2-d
+        # bandit, 64x2, an exact trace for logprob, 8 solver steps)
+        ds_path, ckpt = str(tmp_path / "d.gpds"), str(tmp_path / "p.ckpt")
+        save_dataset(make_tilted_gaussian_bandit(2, 1.0, 2048, seed=0)[0], ds_path)
+        policy = GenerativePolicy(PolicyConfig(state_dim=1, action_dim=2, hidden=(64, 64)),
+                                  np.random.default_rng(0))
+        save_policy(policy, ckpt)
+        tracemalloc.start()
+        try:
+            code = cli.main([command, *tiny_args(str(tmp_path / "o")), "--dataset", ds_path,
+                             "--checkpoint", ckpt, "--n", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert 0.75 * peak <= cli._pass_bytes(policy, n, k, grid) <= 1.25 * peak, peak
 
     def test_swiss_roll_task_kind(self, tmp_path):
         out = str(tmp_path / "roll")

@@ -457,6 +457,7 @@ class TestGmpgMemory:
         (48, (48, 48, 48), 1, GmpgConfig(t_train=2, scheme="rk4_38", variant="static",
                                          trace=TraceMode("hutchinson", 3))),
         (96, (48, 48), 2, GmpgConfig(t_train=3, scheme="midpoint")),
+        (256, (64, 64), 2, GmpgConfig(t_train=8)),  # gmpg-bandit's shapes at a shorter unroll
     ])
     def test_tape_estimate_within_a_quarter(self, batch, hidden, action_dim, config):
         # measured as the bytes the built loss holds, closure-held arrays included

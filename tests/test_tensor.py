@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from genpolicy.errors import NonFiniteError
 from genpolicy.tensor import Tensor, network, no_tape
 
-from oracles import (concat, cos, exp, grad_check, log, matmul, recorded_nodes, reshape, sin,
-                     sqrt, tanh, zero_grad)
+from oracles import (concat, cos, exp, grad_check, log, matmul, network_reference, recorded_nodes,
+                     reshape, sin, sqrt, tanh, zero_grad)
 
 
 def _fd(f, x, h=1e-5):
@@ -417,6 +419,67 @@ class TestNetworkNode:
             net(Tensor(np.ones((4, 3))))
         with pytest.raises(NonFiniteError):
             net.forward_jvp(Tensor(np.ones((4, 3))), np.ones((4, 3)))
+
+
+class TestNetworkTangentLayout:
+    """A tangent-carrying call keeps only the B primal rows of a hidden first
+    layer's output and rebuilds its k·B tangent rows in the reverse pass;
+    the values and gradients stay those of the node that kept every row
+    (``oracles.network_reference``)."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3], ids=["linear", "one-hidden", "two-hidden"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("prefix_rows", [None, 1, 4], ids=["no-prefix", "row-prefix", "prefix"])
+    @pytest.mark.parametrize("frozen, x_grad", [
+        ((), True), (("w", "b"), True), (("w0", "b0"), False), (("w1",), True)],
+        ids=["trainable", "frozen", "first-layer-frozen", "second-weight-frozen"])
+    def test_same_bytes_as_the_keep_every_row_node(self, depth, k, prefix_rows, frozen, x_grad):
+        rng = np.random.default_rng(40 + 3 * depth + k)
+        rows, n = 4, 3
+        prefix = [] if prefix_rows is None else [rng.standard_normal((prefix_rows, 2)),
+                                                 rng.standard_normal((rows, 1))]
+        width = n + sum(p.shape[1] for p in prefix)
+        ws, bs = _layers(rng, [width, 5, 4][:depth] + [3])
+        x0, u = rng.standard_normal((rows, n)), rng.standard_normal((k * rows, n))
+        g0 = rng.standard_normal(((k + 1) * rows, 3))
+        names = [f"w{i}" for i in range(depth)] + [f"b{i}" for i in range(depth)]
+
+        def run(f):
+            x = Tensor(x0, requires_grad=x_grad)
+            params = [Tensor(a, requires_grad=not any(nm.startswith(fz) for fz in frozen))
+                      for nm, a in zip(names, ws + bs)]
+            out = f(x, params[:depth], params[depth:], prefix, u)
+            if out._prev:
+                (out * g0).sum().backward()
+            return [out.data, x.grad] + [p.grad for p in params]
+
+        for got, ref in zip(run(network), run(network_reference)):
+            assert (got is None) == (ref is None)
+            assert got is None or got.tobytes() == ref.tobytes()
+
+    def test_first_layer_keeps_its_primal_rows_only(self):
+        # B=64, hidden (32, 32), k=2: the node holds the stacked input, the
+        # first layer's B primal rows and the (k+1)·B rows of the others
+        rng = np.random.default_rng(41)
+        rows, k, n, w0 = 64, 2, 3, 32
+        ws, bs = _layers(rng, [n, w0, 32, 2])
+        x0, u = rng.standard_normal((rows, n)), rng.standard_normal((k * rows, n))
+
+        def held(f):
+            x = Tensor(x0, requires_grad=True)
+            params = [Tensor(a, requires_grad=True) for a in ws + bs]
+            tracemalloc.start()
+            try:
+                out = f(x, params[:3], params[3:], tangent=u)
+                assert out._prev  # alive, with its tape, while measured
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        arrays = 8 * ((k + 1) * rows * (n + 32 + 2) + rows * w0)
+        node, ref = held(network), held(network_reference)
+        assert arrays <= node <= arrays + 4096, (node, arrays)
+        assert abs(ref - node - 8 * k * rows * w0) <= 2048, (ref, node)
 
 
 class TestLossNodes:
