@@ -3,7 +3,8 @@
 One stage per invocation. The whole config is checked first, by building
 every spec a stage would build from it; a bad value exits 2 before any
 file is written. A stage then loads its dataset (the GPDS file
-that ``--dataset`` names, or else the one ``task.*`` generates) and its
+that ``--dataset`` names, or else the one ``task.*`` generates, once its
+estimated bytes, ``_dataset_bytes``, fit in physical memory) and its
 checkpoints, and refuses an empty dataset or a checkpoint whose state or
 action width differs from the dataset's (exit 3). From the shapes alone,
 ``train-gmpg`` then estimates its tape (``policy.gmpg_tape_bytes``), and
@@ -13,9 +14,9 @@ each exits 2 when its estimate exceeds physical memory, before it writes
 or allocates anything. Every policy a stage
 loads, and any copy of one, integrates on ``solver.*`` (``_load_policy``).
 Every stage then writes its fully resolved config into ``output.dir``
-before any compute, appends plain-CSV metrics (comment char '#',
-comma-separated, %.17g floats) and emits checkpoints in the versioned
-binary format. Exit codes: 0 success, 2 config error (running out of
+before any compute, appends plain-CSV metrics (``MetricsWriter``; comment
+char '#', comma-separated, %.17g floats) and emits checkpoints in the
+versioned binary format. Exit codes: 0 success, 2 config error (running out of
 memory included), 3 io/format error, 4 numeric divergence.
 """
 
@@ -44,17 +45,31 @@ from .schedules import PathSchedule
 
 
 class MetricsWriter:
-    """Per-step metrics; each row is appended as it comes, so a run that
-    stops early keeps the rows it already wrote."""
+    """Per-step metrics through one append handle per stage. The handle is
+    unbuffered, so each row reaches the file as it comes (a reader sees it
+    at once, and a run that stops early keeps the rows it already wrote)
+    and no write buffer is held between rows. A stage holds the writer in
+    a ``with`` block, which closes the file on every exit path, an error
+    (exit 3 or 4) included."""
 
     def __init__(self, path: str, columns: list[str]):
-        self.path = path
         self.columns = columns
         write_csv(path, columns)
+        self._fh = open(path, "ab", buffering=0)
 
     def row(self, values: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.writelines(csv_lines([[values.get(c, "") for c in self.columns]]))
+        line = "".join(csv_lines([[values.get(c, "") for c in self.columns]])).encode("utf-8")
+        while line:  # a raw write may take fewer bytes than it is given
+            line = line[self._fh.write(line):]
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "MetricsWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # The dataset each task.kind generates from the task.* settings.
@@ -64,16 +79,38 @@ _TASKS = {
 }
 
 
-def _build_dataset(cfg: ExperimentConfig, path: str | None) -> OfflineDataset:
-    """The dataset a stage reads: the file at ``path`` if given, else the
-    one ``task.*`` generates. A generated one that fails validation (a
-    non-finite value) is a config error: the task settings made it."""
+def _build_dataset(cfg: ExperimentConfig, args) -> OfflineDataset:
+    """The dataset a stage reads: the file that ``--dataset`` names if
+    given, else the one ``task.*`` generates. Generating one first refuses
+    a ``task.n`` whose dataset would not fit in memory (``_dataset_bytes``).
+    A generated one that fails validation (a non-finite value) is a config
+    error: the task settings made it."""
+    path = getattr(args, "dataset", None)
     if path:
         return load_dataset(path)
+    task = cfg.task
+    _check_fits(_dataset_bytes(task), args.command, f"for {task.n} rows of task.kind={task.kind}",
+                "task.n")
     try:
-        return _TASKS[cfg.task.kind](cfg.task)
+        return _TASKS[task.kind](task)
     except DataFormatError as exc:
         raise ConfigError(f"the task.* settings generate an invalid dataset: {exc}") from exc
+
+
+def _dataset_bytes(task) -> int:
+    """Estimated peak bytes of generating and saving the ``task.*`` dataset.
+
+    From ``task.n`` and the task's widths, in float64s per row: the five
+    columns (s and s2 one wide, the d-wide actions, r and done), and
+    beside them the larger of the generator's temporaries (the swiss
+    roll's angle and spiral points, three wide, held while the dataset is
+    checked) and the container writer's ``tobytes`` copy of its widest
+    column, the actions. Against make-data's tracemalloc peak at 10^5 rows
+    it read 0.93 (swiss roll) and 0.99 (bandit, d = 1, 2 and 8).
+    """
+    d = task.dims if task.kind == "tilted_bandit" else 2
+    temporaries = 3 if task.kind == "swiss_roll" else 0
+    return 8 * task.n * (4 + d + max(temporaries, d))
 
 
 def _schedule(cfg: ExperimentConfig) -> PathSchedule:
@@ -209,6 +246,16 @@ def _check_fits(need: int, stage: str, of: str, lower: str) -> None:
                           f"than the {have / 2**30:.1f} GiB of physical memory; lower {lower}")
 
 
+# Grid points per block of export-trajectories' CSV rows: a block's
+# denormalized states and the Python rows made from them stay small.
+_CSV_BLOCK = 1024
+
+
+def _csv_block_rows(grid: int) -> int:
+    """Samples per block of export-trajectories' CSV rows, at ``grid`` points each."""
+    return max(1, _CSV_BLOCK // grid)
+
+
 def _pass_bytes(policy: GenerativePolicy, rows: int, k: int = 0, grid: int = 0) -> int:
     """Estimated peak bytes of a tape-free pass of ``policy`` over ``rows`` rows.
 
@@ -216,18 +263,23 @@ def _pass_bytes(policy: GenerativePolicy, rows: int, k: int = 0, grid: int = 0) 
     for the primal row and its k tangent rows, twice (a layer reads its
     input while it writes its output), plus two slope temporaries of the
     primal row when k > 0; the index, state and action columns (2 +
-    state_dim + 8·action_dim); and with ``grid`` recorded solver states
-    (export-trajectories) the larger of those states beside the network
-    and the denormalized copy plus the Python rows the CSV writer reads
-    (about 6·action_dim + 7 per grid point). Against each stage's
-    tracemalloc peak at 64×2 and 256×3 it read 0.98–1.04 for sample,
-    eval and logprob and 0.83–0.94 for export-trajectories.
+    state_dim + 8·action_dim). With ``grid`` recorded solver states
+    (export-trajectories) a row holds its recorded states beside the
+    network during the solve, and twice at its end (the list of steps and
+    their stacked copy), whichever is more; the CSV rows then come one
+    block of samples at a time, about 5·action_dim + 9 floats per grid
+    point of a block (``_csv_block_rows``), counted on top. Against each
+    stage's tracemalloc peak at 64×2 and 256×3 it read 0.98–1.04 for
+    sample, eval and logprob; for export-trajectories the per-row terms
+    match the pass to within 10%, and the stage's fixed costs (the
+    dataset and the policy's weights) come on top.
     """
     net = policy.model.net
     d, width = net.x_dim, max(net.mlp.sizes[1:])
     network = 2 * (k + 1 + (k > 0)) * width
-    per_row = 2 + net.state_dim + 8 * d + max(network + 2 * grid * d, grid * (6 * d + 7))
-    return 8 * rows * per_row
+    per_row = 2 + net.state_dim + 8 * d + max(network + grid * d, 2 * grid * d)
+    csv = min(rows, _csv_block_rows(grid)) * grid * (5 * d + 9) if grid else 0
+    return 8 * (rows * per_row + csv)
 
 
 def _prepare_out(cfg: ExperimentConfig) -> str:
@@ -242,6 +294,12 @@ def _eval_value(policy: GenerativePolicy, dataset: OfflineDataset, seed_key, n=2
     states = dataset.s[np.arange(n) % dataset.n]
     actions = policy.sample_actions(states, rng)
     return float(assign_value_nearest(dataset, actions)[0].mean())
+
+
+def _policy_metrics(out: str) -> MetricsWriter:
+    """The metrics file of a policy-training stage."""
+    return MetricsWriter(os.path.join(out, "metrics.csv"),
+                         ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
 
 
 def _policy_metrics_cb(writer: MetricsWriter, policy, dataset, cfg: ExperimentConfig):
@@ -260,7 +318,7 @@ def _policy_metrics_cb(writer: MetricsWriter, policy, dataset, cfg: ExperimentCo
 
 
 def cmd_make_data(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, None)
+    ds = _build_dataset(cfg, args)
     out = _prepare_out(cfg)
     path = os.path.join(out, "dataset.gpds")
     save_dataset(ds, path)
@@ -268,33 +326,32 @@ def cmd_make_data(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     _check_inputs(ds)
     out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 1)
-    writer = MetricsWriter(os.path.join(out, "metrics.csv"),
-                           ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
-    pretrain_behavior(ds, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
-                      on_step=_policy_metrics_cb(writer, policy, ds, cfg))
+    with _policy_metrics(out) as writer:
+        pretrain_behavior(ds, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
+                          on_step=_policy_metrics_cb(writer, policy, ds, cfg))
     save_policy(policy, os.path.join(out, "behavior.ckpt"))
     print(f"wrote {os.path.join(out, 'behavior.ckpt')}")
 
 
 def cmd_train_critic(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     _check_inputs(ds)
     out = _prepare_out(cfg)
-    writer = MetricsWriter(os.path.join(out, "metrics.csv"), ["step", "v_loss", "q_loss"])
-    critic = train_critic(
-        ds, _critic_config(cfg), np.random.default_rng(cfg.task.seed),
-        on_step=lambda step, losses: writer.row(
-            {"step": step, "v_loss": losses[0], "q_loss": losses[1]}))
+    with MetricsWriter(os.path.join(out, "metrics.csv"), ["step", "v_loss", "q_loss"]) as writer:
+        critic = train_critic(
+            ds, _critic_config(cfg), np.random.default_rng(cfg.task.seed),
+            on_step=lambda step, losses: writer.row(
+                {"step": step, "v_loss": losses[0], "q_loss": losses[1]}))
     save_critic(critic, os.path.join(out, "critic.ckpt"))
     print(f"wrote {os.path.join(out, 'critic.ckpt')}")
 
 
 def cmd_train_gmpo(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     critic = load_critic(args.critic)
     behavior = _load_policy(cfg, args.behavior) if args.behavior else None
     if cfg.policy.weight_mode == "softmax" and behavior is None:
@@ -302,16 +359,15 @@ def cmd_train_gmpo(cfg: ExperimentConfig, args) -> None:
     _check_inputs(ds, critic=critic, behavior=behavior)
     out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 2)
-    writer = MetricsWriter(os.path.join(out, "metrics.csv"),
-                           ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
-    train_gmpo(ds, critic, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
-               behavior=behavior, on_step=_policy_metrics_cb(writer, policy, ds, cfg))
+    with _policy_metrics(out) as writer:
+        train_gmpo(ds, critic, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
+                   behavior=behavior, on_step=_policy_metrics_cb(writer, policy, ds, cfg))
     save_policy(policy, os.path.join(out, "policy.ckpt"))
     print(f"wrote {os.path.join(out, 'policy.ckpt')}")
 
 
 def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     critic = load_critic(args.critic)
     behavior = _load_policy(cfg, args.behavior)
     _check_inputs(ds, critic=critic, behavior=behavior)
@@ -322,18 +378,17 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
                 "policy.t_train, policy.gmpg_batch_size or the policy widths")
     out = _prepare_out(cfg)
     policy = copy_policy(behavior)  # theta_2 <- theta_1
-    writer = MetricsWriter(os.path.join(out, "metrics.csv"),
-                           ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
-    train_gmpg(ds, critic, policy, behavior, config,
-               np.random.default_rng(cfg.task.seed),
-               on_step=_policy_metrics_cb(writer, policy, ds, cfg))
+    with _policy_metrics(out) as writer:
+        train_gmpg(ds, critic, policy, behavior, config,
+                   np.random.default_rng(cfg.task.seed),
+                   on_step=_policy_metrics_cb(writer, policy, ds, cfg))
     save_policy(policy, os.path.join(out, "policy.ckpt"))
     print(f"wrote {os.path.join(out, 'policy.ckpt')}")
 
 
 def cmd_sample(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     _check_fits(_pass_bytes(policy, args.n), "sample", f"for {args.n} rows", "--n")
@@ -348,7 +403,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
 
 def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 0)
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     n = min(args.n, ds.n) if args.n else ds.n
@@ -365,7 +420,7 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
 
 def cmd_eval(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     _check_fits(_pass_bytes(policy, args.n), "eval", f"for {args.n} rows", "--n")
@@ -386,7 +441,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> None:
 
 def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     _check_n(args, 1)
-    ds = _build_dataset(cfg, args.dataset)
+    ds = _build_dataset(cfg, args)
     policy = _load_policy(cfg, args.checkpoint)
     _check_inputs(ds, policy=policy)
     grid = policy.config.eval_solver.steps + 1
@@ -396,11 +451,19 @@ def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     states = ds.s[np.arange(args.n) % ds.n]
     _, traj = generate(policy.model, args.n, policy.config.eval_solver, condition=states,
                        rng=np.random.default_rng(cfg.task.seed), record=True)
-    raw, times = policy.denormalize(traj.states).tolist(), traj.times.tolist()
+    times = traj.times.tolist()
+    block = _csv_block_rows(len(times))
+
+    def rows():  # sample by sample, each along its grid; a block of samples at a time
+        for lo in range(0, args.n, block):
+            paths = policy.denormalize(traj.states[:, lo:lo + block]).transpose(1, 0, 2)
+            for i, path in enumerate(paths.tolist(), lo):
+                for k, (t, x) in enumerate(zip(times, path)):
+                    yield [i, k, t, *x]
+
     path = os.path.join(out, "trajectories.csv")
     columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(traj.states.shape[2])]
-    write_csv(path, columns, ([i, k, t, *raw[k][i]] for i in range(args.n)
-                              for k, t in enumerate(times)))
+    write_csv(path, columns, rows())
     print(f"wrote {path} ({args.n} samples x {len(times)} grid points)")
 
 

@@ -21,17 +21,21 @@ from .optim import Adam, check_training_loop
 from .tensor import Tensor, no_tape
 
 
+def _expectile_weight(u: np.ndarray, tau: float) -> np.ndarray:
+    """|tau - 1(u <= 0)|, the expectile regression's weight of residual ``u``."""
+    return np.abs(tau - (u <= 0.0).astype(u.dtype))
+
+
 def expectile_loss(u, tau: float) -> Tensor:
     """Mean of |tau - 1(u <= 0)| u^2; tau = 0.5 is exactly half-MSE.
 
     The asymmetric weight is a constant of the residual's sign, so the
-    gradient treats it as fixed within the step.
+    gradient treats it as fixed within the step. One ``sq_mean`` node.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie strictly inside (0, 1)")
     ut = u if isinstance(u, Tensor) else Tensor(np.asarray(u, dtype=float))
-    w = np.abs(tau - (ut.data <= 0.0).astype(ut.data.dtype))
-    return (ut.square() * w).mean()
+    return ut.sq_mean(0.0, _expectile_weight(ut.data, tau))
 
 
 @dataclass
@@ -107,6 +111,8 @@ def iql_step(critic: Critic, batch, opt_v: Adam, opt_q: Adam) -> tuple[float, fl
     only V's weights, so both losses are op for op those of evaluating
     Q(s, a) twice. V(s') is skipped only when every row is terminal; with
     ``done`` in {0, 1} and finite s', the masked term is then exactly zero.
+    Each loss is one ``sq_mean`` node over its network's output, with the
+    values and gradients of the composite (residual, square, weight, mean).
     """
     s, a, r, s2, done = (np.asarray(x, dtype=float) for x in batch)
     r = r.reshape(-1, 1)
@@ -114,7 +120,8 @@ def iql_step(critic: Critic, batch, opt_v: Adam, opt_q: Adam) -> tuple[float, fl
 
     q = critic.q_tensor(s, Tensor(a))
     opt_v.zero_grad()
-    v_loss = expectile_loss(Tensor(q.data) - critic.v_tensor(s), critic.config.tau)
+    v = critic.v_tensor(s)  # the expectile loss of q - v, as one node on v
+    v_loss = v.sq_mean(q.data, _expectile_weight(q.data - v.data, critic.config.tau))
     v_loss.backward()
     opt_v.step()
 
@@ -122,7 +129,7 @@ def iql_step(critic: Critic, batch, opt_v: Adam, opt_q: Adam) -> tuple[float, fl
     if not done.all():
         target = r + critic.config.gamma * (1.0 - done) * critic.v_values(s2)[:, None]
     opt_q.zero_grad()
-    q_loss = (q - target).square().mean()
+    q_loss = q.sq_mean(target)
     q_loss.backward()
     opt_q.step()
 

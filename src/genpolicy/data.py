@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -217,30 +218,40 @@ def write_container(path: str, magic: bytes, header: dict, arrays) -> None:
 
 def read_container(path: str, magic: bytes, shapes) -> tuple[dict, list[np.ndarray]]:
     """(header, arrays) of a ``write_container`` file; ``shapes(header)``
-    gives the shape of every array in file order. A truncated or garbled
-    file, or bytes left over after the arrays, is a ``DataFormatError``."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with data_format_errors(path):
-        if raw[:4] != magic:
-            raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
-        version, hlen = struct.unpack_from("<IQ", raw, 4)
+    gives the shape of every array in file order. The arrays are views
+    into one writable float64 buffer that the file's array bytes are read
+    into, so a load holds the arrays once, and each load its own buffer. A
+    truncated or garbled file, or bytes left over after the arrays, is a
+    ``DataFormatError``, raised before the buffer is allocated."""
+    with open(path, "rb") as fh, data_format_errors(path):
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(4 + struct.calcsize("<IQ"))
+        if lead[:4] != magic:
+            raise DataFormatError(f"{path}: bad magic {lead[:4]!r}, expected {magic!r}")
+        version, hlen = struct.unpack_from("<IQ", lead, 4)
         if version != _VERSION:
             raise DataFormatError(f"{path}: unsupported container version {version}")
-        off = 4 + struct.calcsize("<IQ")
-        header = json.loads(raw[off:off + hlen].decode("utf-8"))
-        off += hlen
-        arrays = []
+        if hlen > size - len(lead):
+            raise DataFormatError(f"{path}: a {hlen}-byte header in a {size}-byte file")
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+        layout = []
         for shape in shapes(header):
             shape = tuple(shape)
             if not all(type(n) is int and n >= 0 for n in shape):
                 raise DataFormatError(f"{path}: bad array shape {shape}")
-            count = math.prod(shape)
-            arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-                          .reshape(shape).copy())
-            off += count * 8
-        if off != len(raw):
-            raise DataFormatError(f"{path}: {len(raw) - off} bytes do not match the header")
+            layout.append(shape)
+        counts = [math.prod(shape) for shape in layout]
+        have = size - len(lead) - hlen
+        if 8 * sum(counts) != have:
+            raise DataFormatError(f"{path}: {have} bytes of arrays do not match the header's "
+                                  f"{8 * sum(counts)}")
+        buf = np.empty(sum(counts), dtype="<f8")
+        if fh.readinto(buf) != have:
+            raise DataFormatError(f"{path}: the file changed while it was read")
+    arrays, off = [], 0
+    for shape, count in zip(layout, counts):
+        arrays.append(buf[off:off + count].reshape(shape))
+        off += count
     return header, arrays
 
 

@@ -99,7 +99,7 @@ def dsm_loss(model, schedule: PathSchedule, x0, weights, rng,
         lam = drift_diffusion(schedule, t)[1]
     else:
         lam = np.ones_like(t)
-    return ((out - score_target).square() * (w[:, None] * lam)).mean() * 0.5
+    return out.sq_mean(score_target, w[:, None] * lam) * 0.5
 
 
 def cfm_loss(model, schedule: PathSchedule, x0, x1, weights, rng,
@@ -126,7 +126,7 @@ def cfm_loss(model, schedule: PathSchedule, x0, x1, weights, rng,
     v_target = target_velocity(schedule, x0, x1, t)
 
     out = model(Tensor(x_t), t, condition)
-    return ((out - v_target).square() * w[:, None]).mean() * 0.5
+    return out.sq_mean(v_target, w[:, None]) * 0.5
 
 
 def matching_loss(model, schedule: PathSchedule, data, weights, rng,

@@ -46,7 +46,16 @@ the stacked input rows and the per-row primal input; the hidden
 activations are its internal values, so they make no nodes and no finite
 checks of their own. ``rows`` slices the stacked result back apart. A
 loss is a handful of nodes: ``a - b`` of two Tensors is one ``sub`` node
-and a full ``mean()`` one ``mean`` node.
+and a full ``mean()`` one ``mean`` node. A regression loss, the weighted
+mean of squared residuals against a constant target, is one ``sq_mean``
+node with the values and gradients of its composite, so a training loss
+records its network calls plus one node (plus the ``* 0.5`` of the
+matching losses).
+
+``backward`` walks only the nodes that have a reverse rule; the leaves
+(parameters and inputs) take their gradients from their consumers and
+never enter its topological list, which keeps the walk's cost
+proportional to the recorded ops, not to the parameter count.
 
 Inside ``with no_tape():`` operations compute and check the same values
 but record no parents and no backward closure, so each intermediate is
@@ -268,7 +277,9 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, shape).copy(), fresh=True)
+            full = np.empty(shape)
+            full[...] = g
+            self._accum(full, fresh=True)
 
         return self._node(out_data, (self,), bwd, "sum")
 
@@ -281,9 +292,41 @@ class Tensor:
         shape = self.data.shape
 
         def bwd(out):
-            self._accum(np.broadcast_to(out.grad * c, shape).copy(), fresh=True)
+            self._accum(np.full(shape, out.grad * c), fresh=True)
 
         return self._node(self.data.sum(keepdims=keepdims) * c, (self,), bwd, "mean")
+
+    def sq_mean(self, target, weight=None):
+        """The mean of ``(self - target)**2 * weight`` over the broadcast
+        shape, as one node; ``target`` and ``weight`` (None: 1) are
+        constants. Its value and its gradient are bit for bit those of
+        ``((self - target).square() * weight).mean()``: the reverse rule
+        runs that composite's own ops in the same order,
+        ``full(g/n) * weight * (2 * (self - target))``, un-broadcast to
+        each operand's shape. A residual written ``target - self`` has the
+        same bits too, since IEEE subtraction and products are exact under
+        negation."""
+        c = _constant(target)
+        w = None if weight is None else _constant(weight)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            r = self.data - c
+            sq = np.square(r)
+            if w is not None:
+                sq = sq * w
+            k = np.float64(1.0 / sq.size)
+            value = sq.sum() * k
+        shape, x_shape = sq.shape, self.data.shape
+
+        def bwd(out):
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                g = np.full(shape, out.grad * k)
+                if w is not None:
+                    g *= w
+                    g = _unbroadcast(g, r.shape)
+                g *= 2.0 * r
+            self._accum(_unbroadcast(g, x_shape), fresh=True)
+
+        return self._node(value, (self,), bwd, "sq_mean")
 
     # -- structural ops ---------------------------------------------------
 
@@ -299,9 +342,19 @@ class Tensor:
     # -- backward -------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse pass from a scalar output, accumulating into ``grad``."""
+        """Reverse pass from a scalar output, accumulating into ``grad``.
+
+        The walk orders only the nodes that have a reverse rule: a leaf
+        (a parameter, an input) never enters the topological list, since
+        it has nothing to run, and it gets its gradient from its consumers'
+        rules. The interior nodes keep the order a walk over every node
+        gives them, so gradients accumulate in the same order as well.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar output, got shape {self.data.shape}")
+        self.grad = np.ones_like(self.data)
+        if self._backward is None:
+            return
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack = [(self, False)]
@@ -315,14 +368,12 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
-                if id(p) not in visited:
+                if p._backward is not None and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node)
-                if node is not self:
-                    node.grad = None  # consumed; see "Tape lifecycle"
+            node._backward(node)
+            if node is not self:
+                node.grad = None  # consumed; see "Tape lifecycle"
 
 
 def as_tensor(value) -> Tensor:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from genpolicy import tensor
-from genpolicy.critic import expectile_loss
 from genpolicy.errors import NonFiniteError, TrainingDivergedError
 from genpolicy.likelihood import TraceMode, _stderr_of, trace_with_jvp
 from genpolicy.tensor import Tensor, as_tensor, no_tape
@@ -313,7 +312,8 @@ def network_reference(x: Tensor, weights, biases, prefix=(), tangent=None) -> Te
 def iql_step_reference(critic, batch, opt_v, opt_q) -> tuple[float, float]:
     """The two-forward IQL step ``critic.iql_step`` must match byte for byte:
     a tape-free Q(s, a) for the V loss, a second, taped one for the Q loss,
-    and V(s') evaluated whatever ``done`` holds."""
+    V(s') evaluated whatever ``done`` holds, and each loss as its composite
+    ops (residual, square, weight, mean) rather than one ``sq_mean`` node."""
     s, a, r, s2, done = (np.asarray(x, dtype=float) for x in batch)
     r = r.reshape(-1, 1)
     done = done.reshape(-1, 1)
@@ -321,7 +321,8 @@ def iql_step_reference(critic, batch, opt_v, opt_q) -> tuple[float, float]:
     with no_tape():
         q_fixed = critic.q_tensor(s, Tensor(a))
     opt_v.zero_grad()
-    v_loss = expectile_loss(q_fixed - critic.v_tensor(s), critic.config.tau)
+    u = q_fixed - critic.v_tensor(s)
+    v_loss = (u.square() * np.abs(critic.config.tau - (u.data <= 0.0).astype(float))).mean()
     v_loss.backward()
     opt_v.step()
 

@@ -117,6 +117,16 @@ class TestCheckpoints:
         assert np.array_equal(critic.q_values(s, a), back.q_values(s, a))
         assert np.array_equal(critic.v_values(s), back.v_values(s))
 
+    def test_loaded_arrays_are_writable_and_each_load_its_own(self, tmp_path):
+        critic = Critic(2, 1, CriticConfig(hidden=(8,)), np.random.default_rng(2))
+        path = str(tmp_path / "c.ckpt")
+        save_critic(critic, path)
+        first, second = load_critic(path), load_critic(path)
+        for p, q, orig in zip(first.parameters(), second.parameters(), critic.parameters()):
+            assert p.data.flags.writeable and p.data.flags.aligned
+            p.data[...] = 7.0
+            assert q.data.tobytes() == orig.data.tobytes()
+
     def test_copy_policy_is_independent(self, tmp_path):
         cfg = PolicyConfig(state_dim=1, action_dim=2, hidden=(8, 8),
                            schedule=PathSchedule("icfm"), eval_solver=SolverSpec("rk4_38", 5))
@@ -302,12 +312,51 @@ class TestCsvFormat:
         write_csv(str(path), ["a", "b"], rows)
         assert path.read_bytes() == ("# a,b\n" + "".join(map(_reference_line, rows))).encode()
         columns = [f"c{i}" for i in range(len(self.VALUES))] + ["missing"]
-        writer = cli.MetricsWriter(str(tmp_path / "metrics.csv"), columns)
-        writer.row(dict(zip(columns, self.VALUES)))
-        writer.row({"c1": 2.0})
+        with cli.MetricsWriter(str(tmp_path / "metrics.csv"), columns) as writer:
+            writer.row(dict(zip(columns, self.VALUES)))
+            writer.row({"c1": 2.0})
         expected = ("# " + _reference_line(columns) + _reference_line(self.VALUES + [""])
                     + _reference_line(["", 2.0] + [""] * (len(columns) - 2)))
         assert (tmp_path / "metrics.csv").read_bytes() == expected.encode()
+
+    def test_every_metrics_row_is_on_disk_at_once(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        with cli.MetricsWriter(str(path), ["step", "loss"]) as writer:
+            for step in range(3):
+                writer.row({"step": step, "loss": 0.5 * step})
+                assert path.read_text().splitlines()[-1] == f"{step},{0.5 * step:.17g}"
+        assert writer._fh.closed
+
+    def test_metrics_file_closed_after_a_stage_that_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a divergence on the third step: the two rows before it are on disk
+        # while the stage runs, and the stage closes the file on its way out
+        import gc
+        import warnings
+        import genpolicy.critic as critic_mod
+        from genpolicy.errors import NonFiniteError
+        out, writers, seen = tmp_path / "o", [], []
+
+        class Recorded(cli.MetricsWriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                writers.append(self)
+
+        def diverging(*args):
+            seen.append(len((out / "metrics.csv").read_text().splitlines()))
+            if len(seen) == 3:
+                raise NonFiniteError("non-finite value produced by a test")
+            return 1.0, 2.0
+
+        monkeypatch.setattr(cli, "MetricsWriter", Recorded)
+        monkeypatch.setattr(critic_mod, "iql_step", diverging)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["train-critic", *tiny_args(str(out))]) == 4
+            gc.collect()
+        assert "numeric divergence" in capsys.readouterr().err
+        assert seen == [1, 2, 3]  # the header, then one more row per finished step
+        assert len(writers) == 1 and writers[0]._fh.closed
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestPipeline:
@@ -607,6 +656,41 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "for 2000000000 rows" in err and "physical memory" in err
         assert not out.exists()
         assert peak < 16 * 2**20, peak
+
+    def test_huge_task_n_exits_2_before_make_data_allocates(self, tmp_path, capsys):
+        # 4e9 rows of a 2-d bandit need about 240 GiB: make-data refuses from
+        # task.n and the task's widths, before it writes its config or draws a row
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = cli.main(["make-data", *tiny_args(str(out), ["task.dims=2",
+                                                                "task.n=4000000000"])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: make-data would hold an estimated ")
+        assert err.count("\n") == 1 and "for 4000000000 rows" in err and "lower task.n" in err
+        assert not out.exists()
+        assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("kind, dims", [("tilted_bandit", 1), ("tilted_bandit", 4),
+                                            ("swiss_roll", 2)])
+    def test_dataset_estimate_within_a_quarter_of_the_peak(self, tmp_path, capsys, kind, dims):
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = cli.main(["make-data", *tiny_args(str(out), [f"task.kind={kind}",
+                                                                f"task.dims={dims}",
+                                                                "task.n=50000"])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        estimate = cli._dataset_bytes(load_config(None, [f"task.kind={kind}", f"task.dims={dims}",
+                                                         "task.n=50000"]).task)
+        assert 0.75 * peak <= estimate <= 1.25 * peak, (estimate, peak)
 
     @pytest.mark.parametrize("command", ["sample", "eval", "logprob", "export-trajectories"])
     def test_pass_beyond_physical_memory_exits_2_before_any_output(self, tmp_path, capsys,

@@ -193,8 +193,9 @@ def test_iql_step_evaluates_q_once_and_v_of_next_state_only_when_needed(monkeypa
 
 
 def test_iql_losses_record_one_node_per_network_call(monkeypatch):
-    # the V loss: V(s), the residual (sub), square, the expectile weight, mean;
-    # the Q loss: Q(s, a), the residual against the constant target, square, mean
+    # the V loss: V(s) and its expectile regression onto the constant Q(s, a)
+    # (one sq_mean node); the Q loss: Q(s, a) and its regression onto the
+    # constant target (one sq_mean node)
     from oracles import recorded_nodes
     counts, backward = [], Tensor.backward
 
@@ -207,4 +208,4 @@ def test_iql_losses_record_one_node_per_network_call(monkeypatch):
     opt_v = Adam(critic.v_net.parameters(), lr=1e-3)
     opt_q = Adam(critic.q_net.parameters(), lr=1e-3)
     iql_step(critic, next(_iql_batches(DONE_COLUMNS["mixed"], seed=10, steps=1)), opt_v, opt_q)
-    assert counts == [5, 4]
+    assert counts == [2, 2]

@@ -116,6 +116,17 @@ class TestIO:
             assert getattr(ds, name).tobytes() == getattr(back, name).tobytes()
         assert back.metadata == ds.metadata
 
+    def test_loaded_columns_are_writable_and_each_load_its_own(self, tmp_path):
+        ds = make_swiss_roll(SwissRollTask(n=16, seed=4))
+        path = str(tmp_path / "roll.gpds")
+        save_dataset(ds, path)
+        first, second = load_dataset(path), load_dataset(path)
+        for name in ("s", "a", "r", "s2", "done"):
+            column = getattr(first, name)
+            assert column.flags.writeable and column.flags.aligned
+            column[...] = 7.0
+            assert getattr(second, name).tobytes() == getattr(ds, name).tobytes()
+
     def test_empty_dataset_round_trip(self, tmp_path):
         ds = OfflineDataset(s=np.zeros((0, 1)), a=np.zeros((0, 2)), r=np.zeros(0),
                             s2=np.zeros((0, 1)), done=np.zeros(0), metadata={"task": "none"})

@@ -241,9 +241,9 @@ class TestSharedProperties:
 
 
 def test_matching_loss_records_one_node_per_network_call():
-    # the network, the residual against the constant target, square, weight,
-    # mean and the factor 1/2
+    # the network, the weighted regression onto the constant target (one
+    # sq_mean node) and the factor 1/2
     model = make_model("velocity", GVP, hidden=(8, 8))
     rng = np.random.default_rng(15)
     loss = matching_loss(model, GVP, rng.standard_normal((6, 2)), np.ones(6), rng)
-    assert recorded_nodes(loss) == 6
+    assert recorded_nodes(loss) == 3

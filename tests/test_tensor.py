@@ -510,6 +510,49 @@ class TestLossNodes:
         assert grad.tobytes() == ref_grad.tobytes()
         assert recorded_nodes(Tensor(a0, requires_grad=True).mean()) == 1
 
+    @pytest.mark.parametrize("case", ["scalar target", "array target", "row weight",
+                                      "expectile"])
+    def test_sq_mean_is_one_node_equal_to_the_composite(self, case):
+        rng = np.random.default_rng(33)
+        x0, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        w = np.abs(rng.standard_normal((6, 1)))
+        if case == "scalar target":
+            fused, composite = (lambda x: x.sq_mean(0.4),
+                                lambda x: (x - 0.4).square().mean())
+        elif case == "array target":
+            fused, composite = (lambda x: x.sq_mean(c), lambda x: (x - c).square().mean())
+        elif case == "row weight":  # a (B, 1) weight over (B, d) residuals
+            fused, composite = (lambda x: x.sq_mean(c, w),
+                                lambda x: ((x - c).square() * w).mean())
+        else:  # the IQL V loss: the residual c - x, weighted by its sign
+            u = c - x0
+            ew = np.abs(0.7 - (u <= 0.0).astype(float))
+            fused, composite = (lambda x: x.sq_mean(c, ew),
+                                lambda x: ((Tensor(c) - x).square() * ew).mean())
+
+        def run(f):
+            x = Tensor(x0, requires_grad=True)
+            out = f(x)
+            (out * 1.3).backward()
+            return out, x.grad
+
+        (out, grad), (ref, ref_grad) = run(fused), run(composite)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert recorded_nodes(fused(Tensor(x0, requires_grad=True))) == 1
+
+    def test_sq_mean_matches_finite_differences(self):
+        from oracles import param_grad_check
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        c, w = rng.standard_normal((5, 2)), np.abs(rng.standard_normal((5, 1)))
+        assert param_grad_check(lambda: x.sq_mean(c, w), [x]) < 1e-6
+
+    def test_sq_mean_overflow_raises(self):
+        x = Tensor(np.array([1e200]), requires_grad=True)
+        with pytest.raises(NonFiniteError):
+            x.sq_mean(0.0)
+
 
 class TestNoTape:
     def test_same_values_and_no_graph(self):
