@@ -1,28 +1,29 @@
 """Config-driven experiment runner.
 
-One stage per invocation. The whole config is checked first, by building
-every spec a stage would build from it; a bad value exits 2 before any
-file is written. A stage then loads its dataset (the GPDS file
-that ``--dataset`` names, or else the one ``task.*`` generates, once its
-estimated bytes, ``_dataset_bytes``, fit in physical memory) and its
-checkpoints, and refuses an empty dataset or a checkpoint whose state or
-action width differs from the dataset's (exit 3). From the shapes alone,
-``train-gmpg`` then estimates its tape (``policy.gmpg_tape_bytes``), and
-``sample``, ``eval``, ``logprob`` and ``export-trajectories`` the peak
-bytes of their pass over the rows ``--n`` asks for (``_pass_bytes``);
-each exits 2 when its estimate exceeds physical memory, before it writes
-or allocates anything. Every policy a stage
-loads, and any copy of one, integrates on ``solver.*`` (``_load_policy``).
-Every stage then writes its fully resolved config into ``output.dir``
-before any compute, appends plain-CSV metrics (``MetricsWriter``; comment
-char '#', comma-separated, %.17g floats) and emits checkpoints in the
-versioned binary format. Exit codes: 0 success, 2 config error (running out of
-memory included), 3 io/format error, 4 numeric divergence.
+One stage per invocation, in one order (``main``): the config (every
+spec a stage would build from it is built, so a bad value exits 2);
+``--n``; ``policy.weight_mode=softmax`` needs ``--behavior``; the dataset
+(the GPDS file that ``--dataset`` names, or else the one ``task.*``
+generates, once its estimated bytes, ``_dataset_bytes``, fit in physical
+memory); the checkpoints the command names, each policy integrating on
+``solver.*`` (``_load_policy``), and their cross-checks (an empty dataset,
+or a checkpoint whose state or action width differs from the dataset's,
+exits 3); the stage's memory estimate from the shapes alone
+(``policy.gmpg_tape_bytes`` for ``train-gmpg``, ``_pass_bytes`` for the
+pass of ``sample``, ``eval``, ``logprob`` and ``export-trajectories``),
+which exits 2 when it exceeds physical memory; ``resolved.ini``, the fully
+resolved config, in ``output.dir``; then the compute. Nothing is written
+before ``resolved.ini``. A stage appends plain-CSV metrics
+(``MetricsWriter``; comment char '#', comma-separated, %.17g floats) and
+emits checkpoints in the versioned binary format. Exit codes: 0 success,
+2 config error (running out of memory included), 3 io/format error, 4
+numeric divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -62,14 +63,11 @@ class MetricsWriter:
         while line:  # a raw write may take fewer bytes than it is given
             line = line[self._fh.write(line):]
 
-    def close(self) -> None:
-        self._fh.close()
-
     def __enter__(self) -> "MetricsWriter":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        self._fh.close()
 
 
 # The dataset each task.kind generates from the task.* settings.
@@ -85,9 +83,8 @@ def _build_dataset(cfg: ExperimentConfig, args) -> OfflineDataset:
     a ``task.n`` whose dataset would not fit in memory (``_dataset_bytes``).
     A generated one that fails validation (a non-finite value) is a config
     error: the task settings made it."""
-    path = getattr(args, "dataset", None)
-    if path:
-        return load_dataset(path)
+    if getattr(args, "dataset", None):
+        return load_dataset(args.dataset)
     task = cfg.task
     _check_fits(_dataset_bytes(task), args.command, f"for {task.n} rows of task.kind={task.kind}",
                 "task.n")
@@ -124,13 +121,9 @@ def _solver(cfg: ExperimentConfig) -> SolverSpec:
 
 
 def _load_policy(cfg: ExperimentConfig, path: str) -> GenerativePolicy:
-    """The policy saved at ``path``, integrating on ``solver.*``.
-
-    The one rule for the solver of a policy a stage loads: it samples,
-    scores and evaluates on the configured solver, never on the one its
-    checkpoint was saved with, and so does any copy of it (``train-gmpg``
-    saves its copy of the behavior policy with this solver).
-    """
+    """The policy saved at ``path``, integrating on ``solver.*``, never on
+    the solver its checkpoint was saved with; so does any copy of it
+    (``train-gmpg`` saves its copy of the behavior policy with this solver)."""
     policy = load_policy(path)
     policy.config.eval_solver = _solver(cfg)
     return policy
@@ -212,25 +205,18 @@ def _check_config(cfg: ExperimentConfig) -> None:
 
 
 def _check_inputs(dataset: OfflineDataset, **checkpoints) -> None:
-    """Refuse an empty dataset, or a checkpoint (None: not given) whose
-    state and action widths differ from the dataset's, before any output
-    or compute."""
+    """Refuse an empty dataset, or a checkpoint whose state and action
+    widths differ from the dataset's."""
     if dataset.n == 0:
         raise DataFormatError(f"the dataset has no rows (s {dataset.s.shape}, "
                               f"a {dataset.a.shape})")
     for name, model in checkpoints.items():
         dims = model.config if isinstance(model, GenerativePolicy) else model
-        if dims is not None and (dims.state_dim, dims.action_dim) != (dataset.state_dim,
-                                                                       dataset.action_dim):
+        if (dims.state_dim, dims.action_dim) != (dataset.state_dim, dataset.action_dim):
             raise DataFormatError(
                 f"the {name} checkpoint has state_dim={dims.state_dim}, "
                 f"action_dim={dims.action_dim}; the dataset has state_dim={dataset.state_dim}, "
                 f"action_dim={dataset.action_dim}")
-
-
-def _check_n(args, minimum: int) -> None:
-    if args.n < minimum:
-        raise ConfigError(f"--n must be >= {minimum}, got {args.n}")
 
 
 def _physical_bytes() -> int:
@@ -264,11 +250,10 @@ def _pass_bytes(policy: GenerativePolicy, rows: int, k: int = 0, grid: int = 0) 
     input while it writes its output), plus two slope temporaries of the
     primal row when k > 0; the index, state and action columns (2 +
     state_dim + 8·action_dim). With ``grid`` recorded solver states
-    (export-trajectories) a row holds its recorded states beside the
-    network during the solve, and twice at its end (the list of steps and
-    their stacked copy), whichever is more; the CSV rows then come one
-    block of samples at a time, about 5·action_dim + 9 floats per grid
-    point of a block (``_csv_block_rows``), counted on top. Against each
+    (export-trajectories) a row holds its recorded states, in one array,
+    beside the network; the CSV rows then come one block of samples at a
+    time, about 5·action_dim + 9 floats per grid point of a block
+    (``_csv_block_rows``), counted on top. Against each
     stage's tracemalloc peak at 64×2 and 256×3 it read 0.98–1.04 for
     sample, eval and logprob; for export-trajectories the per-row terms
     match the pass to within 10%, and the stage's fixed costs (the
@@ -277,7 +262,7 @@ def _pass_bytes(policy: GenerativePolicy, rows: int, k: int = 0, grid: int = 0) 
     net = policy.model.net
     d, width = net.x_dim, max(net.mlp.sizes[1:])
     network = 2 * (k + 1 + (k > 0)) * width
-    per_row = 2 + net.state_dim + 8 * d + max(network + grid * d, 2 * grid * d)
+    per_row = 2 + net.state_dim + 8 * d + network + grid * d
     csv = min(rows, _csv_block_rows(grid)) * grid * (5 * d + 9) if grid else 0
     return 8 * (rows * per_row + csv)
 
@@ -289,88 +274,84 @@ def _prepare_out(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _eval_value(policy: GenerativePolicy, dataset: OfflineDataset, seed_key, n=256) -> float:
-    rng = np.random.default_rng(seed_key)
-    states = dataset.s[np.arange(n) % dataset.n]
-    actions = policy.sample_actions(states, rng)
-    return float(assign_value_nearest(dataset, actions)[0].mean())
+def _states(dataset: OfflineDataset, n: int) -> np.ndarray:
+    """``n`` state rows that cycle through the dataset's states."""
+    return dataset.s[np.arange(n) % dataset.n]
 
 
-def _policy_metrics(out: str) -> MetricsWriter:
-    """The metrics file of a policy-training stage."""
-    return MetricsWriter(os.path.join(out, "metrics.csv"),
-                         ["step", "loss", "mean_weight", "mean_advantage", "eval_value"])
+def _sample_and_score(policy: GenerativePolicy, dataset: OfflineDataset, n: int, seed):
+    """(actions, values, distances): one action sampled at each of
+    ``_states(dataset, n)`` from ``default_rng(seed)``, and the reward of
+    and distance to its nearest dataset action."""
+    actions = policy.sample_actions(_states(dataset, n), np.random.default_rng(seed))
+    return (actions, *assign_value_nearest(dataset, actions))
 
 
-def _policy_metrics_cb(writer: MetricsWriter, policy, dataset, cfg: ExperimentConfig):
+@contextlib.contextmanager
+def _policy_training(cfg: ExperimentConfig, dataset: OfflineDataset, policy: GenerativePolicy,
+                     out: str, name: str):
+    """Yield the ``on_step`` callback of a policy-training stage, which
+    writes each step's ``metrics.csv`` row; on the first step and every
+    ``output.metric_every``-th its ``eval_value`` scores 256 actions
+    sampled on the full ``solver.*`` grid (``_sample_and_score``). Once
+    training returns, save ``policy`` as ``name`` in ``out``."""
     every = cfg.output.metric_every
+    with MetricsWriter(os.path.join(out, "metrics.csv"),
+                       ["step", "loss", "mean_weight", "mean_advantage", "eval_value"]) as writer:
+        def on_step(step, metrics):
+            row = {"step": step, **metrics}
+            if (step + 1) % every == 0 or step == 0:
+                values = _sample_and_score(policy, dataset, 256, [cfg.task.seed, step])[1]
+                row["eval_value"] = float(values.mean())
+            writer.row(row)
 
-    def cb(step, metrics):
-        row = {"step": step, **metrics}
-        if (step + 1) % every == 0 or step == 0:
-            row["eval_value"] = _eval_value(policy, dataset, [cfg.task.seed, step])
-        writer.row(row)
-
-    return cb
+        yield on_step
+    path = os.path.join(out, name)
+    save_policy(policy, path)
+    print(f"wrote {path}")
 
 
-# -- stages --------------------------------------------------------------------
+# -- stages: each runs after main has resolved its dataset and checkpoints -----
 
 
-def cmd_make_data(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args)
+def cmd_make_data(cfg: ExperimentConfig, args, ds: OfflineDataset) -> None:
     out = _prepare_out(cfg)
     path = os.path.join(out, "dataset.gpds")
     save_dataset(ds, path)
     print(f"wrote {path} ({ds.n} rows, state_dim={ds.state_dim}, action_dim={ds.action_dim})")
 
 
-def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args)
-    _check_inputs(ds)
+def cmd_pretrain(cfg: ExperimentConfig, args, ds: OfflineDataset) -> None:
     out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 1)
-    with _policy_metrics(out) as writer:
+    with _policy_training(cfg, ds, policy, out, "behavior.ckpt") as on_step:
         pretrain_behavior(ds, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
-                          on_step=_policy_metrics_cb(writer, policy, ds, cfg))
-    save_policy(policy, os.path.join(out, "behavior.ckpt"))
-    print(f"wrote {os.path.join(out, 'behavior.ckpt')}")
+                          on_step=on_step)
 
 
-def cmd_train_critic(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args)
-    _check_inputs(ds)
+def cmd_train_critic(cfg: ExperimentConfig, args, ds: OfflineDataset) -> None:
     out = _prepare_out(cfg)
     with MetricsWriter(os.path.join(out, "metrics.csv"), ["step", "v_loss", "q_loss"]) as writer:
         critic = train_critic(
             ds, _critic_config(cfg), np.random.default_rng(cfg.task.seed),
             on_step=lambda step, losses: writer.row(
                 {"step": step, "v_loss": losses[0], "q_loss": losses[1]}))
-    save_critic(critic, os.path.join(out, "critic.ckpt"))
-    print(f"wrote {os.path.join(out, 'critic.ckpt')}")
+    path = os.path.join(out, "critic.ckpt")
+    save_critic(critic, path)
+    print(f"wrote {path}")
 
 
-def cmd_train_gmpo(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args)
-    critic = load_critic(args.critic)
-    behavior = _load_policy(cfg, args.behavior) if args.behavior else None
-    if cfg.policy.weight_mode == "softmax" and behavior is None:
-        raise ConfigError("policy.weight_mode=softmax needs --behavior")
-    _check_inputs(ds, critic=critic, behavior=behavior)
+def cmd_train_gmpo(cfg: ExperimentConfig, args, ds: OfflineDataset, critic,
+                   behavior: GenerativePolicy | None = None) -> None:
     out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 2)
-    with _policy_metrics(out) as writer:
+    with _policy_training(cfg, ds, policy, out, "policy.ckpt") as on_step:
         train_gmpo(ds, critic, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
-                   behavior=behavior, on_step=_policy_metrics_cb(writer, policy, ds, cfg))
-    save_policy(policy, os.path.join(out, "policy.ckpt"))
-    print(f"wrote {os.path.join(out, 'policy.ckpt')}")
+                   behavior=behavior, on_step=on_step)
 
 
-def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
-    ds = _build_dataset(cfg, args)
-    critic = load_critic(args.critic)
-    behavior = _load_policy(cfg, args.behavior)
-    _check_inputs(ds, critic=critic, behavior=behavior)
+def cmd_train_gmpg(cfg: ExperimentConfig, args, ds: OfflineDataset, critic,
+                   behavior: GenerativePolicy) -> None:
     config = _gmpg_config(cfg)
     batch = min(config.batch_size, ds.n)
     _check_fits(gmpg_tape_bytes(behavior, config, batch), "train-gmpg",
@@ -378,34 +359,22 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args) -> None:
                 "policy.t_train, policy.gmpg_batch_size or the policy widths")
     out = _prepare_out(cfg)
     policy = copy_policy(behavior)  # theta_2 <- theta_1
-    with _policy_metrics(out) as writer:
-        train_gmpg(ds, critic, policy, behavior, config,
-                   np.random.default_rng(cfg.task.seed),
-                   on_step=_policy_metrics_cb(writer, policy, ds, cfg))
-    save_policy(policy, os.path.join(out, "policy.ckpt"))
-    print(f"wrote {os.path.join(out, 'policy.ckpt')}")
+    with _policy_training(cfg, ds, policy, out, "policy.ckpt") as on_step:
+        train_gmpg(ds, critic, policy, behavior, config, np.random.default_rng(cfg.task.seed),
+                   on_step=on_step)
 
 
-def cmd_sample(cfg: ExperimentConfig, args) -> None:
-    _check_n(args, 1)
-    ds = _build_dataset(cfg, args)
-    policy = _load_policy(cfg, args.checkpoint)
-    _check_inputs(ds, policy=policy)
+def cmd_sample(cfg: ExperimentConfig, args, ds: OfflineDataset, policy: GenerativePolicy) -> None:
     _check_fits(_pass_bytes(policy, args.n), "sample", f"for {args.n} rows", "--n")
     out = _prepare_out(cfg)
-    states = ds.s[np.arange(args.n) % ds.n]
-    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
+    actions = policy.sample_actions(_states(ds, args.n), np.random.default_rng(cfg.task.seed))
     path = os.path.join(out, "samples.csv")
     write_csv(path, ["sample_id"] + [f"a{i}" for i in range(actions.shape[1])],
               ([i, *row] for i, row in enumerate(actions.tolist())))
     print(f"wrote {path}; mean={actions.mean(axis=0)}, std={actions.std(axis=0)}")
 
 
-def cmd_logprob(cfg: ExperimentConfig, args) -> None:
-    _check_n(args, 0)
-    ds = _build_dataset(cfg, args)
-    policy = _load_policy(cfg, args.checkpoint)
-    _check_inputs(ds, policy=policy)
+def cmd_logprob(cfg: ExperimentConfig, args, ds: OfflineDataset, policy: GenerativePolicy) -> None:
     n = min(args.n, ds.n) if args.n else ds.n
     trace = _trace_mode(cfg)
     _check_fits(_pass_bytes(policy, n, trace.tangents(policy.config.action_dim)), "logprob",
@@ -418,41 +387,31 @@ def cmd_logprob(cfg: ExperimentConfig, args) -> None:
     print(f"wrote {path}; mean logp = {logp.mean():.6g} nats")
 
 
-def cmd_eval(cfg: ExperimentConfig, args) -> None:
-    _check_n(args, 1)
-    ds = _build_dataset(cfg, args)
-    policy = _load_policy(cfg, args.checkpoint)
-    _check_inputs(ds, policy=policy)
+def cmd_eval(cfg: ExperimentConfig, args, ds: OfflineDataset, policy: GenerativePolicy) -> None:
     _check_fits(_pass_bytes(policy, args.n), "eval", f"for {args.n} rows", "--n")
     out = _prepare_out(cfg)
-    states = ds.s[np.arange(args.n) % ds.n]
-    actions = policy.sample_actions(states, np.random.default_rng(cfg.task.seed))
-    values, distances = assign_value_nearest(ds, actions)
+    actions, values, distances = _sample_and_score(policy, ds, args.n, cfg.task.seed)
+    mean, std = actions.mean(axis=0), actions.std(axis=0)
     mean_value, mean_distance = float(values.mean()), float(distances.mean())
-    path = os.path.join(out, "eval.csv")
     d = actions.shape[1]
     columns = ["n"] + [f"mean_a{i}" for i in range(d)] + [f"std_a{i}" for i in range(d)]
-    write_csv(path, columns + ["mean_value", "mean_distance"],
-              [[args.n, *actions.mean(axis=0), *actions.std(axis=0), mean_value, mean_distance]])
-    print(f"eval: n={args.n} action_mean={actions.mean(axis=0)} "
-          f"action_std={actions.std(axis=0)} mean_value={mean_value:.4f} "
+    write_csv(os.path.join(out, "eval.csv"), columns + ["mean_value", "mean_distance"],
+              [[args.n, *mean, *std, mean_value, mean_distance]])
+    print(f"eval: n={args.n} action_mean={mean} action_std={std} mean_value={mean_value:.4f} "
           f"mean_distance={mean_distance:.4f}")
 
 
-def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
-    _check_n(args, 1)
-    ds = _build_dataset(cfg, args)
-    policy = _load_policy(cfg, args.checkpoint)
-    _check_inputs(ds, policy=policy)
+def cmd_export_trajectories(cfg: ExperimentConfig, args, ds: OfflineDataset,
+                            policy: GenerativePolicy) -> None:
     grid = policy.config.eval_solver.steps + 1
     _check_fits(_pass_bytes(policy, args.n, grid=grid), "export-trajectories",
                 f"for {args.n} rows x {grid} grid points", "--n or solver.steps")
     out = _prepare_out(cfg)
-    states = ds.s[np.arange(args.n) % ds.n]
-    _, traj = generate(policy.model, args.n, policy.config.eval_solver, condition=states,
-                       rng=np.random.default_rng(cfg.task.seed), record=True)
+    _, traj = generate(policy.model, args.n, policy.config.eval_solver,
+                       condition=_states(ds, args.n), rng=np.random.default_rng(cfg.task.seed),
+                       record=True)
     times = traj.times.tolist()
-    block = _csv_block_rows(len(times))
+    block = _csv_block_rows(grid)
 
     def rows():  # sample by sample, each along its grid; a block of samples at a time
         for lo in range(0, args.n, block):
@@ -464,7 +423,7 @@ def cmd_export_trajectories(cfg: ExperimentConfig, args) -> None:
     path = os.path.join(out, "trajectories.csv")
     columns = ["sample_id", "k", "t"] + [f"x{i}" for i in range(traj.states.shape[2])]
     write_csv(path, columns, rows())
-    print(f"wrote {path} ({args.n} samples x {len(times)} grid points)")
+    print(f"wrote {path} ({args.n} samples x {grid} grid points)")
 
 
 COMMANDS = {
@@ -521,11 +480,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one stage, its inputs resolved in the order the module docstring
+    gives; returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
         _check_config(cfg)
-        COMMANDS[args.command](cfg, args)
+        least = 0 if args.command == "logprob" else 1  # logprob's 0 scores every row
+        if getattr(args, "n", least) < least:
+            raise ConfigError(f"--n must be >= {least}, got {args.n}")
+        if (args.command == "train-gmpo" and cfg.policy.weight_mode == "softmax"
+                and not args.behavior):
+            raise ConfigError("policy.weight_mode=softmax needs --behavior")
+        ds = _build_dataset(cfg, args)
+        checkpoints = {role: load_critic(path) if role == "critic" else _load_policy(cfg, path)
+                       for flag, role in (("critic", "critic"), ("behavior", "behavior"),
+                                          ("checkpoint", "policy"))
+                       if (path := getattr(args, flag, None))}
+        if args.command != "make-data":
+            _check_inputs(ds, **checkpoints)
+        COMMANDS[args.command](cfg, args, ds, **checkpoints)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

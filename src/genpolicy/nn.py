@@ -19,9 +19,8 @@ its own matmul, so the primal output is bit for bit that of
 ``__call__`` (the k = 0 case of the same node). The node keeps each
 later layer's (k+1)·B-row output but only the B primal rows of the first
 hidden layer's, whose tangent rows its reverse rule rebuilds from the
-seeds. Its stacked product, taken without the output bias, is split
-back into the B-row output, plus that bias, and the k·B-row output
-tangent.
+seeds. Its stacked output, biased on the primal rows only, is split
+back into the B-row output and the k·B-row output tangent.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent
@@ -126,10 +125,10 @@ class Mlp:
         ``prefix`` is as in ``__call__``.
         """
         rows = x.shape[0]
-        # The output bias is added to the primal rows alone, so a loss on
-        # the tangents alone leaves it without a gradient.
-        out = network(x, self.weights, self.biases[:-1] + [None], prefix, u)
-        return out.rows(0, rows) + self.biases[-1], out.rows(rows)
+        # The node adds each bias to the primal rows alone, so a loss on the
+        # tangents alone gives the output bias a zero gradient.
+        out = network(x, self.weights, self.biases, prefix, u)
+        return out.rows(0, rows), out.rows(rows)
 
     def freeze(self) -> None:
         for p in self.parameters():

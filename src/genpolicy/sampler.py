@@ -99,8 +99,10 @@ def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool =
     tableau = TABLEAUX[spec.scheme]
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / spec.steps
-    times = [t0]
-    states = [state[0].data.copy()] if record else None
+    if record:  # each step writes into one array, so the path is held once
+        x = state[0].data
+        states = np.empty((spec.steps + 1, *x.shape), dtype=x.dtype)
+        states[0] = x
     for k in range(spec.steps):
         t = t0 + k * h
         try:
@@ -108,11 +110,11 @@ def integrate(field, x_init, spec: SolverSpec, t_span=(0.0, 1.0), record: bool =
         except NonFiniteError as exc:
             raise IntegrationDivergedError(k, f"integration diverged at step {k}: {exc}") from exc
         if record:
-            times.append(t0 + (k + 1) * h)
-            states.append(state[0].data.copy())
+            states[k + 1] = state[0].data
     final = state[0] if single else state
     if record:
-        return final, Trajectory(np.array(times), np.stack(states))
+        times = np.array([t0 + k * h for k in range(spec.steps + 1)])
+        return final, Trajectory(times, states)
     return final
 
 

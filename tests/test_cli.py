@@ -446,6 +446,29 @@ def test_sample_and_eval_integrate_on_the_configured_solver(tmp_path, command, n
     assert blobs[0] != blobs[1]
 
 
+def test_sample_export_and_eval_share_one_inference_pass(tmp_path):
+    # one checkpoint, seed and --n: samples.csv holds each path's last grid
+    # point, and eval.csv those actions' mean and std, equal as %.17g text
+    ckpt = str(tmp_path / "p.ckpt")
+    save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=2, hidden=(8,)),
+                                 np.random.default_rng(0)), ckpt)
+    argv = ["--checkpoint", ckpt, "--n", "12"]
+
+    def rows(command, name):
+        out = str(tmp_path / command)
+        assert cli.main([command, *tiny_args(out, ["task.dims=2"]), *argv]) == 0
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            return [line.rstrip("\n").split(",") for line in fh.readlines()[1:]]
+
+    samples = [row[1:] for row in rows("sample", "samples.csv")]
+    ends = [row[3:] for row in rows("export-trajectories", "trajectories.csv")
+            if row[1] == "8"]  # the last grid point, k = solver.steps
+    assert len(samples) == 12 and ends == samples
+    actions = np.array([[float(v) for v in row] for row in samples])
+    [summary] = rows("eval", "eval.csv")
+    assert summary[1:5] == [f"{v:.17g}" for v in (*actions.mean(axis=0), *actions.std(axis=0))]
+
+
 def test_train_gmpg_integrates_on_the_configured_solver(tmp_path):
     # the behavior checkpoint is saved with euler/3; train-gmpg runs on euler/5
     ds = make_tilted_gaussian_bandit(1, 1.0, 256, seed=0)[0]
@@ -497,6 +520,17 @@ class TestExitCodes:
         assert cli.main(["sample", *tiny_args(out), "--checkpoint", path, "--n", "4"]) == 3
         assert "unsupported activation 'sin'" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_softmax_without_behavior_exits_2_before_its_inputs(self, tmp_path, capsys):
+        # refused after the config, before the dataset and the checkpoints
+        # are read: the --critic file does not exist
+        out = tmp_path / "o"
+        code = cli.main(["train-gmpo", *tiny_args(str(out), ["policy.weight_mode=softmax"]),
+                         "--critic", str(tmp_path / "missing.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "config error: policy.weight_mode=softmax needs --behavior\n"
+        assert not out.exists()
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         proc = run_cli("train-gmpg", check=False)

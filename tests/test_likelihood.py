@@ -279,9 +279,9 @@ class TestStackedTraceSweep:
         assert np.allclose(est.data[0], fd, atol=1e-6)
 
 
-    def test_exact_stage_records_one_network_node_plus_four(self):
-        # one network node; the output's primal rows, its bias and its tangent
-        # rows; one trace node. The time features, the condition and the
+    def test_exact_stage_records_one_network_node_plus_three(self):
+        # one network node; the output's primal rows and its tangent rows;
+        # one trace node. The time features, the condition and the
         # tangent seeds are constants and record nothing.
         rng = np.random.default_rng(51)
         net = FieldNetwork(2, 1, [16, 16], rng, t_emb_width=8)
@@ -290,7 +290,7 @@ class TestStackedTraceSweep:
         cond = rng.standard_normal((4, 1))
         v, est = trace_with_jvp(lambda xx, t, u: model.velocity_jvp(xx, t, cond, u),
                                 x, 0.3, TraceMode())
-        assert recorded_nodes(v, est) == 5
+        assert recorded_nodes(v, est) == 4
 
 
 class CountingModel:

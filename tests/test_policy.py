@@ -406,7 +406,7 @@ def _gmpg_setup(batch, hidden, action_dim, config):
 
 def test_gmpg_euler_stage_records_one_node_per_network_call():
     # per euler stage and unroll (pi and mu): the network, its output's
-    # primal and tangent rows, the output bias, the trace node and its sign,
+    # primal and tangent rows, the trace node and its sign,
     # and the two state updates (x and l, two nodes each); Q(s, a) is one node
     from genpolicy.critic import Critic, CriticConfig
     behavior = small_policy(seed=75, hidden=(8, 8), action_dim=2)
@@ -420,8 +420,8 @@ def test_gmpg_euler_stage_records_one_node_per_network_call():
                                         GmpgConfig(t_train=t_train, scheme="euler"),
                                         np.random.default_rng(77)))
 
-    assert nodes(1) == 38
-    assert nodes(2) - nodes(1) == 20
+    assert nodes(1) == 36
+    assert nodes(2) - nodes(1) == 18
 
 
 class TestGmpgMemory:

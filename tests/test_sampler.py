@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -168,6 +170,22 @@ class TestGenerate:
         model = self._model("gvp")
         _, traj = generate(model, 2, SolverSpec("euler", 4), rng=np.random.default_rng(3), record=True)
         assert traj.times[0] > traj.times[-1]
+
+    def test_recorded_solve_holds_its_path_once(self):
+        # the path is held once, in one (T+1, n, d) array: at 8x8 the
+        # network's temporaries are small, so the solve peaks near the
+        # trajectory's bytes
+        rng = np.random.default_rng(4)
+        net = FieldNetwork(x_dim=2, state_dim=0, hidden=[8, 8], rng=rng)
+        model = GenerativeModel(net, "velocity", PathSchedule("gvp"))
+        tracemalloc.start()
+        try:
+            _, traj = generate(model, 256, SolverSpec("euler", 512), rng=rng, record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (513, 256, 2)
+        assert peak < 1.5 * traj.states.nbytes, peak / traj.states.nbytes
 
 
 def test_solver_spec_validation():
