@@ -18,10 +18,12 @@ Each right-hand-side evaluation makes one JVP call: the network's forward
 pass runs once, and all tangents go through one sweep, stacked as k
 blocks of rows (the d basis vectors in exact mode, which are summed to
 the exact trace; the P standard-normal probes in Hutchinson mode, each
-giving eps^T J eps). The tangent seeds are a constant array, and the
+giving eps^T J eps). The tangent seeds are one constant array per
+unroll, shared by every stage's network and trace nodes, and the
 estimate is one taped ``trace`` node over J u: the product with the
-seeds, the row sums and, in exact mode, the sum over the d blocks. The same call
-returns the velocity, so the state update needs no further forward pass.
+seeds, the row sums and, in exact mode, the sum over the d blocks. The
+same call returns the velocity, so the state update needs no further
+forward pass.
 Hutchinson probes are drawn once per call (shared across steps, standard
 practice; each probe then yields an independent estimate of the whole
 integral, which is what the reported standard error is computed from).
@@ -81,22 +83,27 @@ class LogDensityResult:
         return self.logp.data
 
 
+def _basis_seeds(batch: int, d: int) -> np.ndarray:
+    """The exact trace's tangent seeds as (d, batch, d) blocks, laid out
+    like Hutchinson probes: block i is e_i on every row."""
+    return np.repeat(np.eye(d), batch, axis=0).reshape(d, batch, d)
+
+
 def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
     """(velocity, per-sample trace estimates) from one JVP call, on the tape.
 
     ``jvp_fn(x, t, u) -> (v, J u)`` with ``u`` a constant array of k
-    stacked tangent blocks of ``batch`` rows. Exact mode stacks the d
-    basis vectors and returns the exact trace as a (1, batch) row;
-    Hutchinson mode stacks the P probes (``probes`` is (P, batch, d)) and
-    returns one row per probe, (P, batch). The estimate is one node over
-    J u: per row the sum of (J u) * u, and in exact mode the sum over the
-    d blocks.
+    stacked tangent blocks of ``batch`` rows, ``probes`` as (k, batch, d)
+    blocks. Exact mode stacks the d basis vectors (``_basis_seeds``, built
+    here when ``probes`` is None) and returns the exact trace as a (1,
+    batch) row; Hutchinson mode stacks the P probes and returns one row
+    per probe, (P, batch). The estimate is one node over J u: per row the
+    sum of (J u) * u, and in exact mode the sum over the d blocks.
     """
     batch, d = x.shape
-    if mode.kind == "exact":
-        u = np.repeat(np.eye(d), batch, axis=0)  # block i is e_i on every row
-    else:
-        u = probes.reshape(-1, d)
+    if probes is None and mode.kind == "exact":
+        probes = _basis_seeds(batch, d)
+    u = probes.reshape(-1, d)
     v, ju = jvp_fn(x, t, u)
     blocks = u.shape[0] // batch
     est = (ju.data * u).sum(axis=1).reshape(blocks, batch)
@@ -114,10 +121,15 @@ def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
                          spec: SolverSpec, mode: TraceMode, probes):
     """Integrate [x; l] with dl/dt = -trace; returns (x_T, l_T (P,B)).
 
-    A stage whose trace the step does not read (``traced`` false) gets the
-    velocity alone, from ``model.velocity``: bit for bit the primal rows
-    of the JVP call.
+    Every stage's JVP call takes the same tangent seeds: the Hutchinson
+    ``probes``, or the exact trace's basis seeds, built once here, so the
+    stages' network and trace nodes share one seed array. A stage whose
+    trace the step does not read (``traced`` false) gets the velocity
+    alone, from ``model.velocity``: bit for bit the primal rows of the
+    JVP call.
     """
+    if mode.kind == "exact":
+        probes = _basis_seeds(*x0.shape)
 
     def jvp_fn(x, t, u):
         return model.velocity_jvp(x, t, condition, u)

@@ -281,31 +281,28 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     """Estimated bytes of one GMPG step's tape after the forward pass.
 
     Analytic, from the shapes alone. Each taped solver stage of an unroll
-    stores float64 arrays of ``batch`` rows: the first hidden layer's
-    output for the primal row (its tangent rows are rebuilt in the
-    reverse pass, see ``tensor.network``), every later hidden layer's
-    output for the primal row and its k tangent rows, the first layer's
-    per-row input (condition, x; a stage's time embedding is one row
-    shared by the batch, which the first layer folds into its bias row),
-    and about 4(k + 1) action-wide rows for the stacked network input and
-    output, the tangent seeds and the state update:
+    stores float64 arrays of ``batch`` rows: every hidden layer's output
+    for the primal row only (the tangent rows are rebuilt in the reverse
+    pass, see ``tensor.network``), the first layer's per-row input
+    (condition, x; a stage's time embedding is one row shared by the
+    batch, which the first layer folds into its bias row), and about
+    4(k + 1) action-wide rows for the network's stacked output, the trace
+    and the state update (the tangent seeds are one array per unroll):
 
-        (k + 1)·(widths − w0 + 4d) + w0 + first
+        widths + first + 4·(k + 1)·d
 
-    floats per row, with widths the sum of the hidden widths, w0 the
-    first of them and first the condition and x columns. k is the action
-    dimension for an exact trace and the probe count for Hutchinson. A
-    stage whose weight b[i] is 0 (midpoint's first) evaluates the
-    velocity alone, so it stores the same arrays with k = 0. The dynamic
-    variant tapes two unrolls (pi and mu), the static one only log pi.
+    floats per row, with widths the sum of the hidden widths and first the
+    condition and x columns. k is the action dimension for an exact trace
+    and the probe count for Hutchinson. A stage whose weight b[i] is 0
+    (midpoint's first) evaluates the velocity alone, so it stores the same
+    arrays with k = 0. The dynamic variant tapes two unrolls (pi and mu),
+    the static one only log pi.
     """
     net = policy.model.net
     k = config.trace.tangents(net.x_dim)
-    hidden, d = net.mlp.sizes[1:-1], net.x_dim
-    w0 = hidden[0] if hidden else 0
+    widths, d = sum(net.mlp.sizes[1:-1]), net.x_dim
     first = net.mlp.sizes[0] - net.t_emb.width
-    per_step = sum((k + 1 if bi else 1) * (sum(hidden) - w0 + 4 * d) + w0 + first
-                   for bi in TABLEAUX[config.scheme][1])
+    per_step = sum(widths + first + 4 * (k + 1 if bi else 1) * d for bi in TABLEAUX[config.scheme][1])
     return 8 * batch * per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
 
 

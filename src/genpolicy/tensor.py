@@ -38,13 +38,14 @@ layers from the last to the first and includes the derivative of tanh's
 slope. The tangent seeds are a constant array, so they get no gradient,
 and so are the first layer's prefix columns: a one-row block (the time
 embedding at a scalar t) is multiplied once and added into the bias row,
-never broadcast to every row. The node keeps every layer's output, but
-of a hidden first layer only the B primal rows when tangents ride along
-(the reverse rule rebuilds its k·B tangent rows, the seeds times w_x
-times the slope, with the forward's own ops), and, for the first layer,
-the stacked input rows and the per-row primal input; the hidden
-activations are its internal values, so they make no nodes and no finite
-checks of their own. ``rows`` slices the stacked result back apart. A
+never broadcast to every row. Besides its value the node keeps B rows
+per layer: every hidden layer's primal output and the first layer's
+per-row input. With tangents riding along, the reverse rule rebuilds
+every hidden layer's k·B tangent rows bottom-up from the seeds with the
+forward's own ops, one tangent matmul per hidden layer, so the tape
+holds no tangent row but the output's; the hidden activations are the
+node's internal values, so they make no nodes and no finite checks of
+their own. ``rows`` slices the stacked result back apart. A
 loss is a handful of nodes: ``a - b`` of two Tensors is one ``sub`` node
 and a full ``mean()`` one ``mean`` node. A regression loss, the weighted
 mean of squared residuals against a constant target, is one ``sq_mean``
@@ -380,6 +381,14 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _scale_blocks(stacked: np.ndarray, rows: int, s: np.ndarray) -> None:
+    """Multiply every block of ``rows`` rows of ``stacked`` by ``s`` in
+    place, block by block: numpy's broadcast in-place product would
+    allocate a buffer the size of ``stacked``."""
+    for lo in range(0, stacked.shape[0], rows):
+        stacked[lo:lo + rows] *= s
+
+
 def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     """One call of a multilayer perceptron, tanh hidden layers and a linear
     output layer, as one node.
@@ -405,30 +414,32 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     w_rest + (b + p @ w_p). The primal and the tangent rows go through
     separate matmuls, so the primal rows are bit for bit those of the call
     without tangents, and no slope is computed when there are no tangents
-    and no tape. On the tape the node keeps every layer's output [a; da]
-    (the last one as its value), the first layer's stacked input and, with
-    a per-row prefix block, its per-row primal input [per-row blocks | x];
-    a one-row block keeps only its row. With tangents, a hidden first
-    layer keeps only its B primal rows a: its tangent rows are the
-    constant seeds times w_x, scaled by the slope 1 - a*a, so the reverse
-    rule rebuilds them with the forward's own ops (``seeds @ w_x``, then
-    ``*= 1 - a*a``, into one stacked [a; da] that serves the first
-    layer's slope term and the second layer's weight gradient), bit for
-    bit the rows it dropped. The reverse rule runs the layers from the
-    last to the first and carries the slope's own derivative:
+    and no tape. On the tape the node keeps, besides its value (the last
+    layer's stacked output), only B rows per layer: every hidden layer's
+    primal output a, and the first layer's per-row primal input (x's rows,
+    or [per-row blocks | x] with a per-row prefix block; a one-row block
+    keeps only its row). The tangent seeds are the caller's array, kept
+    as it is. A hidden layer's k·B tangent rows are the layer below's
+    tangent rows times w_h, scaled by the slope 1 - a*a, so the reverse
+    rule rebuilds them bottom-up with the forward's own ops (``dh @ w_h``,
+    then ``*= 1 - a*a``, into one stacked [a; da] that serves the layer's
+    slope term and the next layer's weight gradient), bit for bit the rows
+    the forward dropped. Then it runs the layers from the last to the
+    first and carries the slope's own derivative:
 
         gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j   (tanh)
         gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
         gw_p = outer(p, gb)  for a one-row block,
         gw_rest = [per-row blocks | h_0]^T gz + dh^T gdz  (one matmul
-        without a per-row block),
+        over the stacked [h_0; dh] without a per-row block),
         g[h] = [gz; gdz] @ w_h^T  into the layer below,
 
     and hands x the gradient of its primal rows, gz @ w_h^T; the tangent
     seeds take none. A hidden layer's [ga; gda] is the pass's own array,
     so it is scaled into [gz; gdz] in place, after the slope term has read
     its unscaled tangent rows. It stops at the lowest layer that still
-    owes a gradient. The hidden activations are the node's internal
+    owes a gradient, and drops each rebuilt stack once the layers that
+    read it are done. The hidden activations are the node's internal
     values: only its output and the gradients it hands to x and to each w
     and b are checked, and a NaN inside the call reaches the output.
     """
@@ -438,12 +449,11 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     rows = xd.shape[0]
     if rows < 1:
         raise ValueError("network needs at least one input row")
-    h = xd
+    k = 0
     if tangent is not None:
         if tangent.shape[0] < rows or tangent.shape[0] % rows:
             raise ValueError(f"tangent rows {tangent.shape[0]} are not a multiple of batch {rows}")
-        h = np.concatenate([xd, tangent])
-    k = h.shape[0] // rows - 1
+        k = tangent.shape[0] // rows
     width = xd.shape[1] + sum(p.shape[1] for p in prefix)
     for w, b in zip(weights, biases):
         if w.data.shape[0] != width or (b is not None and b.data.shape != w.data.shape[1:]):
@@ -460,12 +470,12 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
             per_row.append(p)
         lo += p.shape[1]
     last = len(weights) - 1
-    saved = []  # per layer on the tape: (weight, stacked input, per-row primal input, output)
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        wd = w.data
+    h, dh = xd, tangent  # a layer's primal input rows and its k·B tangent rows
+    wds = [w.data for w in weights]
+    inp0, kept = xd, []  # on the tape: the first layer's per-row input, each hidden layer's a
+    for i, (wd, b) in enumerate(zip(wds, biases)):
         n_in, m = wd.shape
-        w_in, bias = wd, None if b is None else b.data
-        inp = h[:rows]
+        w_in, bias, inp = wd, None if b is None else b.data, h
         if i == 0:
             if shared:
                 keep = np.ones(n_in, dtype=bool)
@@ -475,51 +485,46 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
                     bias = row if bias is None else bias + row
                 w_in = wd[keep]
             if per_row:
-                inp = np.concatenate(per_row + [inp], axis=1)
-        out = np.empty((h.shape[0], m))
+                inp = inp0 = np.concatenate(per_row + [inp], axis=1)
+        out = np.empty(((k + 1) * rows, m))
         a = out[:rows]
         np.matmul(inp, w_in, out=a)
         if bias is not None:
             a += bias
         if k:
-            np.matmul(h[rows:], wd[n_in - h.shape[1]:], out=out[rows:])
+            np.matmul(dh, wd[n_in - dh.shape[1]:], out=out[rows:])
         if i < last:
             np.tanh(a, out=a)
             if k:
-                tangents = out[rows:].reshape(k, rows, m)
-                tangents *= 1.0 - a * a
-        if taped:
-            saved.append((wd, h, inp, out))
-        h = out
-    if taped and k and last:  # a hidden first layer keeps its primal rows alone
-        saved[0] = (*saved[0][:3], saved[0][3][:rows].copy())
-        saved[1] = (saved[1][0], None, None, saved[1][3])
+                _scale_blocks(out[rows:], rows, 1.0 - a * a)
+            if taped:
+                kept.append(a.copy() if k else a)
+        h, dh = a, out[rows:]
 
     def bwd(node):
         stop = 0 if x.requires_grad or x._prev else next(
             i for i, (w, b) in enumerate(zip(weights, biases))
             if w.requires_grad or w._prev or (b is not None and (b.requires_grad or b._prev)))
+        stacks, da = [], tangent  # every hidden layer's [a; da], rebuilt by the forward's own ops
+        for wd, a in zip(wds, kept):
+            slope = None  # 1 - a*a, kept only where the rebuild computes it
+            if k:
+                slope = 1.0 - a * a
+                out = np.empty(((k + 1) * rows, a.shape[1]))
+                out[:rows] = a
+                np.matmul(da, wd[wd.shape[0] - da.shape[1]:], out=out[rows:])
+                _scale_blocks(out[rows:], rows, slope)
+                a, da = out, out[rows:]
+            stacks.append((a, slope))
         g = node.grad
-        first_out = None
         for i in range(last, stop - 1, -1):
             w, b = weights[i], biases[i]
             need_w = w.requires_grad or w._prev
             need_b = b is not None and (b.requires_grad or b._prev)
-            wd, h, inp, out = saved[i]
-            if i == 1 and h is None and (need_w or stop == 0):
-                # the first layer's stacked output, rebuilt by the forward's own ops
-                wd0, h0, _, a0 = saved[0]
-                h = first_out = np.empty((h0.shape[0], a0.shape[1]))
-                h[:rows] = a0
-                np.matmul(h0[rows:], wd0[wd0.shape[0] - h0.shape[1]:], out=h[rows:])
-                tangents = h[rows:].reshape(k, rows, -1)
-                tangents *= 1.0 - a0 * a0
-            elif i == 0 and first_out is not None:
-                out = first_out
-            n, m = h.shape[1] if i == 0 else wd.shape[0], out.shape[1]  # n: x's or h's width
-            if i == last:
-                gz, G = g[:rows], g
-            else:
+            wd = wds[i]
+            gz = g[:rows]  # g becomes [gz; gdz]: a hidden layer scales it, this pass's own array, in place
+            if i < last:
+                out, slope = stacks.pop()
                 a = out[:rows]
                 if k:  # the slope's own derivative (see the rule above), from the unscaled g
                     da = out[rows:]
@@ -528,23 +533,23 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
                         acc += g[(j + 1) * rows:(j + 2) * rows] * da[j * rows:(j + 1) * rows]
                     acc *= a
                     acc *= 2.0
-                G = g  # [gz; gdz], scaled in place: g is this pass's own array
-                blocks = G.reshape(k + 1, rows, m)
-                blocks *= 1.0 - a * a
-                gz = G[:rows]
+                _scale_blocks(g, rows, 1.0 - a * a if slope is None else slope)
                 if k:
                     gz -= acc
+            n = wd.shape[0] if i else xd.shape[1]  # the width of h (x's for the first layer)
             first_shared = shared if i == 0 else ()
             gb = gz.sum(axis=0) if need_b or (need_w and first_shared) else None
             if need_b:
                 b._accum(gb, fresh=True)
             if need_w:
                 if i == 0 and per_row:
-                    gw = inp.T @ gz
+                    gw = inp0.T @ gz
                     if k:
-                        gw[-n:] += h[rows:].T @ G[rows:]
-                else:
-                    gw = h.T @ G
+                        gw[-n:] += tangent.T @ g[rows:]
+                elif i:
+                    gw = stacks[-1][0].T @ g
+                else:  # the stacked first-layer input, made for this product alone
+                    gw = (np.concatenate([xd, tangent]) if k else xd).T @ g
                 if first_shared:
                     gw_in, gw = gw, np.empty_like(wd)
                     gw[keep] = gw_in
@@ -553,8 +558,8 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
                 w._accum(gw, fresh=True)
             w_h = wd[wd.shape[0] - n:]
             if i > stop:
-                g = G @ w_h.T
+                g = g @ w_h.T
             elif i == 0 and (x.requires_grad or x._prev):
                 x._accum(gz @ w_h.T, fresh=True)
 
-    return x._node(h, parents, bwd, "network")
+    return x._node(out, parents, bwd, "network")

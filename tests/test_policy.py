@@ -440,7 +440,15 @@ class TestGmpgMemory:
         assert two <= 1.3 * one, (two, one)
 
     def test_reverse_pass_peak_close_to_the_tape(self):
-        _, loss_fn = _gmpg_setup(64, (32, 32), 2, GmpgConfig(t_train=8))
+        # Beyond the tape the reverse pass holds, from the shapes: one
+        # network call's transient (its rebuilt hidden stacks [a; da] and
+        # their slopes 1 - a*a, the stacked-output gradients of two adjacent
+        # layers, the slope term's B-row accumulator and the weight-gradient
+        # temporaries), the parameter gradients, every stage's network-output
+        # gradient (a trace's rows pass fills it before the network's reverse
+        # rule runs; both unrolls) and the walk's topological list.
+        batch, hidden, k, t_train = 64, (32, 32), 2, 8
+        policy, loss_fn = _gmpg_setup(batch, hidden, k, GmpgConfig(t_train=t_train))
         tracemalloc.start()
         try:
             loss = loss_fn()
@@ -450,7 +458,11 @@ class TestGmpgMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * held, (peak, held)
+        params = sum(p.data.size for p in policy.parameters())
+        call = ((k + 2) * batch * sum(hidden) + 2 * (k + 1) * batch * max(hidden)
+                + batch * max(hidden) + params)
+        stages = 2 * t_train * (k + 1) * batch * k  # the action dimension is k
+        assert peak <= held + 8 * (call + params + stages) + 256 * recorded_nodes(loss), (peak, held)
 
     @pytest.mark.parametrize("batch, hidden, action_dim, config", [
         (64, (32, 32), 2, GmpgConfig(t_train=4)),
@@ -458,6 +470,7 @@ class TestGmpgMemory:
                                          trace=TraceMode("hutchinson", 3))),
         (96, (48, 48), 2, GmpgConfig(t_train=3, scheme="midpoint")),
         (256, (64, 64), 2, GmpgConfig(t_train=8)),  # gmpg-bandit's shapes at a shorter unroll
+        (128, (64, 64, 64), 2, GmpgConfig(t_train=4)),  # the paper's depth, where the rebuild saves most
     ])
     def test_tape_estimate_within_a_quarter(self, batch, hidden, action_dim, config):
         # measured as the bytes the built loss holds, closure-held arrays included

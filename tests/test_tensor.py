@@ -422,8 +422,8 @@ class TestNetworkNode:
 
 
 class TestNetworkTangentLayout:
-    """A tangent-carrying call keeps only the B primal rows of a hidden first
-    layer's output and rebuilds its k·B tangent rows in the reverse pass;
+    """A tangent-carrying call keeps only the B primal rows of every hidden
+    layer's output and rebuilds their k·B tangent rows in the reverse pass;
     the values and gradients stay those of the node that kept every row
     (``oracles.network_reference``)."""
 
@@ -457,12 +457,14 @@ class TestNetworkTangentLayout:
             assert (got is None) == (ref is None)
             assert got is None or got.tobytes() == ref.tobytes()
 
-    def test_first_layer_keeps_its_primal_rows_only(self):
-        # B=64, hidden (32, 32), k=2: the node holds the stacked input, the
-        # first layer's B primal rows and the (k+1)·B rows of the others
+    @pytest.mark.parametrize("hidden", [(32,), (32, 32), (32, 32, 32)],
+                             ids=["one-hidden", "two-hidden", "three-hidden"])
+    def test_every_hidden_layer_keeps_its_primal_rows_only(self, hidden):
+        # B=64, k=2: the node holds its (k+1)·B-row output and B rows of each
+        # hidden layer; x's rows and the tangent seeds are the caller's arrays
         rng = np.random.default_rng(41)
-        rows, k, n, w0 = 64, 2, 3, 32
-        ws, bs = _layers(rng, [n, w0, 32, 2])
+        rows, k, n = 64, 2, 3
+        ws, bs = _layers(rng, [n, *hidden, 2])
         x0, u = rng.standard_normal((rows, n)), rng.standard_normal((k * rows, n))
 
         def held(f):
@@ -470,16 +472,20 @@ class TestNetworkTangentLayout:
             params = [Tensor(a, requires_grad=True) for a in ws + bs]
             tracemalloc.start()
             try:
-                out = f(x, params[:3], params[3:], tangent=u)
+                out = f(x, params[:len(ws)], params[len(ws):], tangent=u)
                 assert out._prev  # alive, with its tape, while measured
                 return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
 
-        arrays = 8 * ((k + 1) * rows * (n + 32 + 2) + rows * w0)
+        widths = sum(hidden)
+        arrays = 8 * ((k + 1) * rows * 2 + rows * widths)
         node, ref = held(network), held(network_reference)
         assert arrays <= node <= arrays + 4096, (node, arrays)
-        assert abs(ref - node - 8 * k * rows * w0) <= 2048, (ref, node)
+        # the reference keeps every hidden layer's k·B tangent rows, and the
+        # first layer's stacked input [x; seeds], (k+1)·B rows of width n
+        more = 8 * (k * rows * widths + (k + 1) * rows * n)
+        assert abs(ref - node - more) <= 2048, (ref, node, more)
 
 
 class TestLossNodes:
