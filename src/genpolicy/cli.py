@@ -9,15 +9,16 @@ memory); the checkpoints the command names, each policy integrating on
 ``solver.*`` (``_load_policy``), and their cross-checks (an empty dataset,
 or a checkpoint whose state or action width differs from the dataset's,
 exits 3); the stage's memory estimate from the shapes alone
-(``policy.gmpg_tape_bytes`` for ``train-gmpg``, ``_pass_bytes`` for the
-pass of ``sample``, ``eval``, ``logprob`` and ``export-trajectories``),
-which exits 2 when it exceeds physical memory; ``resolved.ini``, the fully
-resolved config, in ``output.dir``; then the compute. Nothing is written
-before ``resolved.ini``. A stage appends plain-CSV metrics
-(``MetricsWriter``; comment char '#', comma-separated, %.17g floats) and
-emits checkpoints in the versioned binary format. Exit codes: 0 success,
-2 config error (running out of memory included), 3 io/format error, 4
-numeric divergence.
+(``policy.gmpg_tape_bytes`` plus one network call's reverse-pass
+transient, ``policy.gmpg_reverse_bytes``, for ``train-gmpg``;
+``_pass_bytes`` for the pass of ``sample``, ``eval``, ``logprob`` and
+``export-trajectories``), which exits 2 when it exceeds physical memory;
+``resolved.ini``, the fully resolved config, in ``output.dir``; then the
+compute. Nothing is written before ``resolved.ini``. A stage appends
+plain-CSV metrics (``MetricsWriter``; comment char '#', comma-separated,
+%.17g floats) and emits checkpoints in the versioned binary format. Exit
+codes: 0 success, 2 config error (running out of memory included), 3
+io/format error, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, csv_line
 from .errors import ConfigError, DataFormatError, NonFiniteError
 from .likelihood import TraceMode
 from .matching import MatchingConfig, check_objective
-from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_tape_bytes,
-                     pretrain_behavior, train_gmpg, train_gmpo)
+from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_reverse_bytes,
+                     gmpg_tape_bytes, pretrain_behavior, train_gmpg, train_gmpo)
 from .sampler import SolverSpec, generate
 from .schedules import PathSchedule
 
@@ -354,8 +355,9 @@ def cmd_train_gmpg(cfg: ExperimentConfig, args, ds: OfflineDataset, critic,
                    behavior: GenerativePolicy) -> None:
     config = _gmpg_config(cfg)
     batch = min(config.batch_size, ds.n)
-    _check_fits(gmpg_tape_bytes(behavior, config, batch), "train-gmpg",
-                f"of tape per step (t_train={config.t_train}, batch {batch}, {config.variant})",
+    _check_fits(gmpg_tape_bytes(behavior, config, batch) + gmpg_reverse_bytes(behavior, config, batch),
+                "train-gmpg", f"of tape and reverse pass per step (t_train={config.t_train}, "
+                f"batch {batch}, {config.variant})",
                 "policy.t_train, policy.gmpg_batch_size or the policy widths")
     out = _prepare_out(cfg)
     policy = copy_policy(behavior)  # theta_2 <- theta_1

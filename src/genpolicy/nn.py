@@ -16,12 +16,12 @@ gradient of its own rows only. Every call is one ``tensor.network`` node
 over the (k+1)·B stacked rows: per layer the primal rows get
 ``act(h @ w + b)``, the tangent rows ``(dh @ w) * act'``, each through
 its own matmul, so the primal output is bit for bit that of
-``__call__`` (the k = 0 case of the same node). The node keeps only the
-B primal rows of every hidden layer's output and holds ``u`` as it is
-(an unroll passes every stage the same seed array); its reverse rule
-rebuilds the hidden layers' tangent rows from the seeds. Its stacked
-output, biased on the primal rows only, is split back into the B-row
-output and the k·B-row output tangent.
+``__call__`` (the k = 0 case of the same node). With tangents the node
+keeps no hidden-layer row and holds ``u`` as it is (an unroll passes
+every stage the same seed array); its reverse rule reruns the hidden
+layers, primal and tangent rows, from the first layer's input and the
+seeds. Its stacked output, biased on the primal rows only, is split back
+into the B-row output and the k·B-row output tangent.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent

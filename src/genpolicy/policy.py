@@ -277,33 +277,57 @@ class GmpgConfig:
         return SolverSpec(self.scheme, self.t_train)
 
 
+_STAGE_BYTES = 8192  # measured 6-9.5 KiB per taped stage, at batches 64 and 320
+
+
 def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) -> int:
     """Estimated bytes of one GMPG step's tape after the forward pass.
 
     Analytic, from the shapes alone. Each taped solver stage of an unroll
-    stores float64 arrays of ``batch`` rows: every hidden layer's output
-    for the primal row only (the tangent rows are rebuilt in the reverse
-    pass, see ``tensor.network``), the first layer's per-row input
+    holds float64 arrays of ``batch`` rows. A stage whose JVP call carries
+    tangents keeps no hidden-layer row (its reverse rule reruns them, see
+    ``tensor.network``): it holds the first layer's per-row input
     (condition, x; a stage's time embedding is one row shared by the
-    batch, which the first layer folds into its bias row), and about
-    4(k + 1) action-wide rows for the network's stacked output, the trace
-    and the state update (the tangent seeds are one array per unroll):
+    batch, which the first layer folds into its bias row), the network's
+    stacked output, and about four rows of width d + n for the trace, its
+    sign and the updates of x and l (the tangent seeds are one array per
+    unroll):
 
-        widths + first + 4·(k + 1)·d
+        first + (k + 1)·d + 4·(d + n)
 
-    floats per row, with widths the sum of the hidden widths and first the
-    condition and x columns. k is the action dimension for an exact trace
-    and the probe count for Hutchinson. A stage whose weight b[i] is 0
-    (midpoint's first) evaluates the velocity alone, so it stores the same
-    arrays with k = 0. The dynamic variant tapes two unrolls (pi and mu),
-    the static one only log pi.
+    floats per row, with first the condition and x columns, k the tangent
+    blocks (the action dimension d for an exact trace, the probe count for
+    Hutchinson) and n the log-density estimates per row (1 exact, the
+    probe count for Hutchinson). A stage whose weight b[i] is 0
+    (midpoint's first) evaluates the velocity alone in a plain call, which
+    keeps every hidden layer's rows: widths + first + 5·d, widths the sum
+    of the hidden widths. Every stage also holds about ``_STAGE_BYTES`` of
+    nodes, closures and array headers, which dominate at small batches.
+    The dynamic variant tapes two unrolls (pi and mu), the static one only
+    log pi.
     """
     net = policy.model.net
-    k = config.trace.tangents(net.x_dim)
-    widths, d = sum(net.mlp.sizes[1:-1]), net.x_dim
+    d = net.x_dim
+    k = config.trace.tangents(d)
+    n = 1 if config.trace.kind == "exact" else k
+    widths = sum(net.mlp.sizes[1:-1])
     first = net.mlp.sizes[0] - net.t_emb.width
-    per_step = sum(widths + first + 4 * (k + 1 if bi else 1) * d for bi in TABLEAUX[config.scheme][1])
-    return 8 * batch * per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
+    weights = TABLEAUX[config.scheme][1]
+    floats = sum(first + ((k + 1) * d + 4 * (d + n) if bi else widths + 5 * d) for bi in weights)
+    per_step = 8 * batch * floats + _STAGE_BYTES * len(weights)
+    return per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
+
+
+def gmpg_reverse_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) -> int:
+    """Estimated bytes one network call's reverse rule holds beside the
+    tape during a GMPG step's reverse pass, from the shapes: the rerun
+    hidden stacks [a; da] and their slopes, (k + 2)·widths floats per row,
+    and the stacked-output gradients of two adjacent layers, 2·(k + 1)·m
+    floats per row, m the widest layer (see ``tensor.network``)."""
+    net = policy.model.net
+    k = config.trace.tangents(net.x_dim)
+    sizes = net.mlp.sizes
+    return 8 * batch * ((k + 2) * sum(sizes[1:-1]) + 2 * (k + 1) * max(sizes[1:]))
 
 
 def _check_gmpg_models(policy: GenerativePolicy, behavior: GenerativePolicy) -> None:

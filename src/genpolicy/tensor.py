@@ -38,20 +38,21 @@ layers from the last to the first and includes the derivative of tanh's
 slope. The tangent seeds are a constant array, so they get no gradient,
 and so are the first layer's prefix columns: a one-row block (the time
 embedding at a scalar t) is multiplied once and added into the bias row,
-never broadcast to every row. Besides its value the node keeps B rows
-per layer: every hidden layer's primal output and the first layer's
-per-row input. With tangents riding along, the reverse rule rebuilds
-every hidden layer's k·B tangent rows bottom-up from the seeds with the
-forward's own ops, one tangent matmul per hidden layer, so the tape
-holds no tangent row but the output's; the hidden activations are the
-node's internal values, so they make no nodes and no finite checks of
-their own. ``rows`` slices the stacked result back apart. A
-loss is a handful of nodes: ``a - b`` of two Tensors is one ``sub`` node
-and a full ``mean()`` one ``mean`` node. A regression loss, the weighted
-mean of squared residuals against a constant target, is one ``sq_mean``
-node with the values and gradients of its composite, so a training loss
-records its network calls plus one node (plus the ``* 0.5`` of the
-matching losses).
+never broadcast to every row. Besides its value the node keeps the
+first layer's inputs: its B per-row input rows and its folded bias row.
+A plain call (no tangents: the critic and matching losses) also keeps
+every hidden layer's B primal rows. A tangent-carrying call keeps no
+hidden-layer row: its reverse rule reruns every hidden layer bottom-up,
+primal and tangent rows, through the loop the forward ran, so the tape
+holds no row but the output's and the first layer's input; the hidden
+activations are the node's internal values, so they make no nodes and no
+finite checks of their own. ``rows`` slices the stacked result back
+apart. A loss is a handful of nodes: ``a - b`` of two Tensors is one
+``sub`` node and a full ``mean()`` one ``mean`` node. A regression loss,
+the weighted mean of squared residuals against a constant target, is
+one ``sq_mean`` node with the values and gradients of its composite, so
+a training loss records its network calls plus one node (plus the
+``* 0.5`` of the matching losses).
 
 ``backward`` walks only the nodes that have a reverse rule; the leaves
 (parameters and inputs) take their gradients from their consumers and
@@ -413,19 +414,21 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     once, p @ w_p, and added into the bias row: z = [per-row blocks | x] @
     w_rest + (b + p @ w_p). The primal and the tangent rows go through
     separate matmuls, so the primal rows are bit for bit those of the call
-    without tangents, and no slope is computed when there are no tangents
-    and no tape. On the tape the node keeps, besides its value (the last
-    layer's stacked output), only B rows per layer: every hidden layer's
-    primal output a, and the first layer's per-row primal input (x's rows,
-    or [per-row blocks | x] with a per-row prefix block; a one-row block
-    keeps only its row). The tangent seeds are the caller's array, kept
-    as it is. A hidden layer's k·B tangent rows are the layer below's
-    tangent rows times w_h, scaled by the slope 1 - a*a, so the reverse
-    rule rebuilds them bottom-up with the forward's own ops (``dh @ w_h``,
-    then ``*= 1 - a*a``, into one stacked [a; da] that serves the layer's
-    slope term and the next layer's weight gradient), bit for bit the rows
-    the forward dropped. Then it runs the layers from the last to the
-    first and carries the slope's own derivative:
+    without tangents, and no slope is computed without tangents.
+
+    On the tape the node keeps its value (the last layer's stacked output)
+    and the first layer's inputs: its per-row input (x's rows, or [per-row
+    blocks | x] with a per-row prefix block), its folded bias row and
+    w_rest (a view of the weight when the rows it keeps are one range),
+    and the tangent seeds, the caller's array as it is. A tangent-carrying
+    call keeps no hidden-layer row: its reverse rule reruns the hidden
+    layers bottom-up, primal and tangent rows, with the loop the forward
+    ran (``run``), so they are bit for bit the rows the forward dropped;
+    the rerun costs one B-row matmul and one tanh per hidden layer beyond
+    the tangent rows' own. A plain call (k = 0: the critic and matching
+    losses) keeps every hidden layer's a, B rows each, and reruns nothing.
+    Then the rule runs the layers from the last to the first and carries
+    the slope's own derivative:
 
         gz = ga * (1 - a*a) - 2a * sum_j gda_j * da_j   (tanh)
         gdz_j = gda_j * act'(z),  gb = sum over rows of gz,
@@ -438,10 +441,11 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     seeds take none. A hidden layer's [ga; gda] is the pass's own array,
     so it is scaled into [gz; gdz] in place, after the slope term has read
     its unscaled tangent rows. It stops at the lowest layer that still
-    owes a gradient, and drops each rebuilt stack once the layers that
-    read it are done. The hidden activations are the node's internal
-    values: only its output and the gradients it hands to x and to each w
-    and b are checked, and a NaN inside the call reaches the output.
+    owes a gradient, and drops each rerun stack [a; da] and its slope once
+    the layers that read them are done. The hidden activations are the
+    node's internal values: only its output and the gradients it hands to
+    x and to each w and b are checked, and a NaN inside the call reaches
+    the output.
     """
     xd = x.data
     if xd.ndim != 2 or any(w.data.ndim != 2 for w in weights):
@@ -470,52 +474,53 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
             per_row.append(p)
         lo += p.shape[1]
     last = len(weights) - 1
-    h, dh = xd, tangent  # a layer's primal input rows and its k·B tangent rows
     wds = [w.data for w in weights]
-    inp0, kept = xd, []  # on the tape: the first layer's per-row input, each hidden layer's a
-    for i, (wd, b) in enumerate(zip(wds, biases)):
-        n_in, m = wd.shape
-        w_in, bias, inp = wd, None if b is None else b.data, h
-        if i == 0:
-            if shared:
-                keep = np.ones(n_in, dtype=bool)
-                for p, lo, hi in shared:
-                    keep[lo:hi] = False
-                    row = p @ wd[lo:hi]
-                    bias = row if bias is None else bias + row
-                w_in = wd[keep]
-            if per_row:
-                inp = inp0 = np.concatenate(per_row + [inp], axis=1)
-        out = np.empty(((k + 1) * rows, m))
-        a = out[:rows]
-        np.matmul(inp, w_in, out=a)
-        if bias is not None:
-            a += bias
-        if k:
-            np.matmul(dh, wd[n_in - dh.shape[1]:], out=out[rows:])
-        if i < last:
-            np.tanh(a, out=a)
+    bds = [None if b is None else b.data for b in biases]
+    # the first layer's inputs: per-row input rows, weight rows and bias row
+    inp0, w0, b0 = xd, wds[0], bds[0]
+    if shared:
+        keep = np.ones(w0.shape[0], dtype=bool)
+        for p, lo, hi in shared:
+            keep[lo:hi] = False
+            row = p @ w0[lo:hi]
+            b0 = row if b0 is None else b0 + row
+        at = np.flatnonzero(keep)
+        one_range = at.size and at[-1] - at[0] + 1 == at.size
+        w0 = w0[at[0]:at[-1] + 1] if one_range else w0[keep]
+    if per_row:
+        inp0 = np.concatenate(per_row + [xd], axis=1)
+
+    def run(depth, keep_hidden):
+        """Layers 0..depth-1 over the stacked rows: the top one's output
+        and, when ``keep_hidden``, every hidden layer's (output, slope)."""
+        out, stacks, h, dh = None, [], inp0, tangent
+        for i in range(depth):
+            wd = wds[i]
+            out = np.empty(((k + 1) * rows, wd.shape[1]))
+            a, slope = out[:rows], None
+            np.matmul(h, w0 if i == 0 else wd, out=a)
+            bias = b0 if i == 0 else bds[i]
+            if bias is not None:
+                a += bias
             if k:
-                _scale_blocks(out[rows:], rows, 1.0 - a * a)
-            if taped:
-                kept.append(a.copy() if k else a)
-        h, dh = a, out[rows:]
+                np.matmul(dh, wd[wd.shape[0] - dh.shape[1]:], out=out[rows:])
+            if i < last:
+                np.tanh(a, out=a)
+                if k:
+                    slope = 1.0 - a * a
+                    _scale_blocks(out[rows:], rows, slope)
+                if keep_hidden:
+                    stacks.append((out, slope))
+            h, dh = a, out[rows:]
+        return out, stacks
+
+    out, kept = run(last + 1, taped and not k)  # a plain call keeps every hidden layer's a
 
     def bwd(node):
         stop = 0 if x.requires_grad or x._prev else next(
             i for i, (w, b) in enumerate(zip(weights, biases))
             if w.requires_grad or w._prev or (b is not None and (b.requires_grad or b._prev)))
-        stacks, da = [], tangent  # every hidden layer's [a; da], rebuilt by the forward's own ops
-        for wd, a in zip(wds, kept):
-            slope = None  # 1 - a*a, kept only where the rebuild computes it
-            if k:
-                slope = 1.0 - a * a
-                out = np.empty(((k + 1) * rows, a.shape[1]))
-                out[:rows] = a
-                np.matmul(da, wd[wd.shape[0] - da.shape[1]:], out=out[rows:])
-                _scale_blocks(out[rows:], rows, slope)
-                a, da = out, out[rows:]
-            stacks.append((a, slope))
+        stacks = run(last, True)[1] if k else list(kept)
         g = node.grad
         for i in range(last, stop - 1, -1):
             w, b = weights[i], biases[i]

@@ -20,7 +20,8 @@ from genpolicy.critic import Critic, CriticConfig
 from genpolicy.data import (OfflineDataset, assign_value_nearest, csv_lines,
                             make_tilted_gaussian_bandit, save_dataset, write_csv)
 from genpolicy.errors import ConfigError, DataFormatError
-from genpolicy.policy import GenerativePolicy, PolicyConfig
+from genpolicy.policy import (GenerativePolicy, GmpgConfig, PolicyConfig, gmpg_reverse_bytes,
+                             gmpg_tape_bytes)
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor
@@ -668,6 +669,31 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "GiB of tape" in proc.stderr and "t_train=1000000" in proc.stderr
         assert not os.path.exists(out)
+
+    def test_gmpg_refusal_counts_one_calls_reverse_pass(self, tmp_path, capsys, monkeypatch):
+        # a machine that holds the tape but not one network call's rerun
+        # stacks and gradients is refused; one that holds both is not
+        behavior = GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(256, 256),
+                                                 t_emb_width=8), np.random.default_rng(0))
+        policy_ckpt, critic_ckpt = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
+        save_policy(behavior, policy_ckpt)
+        save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_ckpt)
+        config = GmpgConfig(t_train=2, batch_size=16)
+        tape, rerun = gmpg_tape_bytes(behavior, config, 16), gmpg_reverse_bytes(behavior, config, 16)
+        assert rerun > tape
+
+        def run(have):
+            monkeypatch.setattr(cli, "_physical_bytes", lambda: have)
+            out = tmp_path / f"o{have}"
+            code = cli.main(["train-gmpg", *tiny_args(str(out), ["policy.t_train=2",
+                                                                  "policy.gmpg_steps=0"]),
+                             "--critic", critic_ckpt, "--behavior", policy_ckpt])
+            return code, capsys.readouterr().err, out.exists()
+
+        code, err, wrote = run(tape + rerun // 2)
+        assert code == 2 and "GiB of tape and reverse pass per step" in err and not wrote, err
+        code, err, wrote = run(tape + rerun)
+        assert code == 0 and wrote, err
 
     @pytest.mark.parametrize("command", ["sample", "eval", "export-trajectories"])
     def test_huge_n_exits_2_before_it_allocates(self, tmp_path, capsys, command):

@@ -484,6 +484,14 @@ class TestGmpgMemory:
         assert loss._prev
         assert 0.75 * held <= gmpg_tape_bytes(policy, config, batch) <= 1.25 * held
 
+    @pytest.mark.parametrize("action_dim", [1, 2])
+    def test_default_config_tape_under_half_a_gib(self, action_dim):
+        # the shipped defaults: batch 512, 256x3, t_train=1000, euler, exact
+        # trace, dynamic; with every hidden row kept it read 5.9 and 6.1 GiB
+        config = GmpgConfig()
+        policy = GenerativePolicy(PolicyConfig(action_dim=action_dim), np.random.default_rng(0))
+        assert gmpg_tape_bytes(policy, config, config.batch_size) <= 2**29
+
 
 class TestGmpgConvergenceInT:
     """The discrete objective GMPG differentiates converges as the grid

@@ -422,9 +422,10 @@ class TestNetworkNode:
 
 
 class TestNetworkTangentLayout:
-    """A tangent-carrying call keeps only the B primal rows of every hidden
-    layer's output and rebuilds their k·B tangent rows in the reverse pass;
-    the values and gradients stay those of the node that kept every row
+    """A tangent-carrying call keeps no hidden-layer row and reruns every
+    hidden layer, primal and tangent rows, in the reverse pass; a plain
+    call keeps each hidden layer's B primal rows. The values and gradients
+    stay those of the node that kept every row
     (``oracles.network_reference``)."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3], ids=["linear", "one-hidden", "two-hidden"])
@@ -457,35 +458,53 @@ class TestNetworkTangentLayout:
             assert (got is None) == (ref is None)
             assert got is None or got.tobytes() == ref.tobytes()
 
+    @staticmethod
+    def _held(f, hidden, k, prefix=False):
+        """The bytes a taped call at B=64 over n=3 input columns allocates
+        and still holds while its output lives; x, the tangent seeds and
+        the parameters are made before tracing starts."""
+        rng = np.random.default_rng(41)
+        rows, n = 64, 3
+        blocks = [rng.standard_normal((1, 2)), rng.standard_normal((rows, 1))] if prefix else []
+        ws, bs = _layers(rng, [n + 3 * prefix, *hidden, 2])
+        x0 = rng.standard_normal((rows, n))
+        u = rng.standard_normal((k * rows, n)) if k else None
+        x = Tensor(x0, requires_grad=True)
+        params = [Tensor(a, requires_grad=True) for a in ws + bs]
+        tracemalloc.start()
+        try:
+            out = f(x, params[:len(ws)], params[len(ws):], blocks, u)
+            assert out._prev  # alive, with its tape, while measured
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("prefix", [False, True], ids=["no-prefix", "time-and-condition"])
     @pytest.mark.parametrize("hidden", [(32,), (32, 32), (32, 32, 32)],
                              ids=["one-hidden", "two-hidden", "three-hidden"])
-    def test_every_hidden_layer_keeps_its_primal_rows_only(self, hidden):
-        # B=64, k=2: the node holds its (k+1)·B-row output and B rows of each
-        # hidden layer; x's rows and the tangent seeds are the caller's arrays
-        rng = np.random.default_rng(41)
+    def test_tangent_call_keeps_no_hidden_row(self, hidden, prefix):
+        # B=64, k=2: the node holds its (k+1)·B-row output and its first
+        # layer's per-row input ([condition | x] with the prefix; x's own rows
+        # without it); the tangent seeds are the caller's array
         rows, k, n = 64, 2, 3
-        ws, bs = _layers(rng, [n, *hidden, 2])
-        x0, u = rng.standard_normal((rows, n)), rng.standard_normal((k * rows, n))
-
-        def held(f):
-            x = Tensor(x0, requires_grad=True)
-            params = [Tensor(a, requires_grad=True) for a in ws + bs]
-            tracemalloc.start()
-            try:
-                out = f(x, params[:len(ws)], params[len(ws):], tangent=u)
-                assert out._prev  # alive, with its tape, while measured
-                return tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-
-        widths = sum(hidden)
-        arrays = 8 * ((k + 1) * rows * 2 + rows * widths)
-        node, ref = held(network), held(network_reference)
+        arrays = 8 * ((k + 1) * rows * 2 + prefix * rows * (1 + n))
+        node = self._held(network, hidden, k, prefix)
         assert arrays <= node <= arrays + 4096, (node, arrays)
-        # the reference keeps every hidden layer's k·B tangent rows, and the
-        # first layer's stacked input [x; seeds], (k+1)·B rows of width n
-        more = 8 * (k * rows * widths + (k + 1) * rows * n)
+        # the reference keeps every hidden layer's (k+1)·B stacked rows and
+        # the first layer's stacked input [x; seeds], (k+1)·B rows of width n
+        more = 8 * (k + 1) * rows * (sum(hidden) + n)
+        ref = self._held(network_reference, hidden, k, prefix)
         assert abs(ref - node - more) <= 2048, (ref, node, more)
+
+    @pytest.mark.parametrize("hidden", [(32,), (32, 32), (32, 32, 32)],
+                             ids=["one-hidden", "two-hidden", "three-hidden"])
+    def test_plain_call_keeps_every_hidden_layers_rows(self, hidden):
+        # k = 0 (the critic and matching losses): B rows per hidden layer
+        # beside the B-row output, so the reverse pass reruns nothing
+        rows = 64
+        arrays = 8 * rows * (2 + sum(hidden))
+        node = self._held(network, hidden, 0)
+        assert arrays <= node <= arrays + 4096, (node, arrays)
 
 
 class TestLossNodes:
