@@ -12,7 +12,9 @@ Training schemes:
 * advantage-weighted matching (exponentially tilted regression toward
   high-advantage actions, exponential-clamped or softmax-over-candidates
   weights) — runs the same trainer as pretraining with a different weight
-  rule, so zero temperature reproduces pretraining bit for bit;
+  rule, so zero temperature reproduces pretraining bit for bit; against
+  the frozen critic, exp-clamp scores each dataset row's advantage once
+  per stage, into a table the drawn batches index;
 * reverse-KL policy gradient — actions sampled through the differentiable
   solver, with the policy's log-likelihood accumulated on the same grid
   and the frozen behavior model's log-likelihood integrated back through
@@ -183,16 +185,16 @@ def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: 
                            rng: np.random.Generator, on_step=None) -> None:
     """Shared loop for pretraining, weighted regression and softmax GMPO.
 
-    ``batch_fn(s, a) -> (states, actions, w, mean_advantage)`` turns the
-    drawn dataset rows into the weighted regression batch. One rng stream
-    drives batch indices, any draws inside ``batch_fn`` and loss draws,
-    so two runs with identical seeds and identical weight values are
-    bit-identical.
+    ``batch_fn(idx) -> (states, actions, w, mean_advantage)`` turns the
+    drawn dataset row indices into the weighted regression batch, slicing
+    ``dataset.s``/``dataset.a`` itself. One rng stream drives batch
+    indices, any draws inside ``batch_fn`` and loss draws, so two runs
+    with identical seeds and identical weight values are bit-identical.
     """
     opt = Adam(policy.parameters(), lr=config.lr)
     for step in range(config.steps):
         idx = rng.integers(0, dataset.n, size=min(config.batch_size, dataset.n))
-        s, a, w, mean_adv = batch_fn(dataset.s[idx], dataset.a[idx])
+        s, a, w, mean_adv = batch_fn(idx)
         opt.zero_grad()
         loss = matching_loss(policy.model, policy.config.schedule, policy.normalize(a),
                              w, rng, condition=s, config=config.matching)
@@ -207,14 +209,23 @@ def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: 
                            "mean_advantage": mean_adv})
 
 
+def _advantage_table(dataset, critic, block: int) -> np.ndarray:
+    """Q - V of every dataset row, evaluated in order ``block`` rows at a time."""
+    adv = np.empty(dataset.n)
+    for lo in range(0, dataset.n, block):
+        hi = lo + block
+        adv[lo:hi] = critic.advantage(dataset.s[lo:hi], dataset.a[lo:hi])
+    return adv
+
+
 def pretrain_behavior(dataset, policy: GenerativePolicy, config: GmpoConfig,
                       rng: np.random.Generator, on_step=None) -> GenerativePolicy:
     """Fit the behavior model mu by the plain matching loss on (s, a)."""
     if dataset.n == 0:
         raise ValueError("cannot pretrain on an empty dataset")
 
-    def unit_weights(s, a):
-        return s, a, np.ones(s.shape[0]), 0.0
+    def unit_weights(idx):
+        return dataset.s[idx], dataset.a[idx], np.ones(idx.shape[0]), 0.0
 
     _run_weighted_matching(dataset, policy, unit_weights, config, rng, on_step)
     return policy
@@ -225,25 +236,40 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
                on_step=None) -> GenerativePolicy:
     """Advantage-weighted matching regression (no pretraining required).
 
-    Exponential mode weights dataset actions; softmax mode draws
-    k_candidates actions per state from a pretrained behavior model and
-    regresses onto them under softmax(beta Q) weights.
+    Exponential mode weights dataset actions. The critic is never updated
+    here, so a row's advantage Q - V is fixed for the whole stage: the
+    first step fills an n-row table (8 n bytes) with it, evaluating the
+    dataset in order in blocks of ``min(batch_size, n)`` rows, and every
+    step reads its drawn rows from that table. ``steps = 0`` evaluates no
+    row. With steps > 0, a Q or V output that goes non-finite on any row,
+    drawn or not, raises ``NonFiniteError`` before step 0's loss (exit 4
+    in the CLI).
+
+    Softmax mode draws k_candidates actions per state from a pretrained
+    behavior model and regresses onto them under softmax(beta Q) weights.
     """
     if config.weight_mode == "exp_clamp":
-        def batch_fn(s, a):
-            adv = critic.advantage(s, a)
-            return s, a, exp_clamp_weight(adv, config.beta, config.w_max), float(np.mean(adv))
+        table = None
+
+        def batch_fn(idx):
+            nonlocal table
+            if table is None:
+                table = _advantage_table(dataset, critic, min(config.batch_size, dataset.n))
+            adv = table[idx]
+            return (dataset.s[idx], dataset.a[idx],
+                    exp_clamp_weight(adv, config.beta, config.w_max), float(np.mean(adv)))
     else:
         if behavior is None:
             raise ValueError("softmax weight mode needs a pretrained behavior policy")
         k = config.k_candidates
 
-        def batch_fn(s, a):
+        def batch_fn(idx):
+            s = dataset.s[idx]
             s_rep = np.repeat(s, k, axis=0)
             cand = behavior.sample_actions(s_rep, rng)
             q = critic.q_values(s_rep, cand)
             w = softmax_candidate_weights(q.reshape(s.shape[0], k), config.beta)
-            adv = q - critic.v_values(s_rep)
+            adv = q - np.repeat(critic.v_values(s), k)  # V once per drawn state
             return s_rep, cand, w.reshape(-1), float(np.mean(adv))
 
     _run_weighted_matching(dataset, policy, batch_fn, config, rng, on_step)

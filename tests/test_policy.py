@@ -5,7 +5,8 @@ import pytest
 
 from genpolicy.checkpoint import copy_policy
 from genpolicy.data import make_tilted_gaussian_bandit
-from genpolicy.errors import IntegrationDivergedError
+from genpolicy.critic import Critic, CriticConfig
+from genpolicy.errors import IntegrationDivergedError, NonFiniteError
 from genpolicy.likelihood import TraceMode, log_prob
 from genpolicy.matching import matching_loss
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
@@ -162,20 +163,60 @@ class TestGmpo:
 
 
     def test_exp_clamp_evaluates_advantage_once_per_step(self):
+        # the critic is frozen for the stage: every dataset row is scored
+        # once, in order, in blocks of batch_size rows, however many steps draw it
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=4)
         critic = CountingCritic(v0=0.25)
         pol = small_policy(seed=20, hidden=(8,))
         pol.set_normalizer_from(ds)
-        rows = []
         train_gmpo(ds, critic, pol, GmpoConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
-                   np.random.default_rng(21), on_step=lambda step, m: rows.append(m))
-        assert critic.q_calls == 3
-        # weights and the logged mean advantage come from the same evaluation
-        idx_rng = np.random.default_rng(21)
-        a = ds.a[idx_rng.integers(0, ds.n, size=16)]
-        adv = a.sum(axis=1) - 0.25
-        assert rows[0]["mean_advantage"] == float(np.mean(adv))
-        assert rows[0]["mean_weight"] == float(np.mean(np.minimum(np.exp(1.5 * adv), 2.0)))
+                   np.random.default_rng(21))
+        assert critic.q_calls == 16  # ceil(256 / 16)
+        assert critic.q_rows == [16] * 16
+        assert critic.v_rows == [16] * 16
+        assert critic.a_seen.tobytes() == ds.a.tobytes()  # each row once, in order
+
+    def test_exp_clamp_logs_every_steps_drawn_advantages(self):
+        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 250, seed=4)
+        pol = small_policy(seed=20, hidden=(8,))
+        pol.set_normalizer_from(ds)
+        rows, rng = [], IndexRecordingRng(21)
+        train_gmpo(ds, LinearCritic(v0=0.25), pol,
+                   GmpoConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
+                   rng, on_step=lambda step, m: rows.append(m))
+        # weights and the logged mean advantage come from the drawn rows' table entries
+        assert len(rows) == len(rng.drawn) == 3
+        for m, idx in zip(rows, rng.drawn):
+            adv = ds.a[idx].sum(axis=1) - 0.25
+            assert m["mean_advantage"] == float(np.mean(adv))
+            assert m["mean_weight"] == float(np.mean(np.minimum(np.exp(1.5 * adv), 2.0)))
+
+    def test_exp_clamp_zero_steps_evaluates_no_row(self):
+        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=4)
+        critic = CountingCritic()
+        pol = small_policy(seed=20, hidden=(8,))
+        pol.set_normalizer_from(ds)
+        train_gmpo(ds, critic, pol, GmpoConfig(steps=0, batch_size=16),
+                   np.random.default_rng(21))
+        assert critic.q_rows == [] and critic.v_rows == []
+
+    def test_exp_clamp_non_finite_row_raises_before_step_zero(self):
+        # row 200 is not among step 0's draws, but the table scores it first
+        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=4)
+        critic = Critic(1, 1, CriticConfig(hidden=(8,)), np.random.default_rng(0))
+        w0, b0, w1, _ = critic.q_net.parameters()
+        w0.data[1] *= 1e-3
+        b0.data[:] = 0.0
+        ds.a[200] = 1e10  # saturates every hidden unit, where other rows stay near 0
+        w1.data[:] = np.sign(w0.data[1])[:, None] * 0.25e308  # only that row's Q overflows
+        pol = small_policy(seed=20, hidden=(8,))
+        pol.set_normalizer_from(ds)
+        rows = []
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            train_gmpo(ds, critic, pol, GmpoConfig(steps=1, batch_size=16),
+                       np.random.default_rng(21), on_step=lambda step, m: rows.append(m))
+        assert rows == []
+        assert 200 not in np.random.default_rng(21).integers(0, ds.n, size=16)
 
     def test_softmax_evaluates_q_once_per_step(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=5)
@@ -187,16 +228,46 @@ class TestGmpo:
         cfg = GmpoConfig(beta=1.0, weight_mode="softmax", k_candidates=2, steps=3, batch_size=4)
         train_gmpo(ds, critic, pol, cfg, np.random.default_rng(24), behavior=behavior)
         assert critic.q_calls == 3
+        assert critic.q_rows == [8] * 3  # K * B candidates
+        assert critic.v_rows == [4] * 3  # V once per drawn state, not per candidate
+
+
+class IndexRecordingRng(np.random.Generator):
+    """``default_rng(seed)``'s stream, keeping every ``integers`` draw."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.drawn = []
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.drawn.append(out)
+        return out
 
 
 class CountingCritic(LinearCritic):
+    """Records the rows of every Q and V evaluation."""
+
     def __init__(self, v0=0.0):
         super().__init__(v0)
-        self.q_calls = 0
+        self.q_rows, self.v_rows, self.seen = [], [], []
+
+    @property
+    def q_calls(self):
+        return len(self.q_rows)
+
+    @property
+    def a_seen(self):
+        return np.concatenate(self.seen)
 
     def q_values(self, s, a):
-        self.q_calls += 1
+        self.q_rows.append(len(a))
+        self.seen.append(np.asarray(a))
         return super().q_values(s, a)
+
+    def v_values(self, s):
+        self.v_rows.append(len(s))
+        return super().v_values(s)
 
 
 @pytest.fixture(scope="module")
