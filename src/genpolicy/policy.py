@@ -237,8 +237,8 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
     """Advantage-weighted matching regression (no pretraining required).
 
     Exponential mode weights dataset actions. The critic is never updated
-    here, so a row's advantage Q - V is fixed for the whole stage: the
-    first step fills an n-row table (8 n bytes) with it, evaluating the
+    here, so a row's advantage Q - V is fixed for the whole stage: before
+    step 0 an n-row table (8 n bytes) is filled with it, evaluating the
     dataset in order in blocks of ``min(batch_size, n)`` rows, and every
     step reads its drawn rows from that table. ``steps = 0`` evaluates no
     row. With steps > 0, a Q or V output that goes non-finite on any row,
@@ -248,13 +248,13 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
     Softmax mode draws k_candidates actions per state from a pretrained
     behavior model and regresses onto them under softmax(beta Q) weights.
     """
+    if dataset.n == 0:
+        raise ValueError("cannot train GMPO on an empty dataset")
     if config.weight_mode == "exp_clamp":
-        table = None
+        table = (_advantage_table(dataset, critic, min(config.batch_size, dataset.n))
+                 if config.steps else None)
 
         def batch_fn(idx):
-            nonlocal table
-            if table is None:
-                table = _advantage_table(dataset, critic, min(config.batch_size, dataset.n))
             adv = table[idx]
             return (dataset.s[idx], dataset.a[idx],
                     exp_clamp_weight(adv, config.beta, config.w_max), float(np.mean(adv)))

@@ -218,6 +218,16 @@ class TestGmpo:
         assert rows == []
         assert 200 not in np.random.default_rng(21).integers(0, ds.n, size=16)
 
+    @pytest.mark.parametrize("train", [
+        lambda ds, pol, cfg: pretrain_behavior(ds, pol, cfg, np.random.default_rng(0)),
+        lambda ds, pol, cfg: train_gmpo(ds, LinearCritic(), pol, cfg, np.random.default_rng(0))],
+        ids=["pretrain", "gmpo"])
+    def test_empty_dataset_is_refused(self, train):
+        ds, _ = make_tilted_gaussian_bandit(1, 1.0, 16, seed=4)
+        empty = OfflineDataset(*(getattr(ds, f)[:0] for f in ("s", "a", "r", "s2", "done")))
+        with pytest.raises(ValueError, match="empty dataset"):
+            train(empty, small_policy(seed=20, hidden=(8,)), GmpoConfig(steps=2, batch_size=16))
+
     def test_softmax_evaluates_q_once_per_step(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=5)
         behavior = small_policy(seed=22, hidden=(8,))
