@@ -171,10 +171,9 @@ class TestGmpo:
         pol.set_normalizer_from(ds)
         train_gmpo(ds, critic, pol, GmpoConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
                    np.random.default_rng(21))
-        assert critic.q_calls == 16  # ceil(256 / 16)
-        assert critic.q_rows == [16] * 16
+        assert [len(a) for a in critic.q_actions] == [16] * 16  # ceil(256 / 16) calls
         assert critic.v_rows == [16] * 16
-        assert critic.a_seen.tobytes() == ds.a.tobytes()  # each row once, in order
+        assert np.concatenate(critic.q_actions).tobytes() == ds.a.tobytes()  # once, in order
 
     def test_exp_clamp_logs_every_steps_drawn_advantages(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 250, seed=4)
@@ -198,7 +197,7 @@ class TestGmpo:
         pol.set_normalizer_from(ds)
         train_gmpo(ds, critic, pol, GmpoConfig(steps=0, batch_size=16),
                    np.random.default_rng(21))
-        assert critic.q_rows == [] and critic.v_rows == []
+        assert critic.q_actions == [] and critic.v_rows == []
 
     def test_exp_clamp_non_finite_row_raises_before_step_zero(self):
         # row 200 is not among step 0's draws, but the table scores it first
@@ -237,8 +236,7 @@ class TestGmpo:
         critic = CountingCritic(v0=0.25)
         cfg = GmpoConfig(beta=1.0, weight_mode="softmax", k_candidates=2, steps=3, batch_size=4)
         train_gmpo(ds, critic, pol, cfg, np.random.default_rng(24), behavior=behavior)
-        assert critic.q_calls == 3
-        assert critic.q_rows == [8] * 3  # K * B candidates
+        assert [len(a) for a in critic.q_actions] == [8] * 3  # one call of K * B candidates
         assert critic.v_rows == [4] * 3  # V once per drawn state, not per candidate
 
 
@@ -256,23 +254,14 @@ class IndexRecordingRng(np.random.Generator):
 
 
 class CountingCritic(LinearCritic):
-    """Records the rows of every Q and V evaluation."""
+    """Records the actions of every Q evaluation and the rows of every V one."""
 
     def __init__(self, v0=0.0):
         super().__init__(v0)
-        self.q_rows, self.v_rows, self.seen = [], [], []
-
-    @property
-    def q_calls(self):
-        return len(self.q_rows)
-
-    @property
-    def a_seen(self):
-        return np.concatenate(self.seen)
+        self.q_actions, self.v_rows = [], []
 
     def q_values(self, s, a):
-        self.q_rows.append(len(a))
-        self.seen.append(np.asarray(a))
+        self.q_actions.append(np.asarray(a))
         return super().q_values(s, a)
 
     def v_values(self, s):
@@ -379,7 +368,7 @@ class TestGmpg:
         critic = CountingCritic()
         gmpg_static_surrogate(copy_policy(behavior), behavior, critic, np.zeros((4, 1)),
                               GmpgConfig(t_train=2, variant="static"), np.random.default_rng(26))
-        assert critic.q_calls == 1
+        assert len(critic.q_actions) == 1
 
     def test_static_variant_moves_toward_target(self, bandit_setup):
         ds, _, behavior = bandit_setup
