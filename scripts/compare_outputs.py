@@ -9,8 +9,9 @@ wrote (``passes[].digests``). For each stage and file this prints
 ``same`` when every pass of both runs has the one digest, ``differs``
 when not, and ``only in A`` or ``only in B`` when one run lacks the file.
 ``resolved.ini`` is skipped: it records the run's own output directory,
-so it differs between any two runs. Exits 0 when no file differs and 1
-otherwise.
+so it differs between any two runs. Exits 0 when files were compared and
+none differs, and 1 otherwise: also when neither run records a digest (a
+run whose stages failed records none), since then nothing was compared.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ def main(argv=None) -> int:
     parser.add_argument("b", help="second result-*.json")
     args = parser.parse_args(argv)
     rows = compare(stage_digests(args.a), stage_digests(args.b))
+    if not rows:
+        print("no file was compared: neither result records a digest")
+        return 1
     width = max((len(stage) for stage, _, _ in rows), default=0)
     for stage, name, status in rows:
         print(f"{stage:<{width}}  {name:<14}  {status}")

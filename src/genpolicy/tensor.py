@@ -445,8 +445,22 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     the layers that read them are done. The hidden activations are the
     node's internal values: only its output and the gradients it hands to
     x and to each w and b are checked, and a NaN inside the call reaches
-    the output.
+    the output. An overflow or an invalid operation anywhere in the forward
+    pass raises ``NonFiniteError`` at once, with no numpy warning: a hidden
+    layer's tanh would turn an infinite pre-activation into a finite ±1
+    that no output check sees.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _network(x, weights, biases, prefix, tangent)
+    except NonFiniteError:
+        raise
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"non-finite value produced by network: {exc}") from None
+
+
+def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
+    """``network``'s forward pass and its node."""
     xd = x.data
     if xd.ndim != 2 or any(w.data.ndim != 2 for w in weights):
         raise ValueError("network is defined for 2-d inputs and weights")

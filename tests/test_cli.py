@@ -522,6 +522,21 @@ class TestExitCodes:
         assert "unsupported activation 'sin'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_hidden_layer_overflow_in_a_policy_checkpoint_exits_4(self, tmp_path):
+        # finite first-layer weights large enough that a pre-activation
+        # overflows; the hidden tanh would saturate it to a finite 1
+        path = str(tmp_path / "p.ckpt")
+        save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                     np.random.default_rng(0)), path)
+        header, arrays = _read(path, "policy")
+        arrays["net.w0"] = arrays["net.w0"] / np.abs(arrays["net.w0"]).max() * 1e308
+        _write(path, header, list(arrays.items()))
+        proc = run_cli("sample", *tiny_args(str(tmp_path / "o")), "--checkpoint", path,
+                       "--n", "16", check=False)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numeric divergence: ") and proc.stderr.count("\n") == 1
+        assert "overflow" in proc.stderr
+
     def test_softmax_without_behavior_exits_2_before_its_inputs(self, tmp_path, capsys):
         # refused after the config, before the dataset and the checkpoints
         # are read: the --critic file does not exist

@@ -3,12 +3,15 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from genpolicy.data import (_NEAREST_BUDGET, OfflineDataset, SwissRollTask, _nearest,
+from genpolicy import data
+from genpolicy.data import (_NEAREST_BUDGET, OfflineDataset, SwissRollTask, _nearest, _scan, _sweep,
                             assign_value_nearest, load_dataset, make_swiss_roll,
                             make_tilted_gaussian_bandit, save_dataset)
 from genpolicy.errors import DataFormatError
@@ -236,3 +239,44 @@ def test_nearest_search_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def _same_search(pts, ref):
+    """The sweep and the blocked scan agree: equal indices, identical distance bytes."""
+    (got_idx, got_d2), (want_idx, want_d2) = _sweep(pts, ref), _scan(pts, ref)
+    assert np.array_equal(got_idx, want_idx), np.flatnonzero(got_idx != want_idx)
+    assert got_d2.tobytes() == want_d2.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("layout", ["normal", "grid", "flat-first"])
+@settings(max_examples=25, deadline=None)
+@given(refs=st.integers(1, 300), n=st.integers(0, 300), budget=st.sampled_from([64, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+@example(refs=1, n=40, budget=1 << 16, seed=0)  # a single reference row
+@example(refs=300, n=7, budget=1 << 16, seed=1)  # fewer points than reference rows
+@example(refs=20, n=300, budget=64, seed=2)  # more points, in two-point blocks
+def test_sweep_matches_the_blocked_scan(d, layout, refs, n, budget, seed):
+    # grid coordinates give exact distance ties, a flat first coordinate
+    # leaves every point open, and the points reach past the reference's
+    # range on every side; the small budget makes many blocks of both kinds
+    rng = np.random.default_rng(seed)
+    if layout == "grid":
+        ref = rng.integers(-3, 4, (refs, d)).astype(float)
+        pts = rng.integers(-10, 11, (n, d)) / 2.0
+    else:
+        ref = rng.standard_normal((refs, d))
+        pts = 3.0 * rng.standard_normal((n, d))
+    if layout == "flat-first":
+        ref[:, 0] = ref[0, 0]
+    with mock.patch.object(data, "_NEAREST_BUDGET", budget):
+        _same_search(pts, ref)
+
+
+def test_sweep_sends_non_finite_points_to_the_scan():
+    rng = np.random.default_rng(21)
+    ref, pts = rng.standard_normal((200, 2)), rng.standard_normal((40, 2))
+    pts[3, 0], pts[5, 0], pts[8, 1], pts[13] = np.inf, -np.inf, np.nan, (np.nan, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _same_search(pts, ref)

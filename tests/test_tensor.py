@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,22 @@ class TestNetworkNode:
             net(Tensor(np.ones((4, 3))))
         with pytest.raises(NonFiniteError):
             net.forward_jvp(Tensor(np.ones((4, 3))), np.ones((4, 3)))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_overflow_in_a_hidden_layer_raises_without_a_warning(self, k):
+        # finite weights whose first-layer product overflows: the tanh would
+        # saturate the inf to a finite 1 that the output check passes
+        from genpolicy.nn import Mlp
+        net = Mlp([3, 4, 4, 2], np.random.default_rng(0))
+        net.weights[0].data[:] = 1e308
+        x, before = Tensor(np.ones((4, 3))), np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="overflow"):
+                net.forward_jvp(x, np.ones((k * 4, 3))) if k else net(x)
+            with no_tape(), pytest.raises(NonFiniteError, match="overflow"):
+                net(x)
+        assert np.geterr() == before
 
 
 class TestNetworkTangentLayout:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genpolicy.data import assign_value_nearest, make_tilted_gaussian_bandit
+from genpolicy.data import OfflineDataset, assign_value_nearest, make_tilted_gaussian_bandit
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -176,19 +176,38 @@ def test_tiny_chain_enters_every_traced_span(tmp_path):
     assert traced["cli.logprob"] > 0
 
 
-def test_eval_value_matches_the_benchmark_reference(monkeypatch):
-    # the benchmark checks eval mean_value against its own nearest search to
-    # 1e-12 (gmpg-bandit sizes: 2048 points, 4096 dataset actions, d = 2)
+def _matches_the_benchmark_reference(monkeypatch, ds, pts):
     monkeypatch.setitem(sys.modules, "workloads", _load("workloads"))  # verify imports it by name
     verify = _load("verify")
-    ds, _ = make_tilted_gaussian_bandit(2, 1.0, 4096, seed=5)
-    pts = np.random.default_rng(6).standard_normal((2048, 2)) + 1.0
     want = verify.nearest_mean_value(pts, ds.a, ds.r)
     got = float(assign_value_nearest(ds, pts)[0].mean())
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
-def test_compare_outputs_reports_each_stage_file(tmp_path):
+def test_eval_value_matches_the_benchmark_reference(monkeypatch):
+    # the benchmark checks eval mean_value against its own nearest search to
+    # 1e-12 (gmpg-bandit sizes: 2048 points, 4096 dataset actions, d = 2)
+    ds, _ = make_tilted_gaussian_bandit(2, 1.0, 4096, seed=5)
+    pts = np.random.default_rng(6).standard_normal((2048, 2)) + 1.0
+    _matches_the_benchmark_reference(monkeypatch, ds, pts)
+
+
+def test_eval_value_matches_the_benchmark_reference_on_an_integer_grid(monkeypatch):
+    # the same sizes on integer-grid actions and half-integer points, where
+    # a distance tie decides most indices; the rewards are drawn apart from
+    # the actions, so a tie broken the other way moves the value
+    ds, _ = make_tilted_gaussian_bandit(2, 1.0, 4096, seed=5)
+    rng = np.random.default_rng(6)
+    ds = OfflineDataset(s=ds.s, a=np.round(2.0 * ds.a), r=rng.standard_normal(ds.n),
+                        s2=ds.s2, done=ds.done)
+    pts = np.round(4.0 * (rng.standard_normal((2048, 2)) + 1.0)) / 2.0
+    d2 = ((pts[:128, None, :] - ds.a[None, :, :]) ** 2).sum(axis=2)
+    firsts, lasts = d2.argmin(axis=1), ds.n - 1 - d2[:, ::-1].argmin(axis=1)
+    assert (ds.r[firsts] != ds.r[lasts]).mean() > 0.5
+    _matches_the_benchmark_reference(monkeypatch, ds, pts)
+
+
+def test_compare_outputs_reports_each_stage_file(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", TRACING.parents[1] / "scripts" / "compare_outputs.py")
     compare_outputs = importlib.util.module_from_spec(spec)
@@ -206,3 +225,8 @@ def test_compare_outputs_reports_each_stage_file(tmp_path):
                                    compare_outputs.stage_digests(result("c", "s1"))) == [
         ("sample", "samples.csv", "differs"), ("eval", "eval.csv", "only in A")]
     assert compare_outputs.main([a, result("c", "s1")]) == 1
+    failed = tmp_path / "result-failed.json"  # a run whose stages failed records no digest
+    failed.write_text(json.dumps({"passes": [{"digests": {}}] * 2}))
+    capsys.readouterr()
+    assert compare_outputs.main([str(failed), str(failed)]) == 1
+    assert capsys.readouterr().out == "no file was compared: neither result records a digest\n"
