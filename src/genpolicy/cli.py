@@ -34,7 +34,7 @@ import numpy as np
 
 from .checkpoint import copy_policy, load_critic, load_policy, save_critic, save_policy
 from .config import ExperimentConfig, dump_config, load_config
-from .critic import CriticConfig, train_critic
+from .critic import train_critic
 from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, csv_lines, load_dataset,
                    make_swiss_roll, make_tilted_gaussian_bandit, save_dataset, write_csv)
 from .errors import ConfigError, DataFormatError, NonFiniteError
@@ -42,7 +42,7 @@ from .likelihood import TraceMode
 from .matching import MatchingConfig, check_objective
 from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_reverse_bytes,
                      gmpg_tape_bytes, pretrain_behavior, train_gmpg, train_gmpo)
-from .sampler import SolverSpec, generate
+from .sampler import generate
 from .schedules import PathSchedule
 
 
@@ -117,34 +117,24 @@ def _schedule(cfg: ExperimentConfig) -> PathSchedule:
                         path_sigma=m.path_sigma)
 
 
-def _solver(cfg: ExperimentConfig) -> SolverSpec:
-    return SolverSpec(cfg.solver.scheme, cfg.solver.steps)
-
-
 def _load_policy(cfg: ExperimentConfig, path: str) -> GenerativePolicy:
     """The policy saved at ``path``, integrating on ``solver.*``, never on
     the solver its checkpoint was saved with; so does any copy of it
     (``train-gmpg`` saves its copy of the behavior policy with this solver)."""
     policy = load_policy(path)
-    policy.config.eval_solver = _solver(cfg)
+    policy.config.eval_solver = cfg.solver
     return policy
 
 
 def _new_policy(cfg: ExperimentConfig, dataset: OfflineDataset, seed: int) -> GenerativePolicy:
     m = cfg.model
     pc = PolicyConfig(state_dim=dataset.state_dim, action_dim=dataset.action_dim,
-                      hidden=m.hidden_sizes(), t_emb_width=m.t_emb_width,
+                      hidden=m.hidden, t_emb_width=m.t_emb_width,
                       t_emb_scale=m.t_emb_scale, parameterization=m.parameterization,
-                      schedule=_schedule(cfg), eval_solver=_solver(cfg))
+                      schedule=_schedule(cfg), eval_solver=cfg.solver)
     policy = GenerativePolicy(pc, np.random.default_rng(seed))
     policy.set_normalizer_from(dataset)
     return policy
-
-
-def _critic_config(cfg: ExperimentConfig) -> CriticConfig:
-    c = cfg.critic
-    return CriticConfig(tau=c.tau, gamma=c.gamma, lr=c.lr, hidden=c.hidden_sizes(),
-                        steps=c.steps, batch_size=c.batch_size)
 
 
 def _trace_mode(cfg: ExperimentConfig) -> TraceMode:
@@ -168,8 +158,9 @@ def _gmpg_config(cfg: ExperimentConfig) -> GmpgConfig:
 
 def _check_config(cfg: ExperimentConfig) -> None:
     """Refuse a non-finite float setting, then build every spec the stages
-    build from ``cfg``, so that a bad value exits 2 before any stage writes
-    or computes anything."""
+    build from ``cfg`` (``cfg.critic`` and ``cfg.solver`` were checked when
+    it loaded), so that a bad value exits 2 before any stage writes or
+    computes anything."""
     for block in fields(cfg):
         for key, value in asdict(getattr(cfg, block.name)).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -195,9 +186,6 @@ def _check_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("output.dir must not be empty")
     try:
         schedule = _schedule(cfg)
-        _solver(cfg)
-        _critic_config(cfg)
-        cfg.model.hidden_sizes()
         gmpo = _gmpo_config(cfg)
         _gmpg_config(cfg).solver
         check_objective(gmpo.matching.objective, cfg.model.parameterization, schedule)
@@ -334,7 +322,7 @@ def cmd_train_critic(cfg: ExperimentConfig, args, ds: OfflineDataset) -> None:
     out = _prepare_out(cfg)
     with MetricsWriter(os.path.join(out, "metrics.csv"), ["step", "v_loss", "q_loss"]) as writer:
         critic = train_critic(
-            ds, _critic_config(cfg), np.random.default_rng(cfg.task.seed),
+            ds, cfg.critic, np.random.default_rng(cfg.task.seed),
             on_step=lambda step, losses: writer.row(
                 {"step": step, "v_loss": losses[0], "q_loss": losses[1]}))
     path = os.path.join(out, "critic.ckpt")

@@ -37,9 +37,8 @@ class GenerativeModel:
     # -- velocity view ---------------------------------------------------
 
     def _coeffs(self, t):
-        """(f, c) such that velocity = f * x + c * net_output."""
-        if self.parameterization == "velocity":
-            return 0.0, 1.0
+        """(f, c) such that velocity = f * x + c * net_output, for a score or
+        noise head (a velocity head's output is the velocity itself)."""
         f, g2 = drift_diffusion(self.schedule, t)
         if self.parameterization == "score":
             return f, -0.5 * g2

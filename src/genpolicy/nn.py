@@ -42,6 +42,7 @@ import operator
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .tensor import Tensor, as_tensor, network
 
 
@@ -50,7 +51,9 @@ class GaussianFourier:
 
     emb(t) = [sin(2 pi w_i t), cos(2 pi w_i t)] with w ~ N(0, scale^2),
     drawn from ``rng``, or the given ``freqs``. The frequencies are part
-    of the model state (saved in checkpoints) but are never trained.
+    of the model state (saved in checkpoints) but are never trained. Ones
+    whose 2 pi w is not finite are refused (``NonFiniteError``, with no
+    numpy warning): their features would be NaN.
     """
 
     def __init__(self, width: int, rng: np.random.Generator | None = None, scale: float = 1.0,
@@ -58,12 +61,16 @@ class GaussianFourier:
         if width % 2 != 0 or width < 2:
             raise ValueError("time-embedding width must be a positive even number")
         self.width = width
-        if freqs is None:
-            if rng is None:
-                raise ValueError("GaussianFourier needs an rng or its freqs")
-            freqs = rng.standard_normal(width // 2) * scale
-        elif freqs.shape != (width // 2,):
+        if freqs is None and rng is None:
+            raise ValueError("GaussianFourier needs an rng or its freqs")
+        if freqs is not None and freqs.shape != (width // 2,):
             raise ValueError(f"frequencies have shape {freqs.shape}, expected {(width // 2,)}")
+        with np.errstate(over="ignore"):
+            if freqs is None:
+                freqs = rng.standard_normal(width // 2) * scale
+            if not np.isfinite(2.0 * math.pi * freqs).all():
+                raise NonFiniteError("time-embedding frequencies overflow: 2 pi w is not "
+                                     f"finite for the largest |w|, {np.abs(freqs).max():g}")
         self.freqs = freqs
 
     def __call__(self, t: np.ndarray) -> np.ndarray:

@@ -54,8 +54,10 @@ class Adam:
     def step(self) -> None:
         """Update every parameter from its ``grad``; a parameter without one
         takes a zero gradient. All or nothing: every parameter and gradient
-        is checked first, so a bad one leaves the parameters, the moments
-        and the step count as they were."""
+        is checked first, and the new moments and parameters are formed
+        beside the old ones, so a bad gradient, or a moment or update that
+        overflows (``NonFiniteError``, with no numpy warning), leaves the
+        parameters, the moments and the step count as they were."""
         g = np.zeros_like(self.flat)
         for p, (at, view) in zip(self.params, self._spans):
             if p.data is not view:
@@ -67,23 +69,30 @@ class Adam:
                 g[at].reshape(view.shape)[...] = p.grad
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient in Adam step")
-        self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
-        t = (1.0 - self.beta1) * g
-        self.m *= self.beta1
-        self.m += t
-        np.multiply(g, 1.0 - self.beta2, out=t)
-        t *= g
-        self.v *= self.beta2
-        self.v += t
-        np.divide(self.m, c1, out=t)
-        t *= self.lr
-        np.divide(self.v, c2, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        t /= g
-        self.flat -= t
+        step = self.step_count + 1
+        c1 = 1.0 - self.beta1 ** step
+        c2 = 1.0 - self.beta2 ** step
+        # the moments and parameters start finite and g is finite, so only an
+        # overflow (and the invalid operations that follow one) makes a non-finite value
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                m = self.m * self.beta1
+                m += (1.0 - self.beta1) * g
+                t = g * (1.0 - self.beta2)
+                t *= g
+                v = self.v * self.beta2
+                v += t
+                np.divide(m, c1, out=t)
+                t *= self.lr
+                np.divide(v, c2, out=g)
+                np.sqrt(g, out=g)
+                g += self.eps
+                t /= g
+                np.subtract(self.flat, t, out=t)
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"Adam moment or update overflowed: {exc}") from None
+        self.flat[...] = t
+        self.m, self.v, self.step_count = m, v, step
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -135,8 +135,14 @@ def gmpo_weight(critic, s, q, beta: float, w_max: float = 100.0) -> np.ndarray:
 
 
 def exp_clamp_weight(adv: np.ndarray, beta: float, w_max: float = 100.0) -> np.ndarray:
-    """min(exp(beta * adv), w_max) for advantages already evaluated."""
-    return np.minimum(np.exp(beta * adv), w_max)
+    """min(exp(beta * adv), w_max) for advantages already evaluated. The
+    exponent is capped at ln w_max + 1 first, where exp is already past
+    w_max, so a weight below w_max is exp(beta * adv) bit for bit and a
+    large beta * adv (an overflowing product is inf) gives w_max with no
+    overflow in exp."""
+    with np.errstate(over="ignore"):
+        z = beta * adv
+    return np.minimum(np.exp(np.minimum(z, np.log(w_max) + 1.0)), w_max)
 
 
 def softmax_candidate_weights(q, beta: float) -> np.ndarray:

@@ -395,10 +395,9 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     output layer, as one node.
 
     ``x`` holds B primal rows; ``weights`` and ``biases`` list the layers,
-    first to last (a bias may be None). ``tangent`` optionally holds k >= 1
-    blocks of B tangent rows as a constant array (block j is the j-th
-    tangent at every primal row). Every layer runs over the stacked rows
-    [primal; tangents]:
+    first to last. ``tangent`` optionally holds k >= 1 blocks of B tangent
+    rows as a constant array (block j is the j-th tangent at every primal
+    row). Every layer runs over the stacked rows [primal; tangents]:
 
         primal rows      a    = act(z),  z = [prefix | h_0] @ w + b
         tangent block j  da_j = (dh_j @ w_h) * act'(z)
@@ -474,11 +473,11 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
         k = tangent.shape[0] // rows
     width = xd.shape[1] + sum(p.shape[1] for p in prefix)
     for w, b in zip(weights, biases):
-        if w.data.shape[0] != width or (b is not None and b.data.shape != w.data.shape[1:]):
+        if w.data.shape[0] != width or b.data.shape != w.data.shape[1:]:
             raise ValueError(f"network: input width {width}, weight {w.data.shape} and bias "
                              "do not fit")
         width = w.data.shape[1]
-    parents = (x, *weights, *(b for b in biases if b is not None))
+    parents = (x, *weights, *biases)
     taped = _RECORDING and any(p.requires_grad or p._prev for p in parents)
     shared, per_row, lo = [], [], 0  # one-row blocks come with their weight rows
     for p in prefix:
@@ -489,7 +488,7 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
         lo += p.shape[1]
     last = len(weights) - 1
     wds = [w.data for w in weights]
-    bds = [None if b is None else b.data for b in biases]
+    bds = [b.data for b in biases]
     # the first layer's inputs: per-row input rows, weight rows and bias row
     inp0, w0, b0 = xd, wds[0], bds[0]
     if shared:
@@ -497,7 +496,7 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
         for p, lo, hi in shared:
             keep[lo:hi] = False
             row = p @ w0[lo:hi]
-            b0 = row if b0 is None else b0 + row
+            b0 = b0 + row
         at = np.flatnonzero(keep)
         one_range = at.size and at[-1] - at[0] + 1 == at.size
         w0 = w0[at[0]:at[-1] + 1] if one_range else w0[keep]
@@ -513,9 +512,7 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
             out = np.empty(((k + 1) * rows, wd.shape[1]))
             a, slope = out[:rows], None
             np.matmul(h, w0 if i == 0 else wd, out=a)
-            bias = b0 if i == 0 else bds[i]
-            if bias is not None:
-                a += bias
+            a += b0 if i == 0 else bds[i]
             if k:
                 np.matmul(dh, wd[wd.shape[0] - dh.shape[1]:], out=out[rows:])
             if i < last:
@@ -533,13 +530,13 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
     def bwd(node):
         stop = 0 if x.requires_grad or x._prev else next(
             i for i, (w, b) in enumerate(zip(weights, biases))
-            if w.requires_grad or w._prev or (b is not None and (b.requires_grad or b._prev)))
+            if w.requires_grad or w._prev or b.requires_grad or b._prev)
         stacks = run(last, True)[1] if k else list(kept)
         g = node.grad
         for i in range(last, stop - 1, -1):
             w, b = weights[i], biases[i]
             need_w = w.requires_grad or w._prev
-            need_b = b is not None and (b.requires_grad or b._prev)
+            need_b = b.requires_grad or b._prev
             wd = wds[i]
             gz = g[:rows]  # g becomes [gz; gdz]: a hidden layer scales it, this pass's own array, in place
             if i < last:

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -15,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 from genpolicy import cli
 from genpolicy.checkpoint import (_read, _write, copy_policy, load_critic, load_policy, save_critic,
                                   save_policy)
-from genpolicy.config import ExperimentConfig, load_config
+from genpolicy.config import ExperimentConfig, dump_config, load_config
 from genpolicy.critic import Critic, CriticConfig
 from genpolicy.data import (OfflineDataset, assign_value_nearest, csv_lines,
                             make_tilted_gaussian_bandit, save_dataset, write_csv)
 from genpolicy.errors import ConfigError, DataFormatError
-from genpolicy.policy import (GenerativePolicy, GmpgConfig, PolicyConfig, gmpg_reverse_bytes,
-                             gmpg_tape_bytes)
+from genpolicy.likelihood import TraceMode
+from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
+                             gmpg_reverse_bytes, gmpg_tape_bytes)
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor
@@ -33,6 +35,13 @@ _DEFAULTS = ExperimentConfig()
 FLOAT_KEYS = [f"{section.name}.{key}" for section in fields(_DEFAULTS)
               for key, value in asdict(getattr(_DEFAULTS, section.name)).items()
               if isinstance(value, float)]
+
+
+# every key but output.dir, and values that are hostile to one type or another
+HOSTILE_KEYS = [key for key in (f"{section.name}.{name}" for section in fields(_DEFAULTS)
+                                 for name in asdict(getattr(_DEFAULTS, section.name)))
+                if key != "output.dir"]
+HOSTILE_VALUES = ["0", "-1", "1e308", "nan", "inf", "", "abc", "1,0"]
 
 
 def run_cli(*argv, check=True):
@@ -84,6 +93,48 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.ini")
+
+    def test_config_defaults_are_the_library_defaults(self):
+        # one default per setting: a default changed on one side only fails here
+        cfg = ExperimentConfig()
+        assert cli._gmpo_config(cfg) == GmpoConfig()
+        assert cli._gmpg_config(cfg) == GmpgConfig()
+        assert cli._schedule(cfg) == PathSchedule()
+        assert cli._trace_mode(cfg) == TraceMode()
+        policy = PolicyConfig()
+        shared = [f.name for f in fields(cfg.model) if f.name != "schedule" and hasattr(policy, f.name)]
+        assert shared == ["parameterization", "hidden", "t_emb_width", "t_emb_scale"]
+        assert all(getattr(cfg.model, name) == getattr(policy, name) for name in shared)
+        assert (cfg.critic, cfg.solver) == (CriticConfig(), policy.eval_solver)
+
+    @pytest.mark.parametrize("text", ["beta = 1\n", "[output]\ndir = x%y\n",
+                                      "[task]\nn = 1\nn = 2\n"],
+                             ids=["no-section", "stray-percent", "duplicate-key"])
+    def test_unreadable_ini_file_is_a_config_error(self, tmp_path, text):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(str(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(HOSTILE_KEYS), st.sampled_from(HOSTILE_VALUES)),
+                    min_size=1, max_size=3))
+    def test_hostile_values_resolve_or_raise_config_error(self, pairs):
+        # any other exception would reach the user as a traceback; a config
+        # that resolves echoes to a resolved.ini that loads and echoes again
+        # byte for byte
+        overrides = [f"{key}={value}" for key, value in pairs] + ["output.dir=a%b"]
+        try:
+            cfg = load_config(None, overrides)
+            cli._check_config(cfg)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.ini"), os.path.join(tmp, "second.ini")
+            dump_config(cfg, first)
+            dump_config(load_config(first), second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
     def test_ini_file_parsed(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -468,6 +519,34 @@ def test_sample_export_and_eval_share_one_inference_pass(tmp_path):
     actions = np.array([[float(v) for v in row] for row in samples])
     [summary] = rows("eval", "eval.csv")
     assert summary[1:5] == [f"{v:.17g}" for v in (*actions.mean(axis=0), *actions.std(axis=0))]
+
+
+@pytest.mark.parametrize("command, override, code", [
+    ("train-gmpo", "policy.beta=1e308", 0),  # every exp_clamp weight is 0, 1 or w_max
+    ("train-gmpg", "policy.beta=1e308", 4),  # g*g overflows Adam's second moment
+    ("pretrain", "model.t_emb_scale=1e308", 4),  # 2 pi w overflows
+])
+def test_huge_finite_setting_runs_or_diverges_without_a_numpy_warning(tmp_path, capsys, command,
+                                                                      override, code):
+    # a finite, in-range value passes the config checks; what it does to the
+    # numbers is either nothing or a divergence (exit 4), never a numpy warning
+    ds_path, critic_path, behavior_path = (str(tmp_path / f) for f in ("d.gpds", "c.ckpt", "b.ckpt"))
+    save_dataset(make_tilted_gaussian_bandit(1, 1.0, 64, seed=0)[0], ds_path)
+    save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_path)
+    save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,)),
+                                 np.random.default_rng(0)), behavior_path)
+    inputs = {"pretrain": [], "train-gmpo": ["--critic", critic_path],
+              "train-gmpg": ["--critic", critic_path, "--behavior", behavior_path]}[command]
+    extra = [override, "policy.steps=2", "policy.gmpg_steps=2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, *tiny_args(str(tmp_path / "o"), extra), "--dataset", ds_path,
+                         *inputs]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numeric divergence: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
 
 
 def test_train_gmpg_integrates_on_the_configured_solver(tmp_path):

@@ -63,6 +63,30 @@ def test_losses_evaluate_the_head_at_the_path_point(objective):
     assert head.seen[0].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["vanilla", "mlsm", "unit"])
+@pytest.mark.parametrize("kind", ["gvp", "vpsde"])
+def test_dsm_loss_weights_each_row_by_its_lambda(kind, mode):
+    # a zero score head leaves 1/2 mean(w lambda(t) |eps / sigma|^2), with
+    # lambda = sigma^2 (vanilla), g^2 (mlsm) or 1 (unit), in closed form:
+    # gvp sigma = sin(pi t / 2), g^2 = pi tan(pi t / 2); vpsde g^2 = beta(t)
+    schedule = PathSchedule(kind)
+    rng = np.random.default_rng(11)
+    x0, eps = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    w = rng.uniform(0.5, 2.0, 6)
+    t = draw_times(schedule, 6, rng)
+    if kind == "gvp":
+        sigma, g2 = np.sin(0.5 * np.pi * t), np.pi * np.tan(0.5 * np.pi * t)
+    else:
+        integral = schedule.beta_min * t + 0.5 * (schedule.beta_max - schedule.beta_min) * t * t
+        sigma = np.sqrt(-np.expm1(-integral))
+        g2 = schedule.beta_min + (schedule.beta_max - schedule.beta_min) * t
+    lam = {"vanilla": sigma * sigma, "mlsm": g2, "unit": np.ones_like(t)}[mode]
+    want = 0.5 * np.mean(w[:, None] * lam * (eps / sigma) ** 2)
+    loss = dsm_loss(_Recorder("score"), schedule, x0, w, None,
+                    config=MatchingConfig(objective="dsm", lambda_mode=mode), draws=(t, eps))
+    assert float(loss.data) == pytest.approx(want, rel=1e-12)
+
+
 class TestDsmLoss:
     def test_perfect_fit_gives_zero(self):
         rng = np.random.default_rng(0)

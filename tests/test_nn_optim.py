@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,18 @@ def test_gaussian_fourier_shape_and_determinism():
     assert np.allclose(emb1(t), np.concatenate([np.sin(ang), np.cos(ang)], axis=1), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("how", ["drawn", "given"])
+def test_gaussian_fourier_refuses_overflowing_frequencies_without_a_warning(how):
+    # 2 pi w past the float range would make every feature NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="frequencies overflow"):
+            if how == "drawn":
+                GaussianFourier(8, np.random.default_rng(0), scale=1e308)
+            else:
+                GaussianFourier(4, freqs=np.array([1.0, 1e308]))
+
+
 def test_field_network_condition_plumbing():
     rng = np.random.default_rng(1)
     net = FieldNetwork(x_dim=2, state_dim=3, hidden=[16], rng=rng)
@@ -235,9 +249,12 @@ class TestAdam:
             opt.step()
 
     @pytest.mark.parametrize("bad, error", [(np.array([np.nan, 0.0]), NonFiniteError),
-                                            (np.zeros(3), ValueError)], ids=["nan", "shape"])
+                                            (np.array([1e200, 0.0]), NonFiniteError),
+                                            (np.zeros(3), ValueError)],
+                             ids=["nan", "g-squared-overflows", "shape"])
     def test_rejected_step_changes_nothing(self, bad, error):
-        # the second parameter's gradient is bad: the first must not have moved either
+        # the second parameter's gradient is bad: the first must not have moved either.
+        # A finite 1e200 overflows g*g into v, whose infinity would zero the update.
         rng = np.random.default_rng(19)
         params = [Tensor(rng.standard_normal(2), requires_grad=True) for _ in range(2)]
         opt = Adam(params, lr=1e-2)
@@ -246,11 +263,26 @@ class TestAdam:
         opt.step()
         before = [a.copy() for a in [p.data for p in params] + [opt.m, opt.v]]
         params[0].grad, params[1].grad = rng.standard_normal(2), bad
-        with pytest.raises(error):
-            opt.step()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, with no numpy warning
+            with pytest.raises(error):
+                opt.step()
         after = [p.data for p in params] + [opt.m, opt.v]
         assert opt.step_count == 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+    def test_overflowing_update_rejected_without_a_warning(self):
+        # finite moments, but the update carries a parameter past the float range
+        p = Tensor(np.array([1.7e308, 0.0]), requires_grad=True)
+        opt = Adam([p], lr=1e307)
+        p.grad = np.array([-1.0, 1.0])
+        before = [a.copy() for a in (opt.flat, opt.m, opt.v)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                opt.step()
+        assert opt.step_count == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (opt.flat, opt.m, opt.v)))
 
     def test_flat_buffer_matches_the_per_tensor_update(self):
         # parameters and moments byte-equal to Adam applied tensor by tensor,

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from genpolicy.errors import IntegrationDivergedError, NonFiniteError
 from genpolicy.likelihood import TraceMode, log_prob
 from genpolicy.matching import matching_loss
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
-                              gmpg_loss, gmpg_per_sample, gmpg_static_surrogate,
-                              gmpg_tape_bytes, gmpo_weight, pretrain_behavior,
+                              exp_clamp_weight, gmpg_loss, gmpg_per_sample,
+                              gmpg_static_surrogate, gmpg_tape_bytes, gmpo_weight, pretrain_behavior,
                               softmax_candidate_weights, train_gmpg, train_gmpo)
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
@@ -59,6 +60,19 @@ class TestWeights:
         # beta * advantage = 10 -> e^10 ~ 22026, clamped at 100
         w = gmpo_weight(critic, np.zeros((1, 1)), np.array([10.0]), beta=1.0, w_max=100.0)
         assert w[0] == 100.0
+
+    def test_clamp_caps_the_exponent_without_an_overflow_warning(self):
+        # below w_max a weight is exp(beta * adv) bit for bit; a product past
+        # exp's range, or past the float range itself, gives w_max with no warning
+        adv = np.array([-800.0, -3.0, 0.0, 1e-3, 2.5, np.log(100.0) - 1e-12, 4.7, 800.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = exp_clamp_weight(adv, 1.0, w_max=100.0)
+            huge = exp_clamp_weight(np.array([-2.0, 0.0, 2.0]), 1e308, w_max=100.0)
+        below = adv < np.log(100.0)
+        assert w[below].tobytes() == np.exp(adv[below]).tobytes()
+        assert np.all(w[~below] == 100.0)
+        assert huge.tolist() == [0.0, 1.0, 100.0]
 
     def test_beta_zero_allowed_negative_rejected(self):
         critic = LinearCritic()
