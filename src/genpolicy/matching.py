@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedKindError
+from .errors import NonFiniteError, UnsupportedKindError
 from .schedules import PathSchedule, alpha_sigma, drift_diffusion, sample_path_point, target_velocity
 from .tensor import Tensor
 
@@ -56,6 +56,8 @@ def _check_weights(weights, batch: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != batch:
         raise ValueError(f"got {w.shape[0]} weights for batch of {batch}")
+    if not np.isfinite(w).all():
+        raise NonFiniteError("per-sample weights must be finite")
     if np.any(w < 0):
         raise ValueError("per-sample weights must be nonnegative")
     return w

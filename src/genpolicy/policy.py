@@ -150,13 +150,23 @@ def softmax_candidate_weights(q, beta: float) -> np.ndarray:
 
     ``q`` holds the candidates' Q values with shape (batch, K); returns
     (batch, K) weights summing to 1 per row (invariant to adding a
-    constant to Q).
+    constant to Q). A finite row whose logits overflow takes the
+    beta -> inf limit instead, with no warning: equal weight on the
+    row's largest Q, 0 elsewhere.
     """
     _check_beta(beta)
-    logits = beta * q
-    logits = logits - logits.max(axis=1, keepdims=True)
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = beta * q
+        logits -= logits.max(axis=1, keepdims=True)
+    over = np.isfinite(q).all(axis=1) & ~np.isfinite(logits).all(axis=1)
+    logits[over] = 0.0
     e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    w = e / e.sum(axis=1, keepdims=True)
+    if over.any():
+        top = q[over] == q[over].max(axis=1, keepdims=True)
+        w[over] = top / top.sum(axis=1, keepdims=True)
+    return w
 
 
 # -- advantage-weighted matching trainer --------------------------------------

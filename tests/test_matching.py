@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from genpolicy.errors import UnsupportedKindError
+from genpolicy.errors import NonFiniteError, UnsupportedKindError
 from genpolicy.matching import MatchingConfig, cfm_loss, draw_times, dsm_loss, matching_loss
 from genpolicy.model import GenerativeModel
 from genpolicy.nn import FieldNetwork
@@ -115,6 +117,11 @@ class TestDsmLoss:
         x0 = np.zeros((4, 2))
         with pytest.raises(ValueError):
             dsm_loss(model, GVP, x0, [-1, 1, 1, 1], np.random.default_rng(0))
+        for bad in (np.nan, np.inf):  # NaN < 0 is false: refused as non-finite
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError):
+                    dsm_loss(model, GVP, x0, [bad, 1, 1, 1], np.random.default_rng(0))
         with pytest.raises(UnsupportedKindError):
             dsm_loss(model, ICFM, x0, np.ones(4), np.random.default_rng(0))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from genpolicy.errors import NonFiniteError
 from genpolicy.nn import FieldNetwork, GaussianFourier, Mlp
-from genpolicy.optim import Adam
+from genpolicy.optim import BLOCK, Adam
 from genpolicy.tensor import Tensor
 
 from oracles import concat, grad_check, matmul, tanh, zero_grad
@@ -250,11 +251,14 @@ class TestAdam:
 
     @pytest.mark.parametrize("bad, error", [(np.array([np.nan, 0.0]), NonFiniteError),
                                             (np.array([1e200, 0.0]), NonFiniteError),
+                                            (np.array([1e151, 0.0]), NonFiniteError),
                                             (np.zeros(3), ValueError)],
-                             ids=["nan", "g-squared-overflows", "shape"])
+                             ids=["nan", "g-squared-overflows", "past-the-bound", "shape"])
     def test_rejected_step_changes_nothing(self, bad, error):
         # the second parameter's gradient is bad: the first must not have moved either.
-        # A finite 1e200 overflows g*g into v, whose infinity would zero the update.
+        # A finite 1e200 overflows g*g into v, whose infinity would zero the update;
+        # 1e151 overflows nothing here (g*g is 1e302), but it is past the bound
+        # G < 1e150, so the step is refused before anything is written.
         rng = np.random.default_rng(19)
         params = [Tensor(rng.standard_normal(2), requires_grad=True) for _ in range(2)]
         opt = Adam(params, lr=1e-2)
@@ -271,6 +275,37 @@ class TestAdam:
         assert opt.step_count == 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
+    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": -1e-3}, {"lr": np.nan}, {"lr": np.inf},
+                                        {"eps": 0.0}, {"eps": -1e-8}, {"eps": np.nan},
+                                        {"eps": np.inf}, {"beta1": -0.1}, {"beta1": 1.0},
+                                        {"beta1": np.nan}, {"beta2": -0.1}, {"beta2": 1.0},
+                                        {"beta2": np.inf}],
+                             ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_hyperparameters_it_cannot_step_with_refused(self, kwargs):
+        # with eps = 0 a gradient whose square underflows (|g| = 1e-170) would
+        # divide by zero and write -inf into the parameter; the bound needs
+        # eps > 0 and 1 - beta^step > 0
+        with pytest.raises(ValueError):
+            Adam([Tensor(np.array([1.0, 2.0]), requires_grad=True)], **kwargs)
+
+    def test_step_allocates_nothing_flat_sized(self):
+        # one step on the paper's 256x3 widths (133k parameters) keeps its
+        # traced peak under an eighth of one flat array: no copy of g, m, v or p
+        net = Mlp([3, 256, 256, 256, 1], np.random.default_rng(23))
+        opt = Adam(net.parameters(), lr=1e-3)
+        rng = np.random.default_rng(24)
+        for p in net.parameters():
+            p.grad = rng.standard_normal(p.data.shape)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert opt.flat.size == 132865 and opt.step_count == 1
+        assert peak < opt.flat.nbytes / 8
+
     def test_overflowing_update_rejected_without_a_warning(self):
         # finite moments, but the update carries a parameter past the float range
         p = Tensor(np.array([1.7e308, 0.0]), requires_grad=True)
@@ -286,25 +321,28 @@ class TestAdam:
 
     def test_flat_buffer_matches_the_per_tensor_update(self):
         # parameters and moments byte-equal to Adam applied tensor by tensor,
-        # over steps where some parameters have no gradient
+        # over steps where some parameters have no gradient: on one block, and
+        # on three blocks (the last a remainder) with parameters straddling both edges
         from oracles import AdamReference
         rng = np.random.default_rng(20)
-        shapes = [(3, 4), (4,), (), (2, 1)]
-        arrays = [rng.standard_normal(shape) for shape in shapes]
-        flat = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        alone = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        opt, ref = Adam(flat, lr=1e-2), AdamReference(alone, lr=1e-2)
-        for step in range(5):
-            for i, shape in enumerate(shapes):
-                g = None if (i + step) % 3 == 0 else rng.standard_normal(shape)
-                flat[i].grad, alone[i].grad = g, g
-            opt.step()
-            ref.step()
-            assert all(p.data.tobytes() == q.data.tobytes() for p, q in zip(flat, alone))
-            assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref.m]).tobytes()
-            assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref.v]).tobytes()
-        assert opt.step_count == ref.step_count == 5
-        assert all(np.shares_memory(p.data, opt.flat) for p in flat)
+        for shapes in ([(3, 4), (4,), (), (2, 1)],
+                       [(BLOCK - 5,), (7, 3), (BLOCK + 100,), (), (3, 411)]):
+            arrays = [rng.standard_normal(shape) for shape in shapes]
+            flat = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            alone = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            opt, ref = Adam(flat, lr=1e-2), AdamReference(alone, lr=1e-2)
+            for step in range(5):
+                for i, shape in enumerate(shapes):
+                    g = None if (i + step) % 3 == 0 else rng.standard_normal(shape)
+                    flat[i].grad, alone[i].grad = g, g
+                opt.step()
+                ref.step()
+                assert all(p.data.tobytes() == q.data.tobytes() for p, q in zip(flat, alone))
+                assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref.m]).tobytes()
+                assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref.v]).tobytes()
+            assert opt.step_count == ref.step_count == 5
+            assert all(np.shares_memory(p.data, opt.flat) for p in flat)
+        assert 2 * BLOCK < opt.flat.size < 3 * BLOCK
 
     def test_parameter_listed_twice_rejected(self):
         p, q = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))

@@ -92,6 +92,23 @@ class TestWeights:
         assert np.allclose(w0.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(w0, w1, atol=1e-12)
 
+    def test_softmax_weights_overflowing_rows_take_the_limit(self):
+        # beta * q overflows the first and third rows: each takes the beta -> inf
+        # limit (equal weight on its largest Q), and the rows that do not keep
+        # their weights bit for bit
+        q = np.array([[2.0, 1.0, -3.0], [1e-300, 0.0, -1e-300], [4.0, 4.0, -1.0],
+                      [0.5, 0.25, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = softmax_candidate_weights(q, beta=1e308)
+            alone = [softmax_candidate_weights(q[i:i + 1], beta=1e308) for i in (1, 3)]
+        assert w[0].tolist() == [1.0, 0.0, 0.0] and w[2].tolist() == [0.5, 0.5, 0.0]
+        e = np.exp(1e308 * q[[1, 3]] - (1e308 * q[[1, 3]]).max(axis=1, keepdims=True))
+        assert w[[1, 3]].tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        assert w[[1, 3]].tobytes() == np.concatenate(alone).tobytes()
+        # a beta that does not overflow already gives the one-hot limit
+        assert softmax_candidate_weights(q[:1], beta=1e300).tolist() == [[1.0, 0.0, 0.0]]
+
 
 class TestPretraining:
     def test_single_action_dataset_concentrates(self):

@@ -230,3 +230,56 @@ def test_compare_outputs_reports_each_stage_file(tmp_path, capsys):
     capsys.readouterr()
     assert compare_outputs.main([str(failed), str(failed)]) == 1
     assert capsys.readouterr().out == "no file was compared: neither result records a digest\n"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", TRACING.parents[1] / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_verdicts_on_canned_numbers():
+    verdict = _bench_pairs().verdict
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.175
+    change = [p + (0.5 if i else -0.1) for i, p in enumerate(parent)]  # median 10.5
+    v = verdict(parent, change, "higher", 0.25)
+    assert v["wins"] == 9 and v["pairs"] == 10 and v["gain"] and v["bound"] == "ok"
+    assert np.allclose(v["parent"], (9.925, 10.0, 10.1)) and v["change"][1] == pytest.approx(10.5)
+    two_lost = [p + (0.5 if i > 1 else -0.1) for i, p in enumerate(parent)]
+    assert not verdict(parent, two_lost, "higher", 0.25)["gain"]  # 8 of 10 pairs won
+    # the same numbers where lower is better: within a 25% bound, past a 3% one
+    # (the change's IQR 0.275 is below it), unresolved at 1% (both IQRs exceed it)
+    worse = [verdict(parent, change, "lower", bound) for bound in (0.25, 0.03, 0.01)]
+    assert [v["bound"] for v in worse] == ["ok", "REGRESSED", "unresolved"]
+    assert worse[0]["wins"] == 1 and not worse[0]["gain"]
+    # every pair won but the median gap (1) is inside the parent's IQR (6): no gain
+    wide = [1.0, 5.0, 9.0, 2.0, 8.0]
+    v = verdict(wide, [x + 1 for x in wide], "higher", 0.25)
+    assert v["wins"] == 5 and not v["gain"] and v["bound"] == "unresolved"
+    # a spread wider than the bound still resolves when every change run beats every parent run
+    v = verdict(wide, [10.0, 11.0, 12.0, 13.0, 14.0], "higher", 0.25)
+    assert v["gain"] and v["bound"] == "ok"
+    with pytest.raises(ValueError):
+        verdict(wide, wide[:4], "higher", 0.25)
+
+
+def test_bench_pairs_report_reads_the_result_files(tmp_path, capsys):
+    bench_pairs = _bench_pairs()
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": [
+        {"name": "steps_per_s", "better": "higher", "bound": 0.1},
+        {"name": "peak_rss_mib", "better": "lower", "bound": 0.1}]}))
+    for i, (p, c) in enumerate([(10.0, 8.0), (10.0, 8.1), (10.0, 7.9)]):
+        for side, rate in (("parent", p), ("change", c)):
+            metrics = {"steps_per_s": {"value": rate}, "peak_rss_mib": {"value": 50.0}}
+            (tmp_path / f"w-pair{i:02d}-{side}.json").write_text(json.dumps({"metrics": metrics}))
+    # pair 3 has no parent run: skipped
+    (tmp_path / "w-pair03-change.json").write_text(json.dumps({"metrics": metrics}))
+    (tmp_path / "w-pair04-parent.failed").write_text("")
+    assert bench_pairs.report(str(tmp_path), str(benchmark)) == 1
+    out = capsys.readouterr().out
+    assert "w: 3 complete pairs" in out and "FAILED run: w-pair04-parent.failed" in out
+    assert re.search(r"steps_per_s .* 0/3 +no +REGRESSED", out)
+    assert re.search(r"peak_rss_mib .* 0/3 +no +ok", out)
