@@ -24,6 +24,13 @@ pairs the change won (ties count for neither side) and two verdicts:
   change run beat every parent run; otherwise ``REGRESSED`` when the
   change's median is worse than the parent's by more than the bound, and
   ``ok`` when not.
+
+Below each workload's metrics it prints each side's raw timings, which
+the metrics scale by ``calibrate()``'s: every stage's median
+``passes[].stage_s`` and the median ``calib_s``, over every timed pass of
+the complete pairs (the untimed first pass of each run left out). A
+metric that moved while its stage's raw median stayed put was moved by
+the calibration kernel alone.
 """
 
 from __future__ import annotations
@@ -96,22 +103,41 @@ def run_pairs(parent: str, change: str, workloads: list[str], pairs: int, second
 
 
 def load_runs(out: str) -> dict:
-    """workload -> pair index -> side -> metric -> value, over the result files in ``out``."""
+    """workload -> pair index -> side -> {"metrics": name -> value, "passes":
+    the timed passes}, over the result files in ``out``."""
     runs: dict = {}
     for path in sorted(glob.glob(os.path.join(out, "*-pair*-*.json"))):
         match = re.fullmatch(r"(.+)-pair(\d+)-(parent|change)\.json", os.path.basename(path))
         if match is None:
             continue
         with open(path, encoding="utf-8") as fh:
-            metrics = json.load(fh)["metrics"]
+            record = json.load(fh)
         runs.setdefault(match[1], {}).setdefault(int(match[2]), {})[match[3]] = {
-            name: m["value"] for name, m in metrics.items()}
+            "metrics": {name: m["value"] for name, m in record["metrics"].items()},
+            "passes": record.get("passes", [])[1:]}  # the first pass is untimed
     return runs
 
 
+def raw_medians(runs: list) -> dict:
+    """Each stage's median raw ``stage_s`` and the median ``calib_s`` (key
+    ``calib_s``) over every timed pass of ``runs``, one side's runs."""
+    stage_s: dict = {}
+    calib_s = []
+    for run in runs:
+        for rep in run["passes"]:
+            for label, seconds in rep["stage_s"].items():
+                stage_s.setdefault(label, []).append(seconds)
+            calib_s += rep["calib_s"]
+    medians = {label: float(np.median(times)) for label, times in stage_s.items()}
+    if calib_s:
+        medians["calib_s"] = float(np.median(calib_s))
+    return medians
+
+
 def report(out: str, benchmark: str) -> int:
-    """Print both verdicts for every workload and end-to-end metric; return
-    1 when a metric regressed or no complete pair was found, else 0."""
+    """Print both verdicts for every workload and end-to-end metric, then
+    each side's raw stage and calibration medians; return 1 when a metric
+    regressed or no complete pair was found, else 0."""
     with open(benchmark, encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
     runs = load_runs(out)
@@ -124,16 +150,24 @@ def report(out: str, benchmark: str) -> int:
               f"{'won':>6s}  gain  bound")
         for metric in end_to_end:
             name = metric["name"]
-            if not complete or any(name not in pair[side] for pair in complete for side in SIDES):
+            if not complete or any(name not in pair[side]["metrics"]
+                                   for pair in complete for side in SIDES):
                 continue
-            v = verdict([pair["parent"][name] for pair in complete],
-                        [pair["change"][name] for pair in complete],
+            v = verdict([pair["parent"]["metrics"][name] for pair in complete],
+                        [pair["change"]["metrics"][name] for pair in complete],
                         metric["better"], metric["bound"])
             compared = True
             regressed |= v["bound"] == "REGRESSED"
             p, c = ("/".join(f"{x:.4g}" for x in v[side]) for side in SIDES)
             print(f"  {name:26s} {p:>30s} {c:>30s} {v['wins']:>2d}/{v['pairs']:<3d}"
                   f"  {'yes' if v['gain'] else 'no ':4s}  {v['bound']}")
+        raw = {side: raw_medians([pair[side] for pair in complete]) for side in SIDES}
+        if raw["parent"] and raw["change"]:
+            print(f"  {'raw median, s':26s} {'parent':>12s} {'change':>12s} {'change/parent':>14s}")
+            for label in raw["parent"]:
+                if label in raw["change"]:
+                    p, c = raw["parent"][label], raw["change"][label]
+                    print(f"  {label:26s} {p:12.5g} {c:12.5g} {c / p:14.4f}")
     for name in failed:
         print(f"FAILED run: {name}")
     if not compared:

@@ -21,9 +21,13 @@ the exact trace; the P standard-normal probes in Hutchinson mode, each
 giving eps^T J eps). The tangent seeds are one constant array per
 unroll, shared by every stage's network and trace nodes, and the
 estimate is one taped ``trace`` node over J u: the product with the
-seeds, the row sums and, in exact mode, the sum over the d blocks. The
-same call returns the velocity, so the state update needs no further
-forward pass.
+seeds, the row sums, in exact mode the sum over the d blocks, and for
+the augmented ODE the sign of dl/dt = -trace. For a velocity head J u
+is the network node's stacked output from row B on, and the trace node
+reads it there (``tensor.RowView``): a traced stage records the network
+node, the velocity's rows view and the trace node, and its x and l
+updates one ``add_scaled`` node per tableau term. The same call returns
+the velocity, so the state update needs no further forward pass.
 Hutchinson probes are drawn once per call (shared across steps, standard
 practice; each probe then yields an independent estimate of the whole
 integral, which is what the reported standard error is computed from).
@@ -46,7 +50,9 @@ import numpy as np
 
 from .sampler import SolverSpec, integrate
 from .schedules import prior_logpdf, prior_logpdf_tensor
-from .tensor import Tensor
+from .tensor import RowView, Tensor
+
+_MINUS_ONE = np.float64(-1.0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ def _basis_seeds(batch: int, d: int) -> np.ndarray:
     return np.repeat(np.eye(d), batch, axis=0).reshape(d, batch, d)
 
 
-def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
+def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None, negate: bool = False):
     """(velocity, per-sample trace estimates) from one JVP call, on the tape.
 
     ``jvp_fn(x, t, u) -> (v, J u)`` with ``u`` a constant array of k
@@ -97,24 +103,35 @@ def trace_with_jvp(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None):
     blocks. Exact mode stacks the d basis vectors (``_basis_seeds``, built
     here when ``probes`` is None) and returns the exact trace as a (1,
     batch) row; Hutchinson mode stacks the P probes and returns one row
-    per probe, (P, batch). The estimate is one node over J u: per row the
-    sum of (J u) * u, and in exact mode the sum over the d blocks.
+    per probe, (P, batch). ``negate`` returns minus the estimate instead,
+    the rate the augmented ODE integrates.
+
+    The estimate is one ``trace`` node over J u: per row the sum of
+    (J u) * u, in exact mode the sum over the d blocks, then the sign.
+    When J u is a ``RowView`` (a velocity head's output tangent, the rows
+    from B on of the network node's stacked output), the node reads those
+    rows where they lie and takes the stacked output as its parent, adding
+    its gradient into those rows, so the view never enters the tape.
     """
     batch, d = x.shape
     if probes is None and mode.kind == "exact":
         probes = _basis_seeds(batch, d)
     u = probes.reshape(-1, d)
     v, ju = jvp_fn(x, t, u)
+    src, at = (ju.source, ju.at) if isinstance(ju, RowView) else (ju, None)
     blocks = u.shape[0] // batch
     est = (ju.data * u).sum(axis=1).reshape(blocks, batch)
     if mode.kind == "exact" and d > 1:
         est = est.sum(axis=0, keepdims=True)
+    if negate:
+        est = est * _MINUS_ONE
 
     def bwd(node):
-        g = np.broadcast_to(node.grad, (blocks, batch)).reshape(-1, 1)
-        ju._accum(g * u, fresh=True)
+        g = node.grad * _MINUS_ONE if negate else node.grad
+        g = np.broadcast_to(g, (blocks, batch)).reshape(-1, 1)
+        src._accum(g * u, fresh=True, at=at)
 
-    return v, ju._node(est, (ju,), bwd, "trace")
+    return v, src._node(est, (src,), bwd, "trace")
 
 
 def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
@@ -137,8 +154,7 @@ def _augmented_integrate(model, condition, x0: Tensor, t0: float, t1: float,
     def rhs(x, t, traced):
         if not traced:
             return (model.velocity(x, t, condition),)
-        v, tr = trace_with_jvp(jvp_fn, x, t, mode, probes)
-        return v, tr * (-1.0)
+        return trace_with_jvp(jvp_fn, x, t, mode, probes, negate=True)
 
     n_est = 1 if mode.kind == "exact" else mode.n_probes
     l0 = Tensor(np.zeros((n_est, x0.shape[0])))

@@ -21,7 +21,10 @@ keeps no hidden-layer row and holds ``u`` as it is (an unroll passes
 every stage the same seed array); its reverse rule reruns the hidden
 layers, primal and tangent rows, from the first layer's input and the
 seeds. Its stacked output, biased on the primal rows only, is split back
-into the B-row output and the k·B-row output tangent.
+into the B-row output and the k·B-row output tangent, two
+``tensor.RowView`` views that keep the stacked output as their source:
+the likelihood's trace node reads the tangent rows there, so the
+tangent's view never enters the tape.
 
 ``FieldNetwork`` feeds its first layer the time embedding and the
 condition as constant columns ahead of x (a ``prefix``), so the tangent
@@ -43,7 +46,7 @@ import operator
 import numpy as np
 
 from .errors import NonFiniteError
-from .tensor import Tensor, as_tensor, network
+from .tensor import RowView, Tensor, as_tensor, network
 
 
 class GaussianFourier:
@@ -121,15 +124,17 @@ class Mlp:
         """
         return network(x, self.weights, self.biases, prefix)
 
-    def forward_jvp(self, x: Tensor, u: np.ndarray, prefix=()) -> tuple[Tensor, Tensor]:
+    def forward_jvp(self, x: Tensor, u: np.ndarray, prefix=()) -> tuple[RowView, RowView]:
         """Forward pass plus the Jacobian-vector products d(out)/dx @ u.
 
         ``x`` is (B, in); ``u`` is a constant (k·B, in) array, k tangent
         blocks of B rows (row j·B + i is the j-th tangent at input row i),
         which takes no gradient. Returns the (B, out) output, bit for bit
         that of ``__call__``, and the (k·B, out) output tangents in the
-        same block layout. Both stay on the tape, so the JVPs can
-        themselves be differentiated with respect to the parameters.
+        same block layout, both ``RowView`` views of the one network
+        node's stacked output (their ``source``). Both stay on the tape,
+        so the JVPs can themselves be differentiated with respect to the
+        parameters.
         ``prefix`` is as in ``__call__``.
         """
         rows = x.shape[0]

@@ -26,6 +26,11 @@ A refusal therefore means an overflow the bound cannot rule out, not
 one that happened. ``max|p|`` is read every step, because parameters
 may be changed in place between steps.
 
+lr, beta1, beta2 and eps are public attributes a run may change between
+steps (a lower lr, say), so every step checks them by the construction
+rules first: an lr or eps that is not finite and > 0, or a beta outside
+[0, 1), is refused (``ValueError``) before anything is written.
+
 A parameter belongs to one optimizer and keeps its view: listing it
 twice, or replacing its ``data`` after construction, is refused
 (``ValueError``); changing the values in place is fine. Because the
@@ -47,18 +52,24 @@ _GRAD_LIMIT = 1e150
 _LIMIT = 1e300
 
 
+def _check_hyperparameters(lr, beta1, beta2, eps) -> None:
+    """Refuse (ValueError) an lr or eps that is not finite and > 0, or a
+    beta1/beta2 outside [0, 1)."""
+    for name, value in (("lr", lr), ("eps", eps)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"Adam {name} must be finite and > 0, got {value}")
+    for name, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0 <= value < 1:
+            raise ValueError(f"Adam {name} must be in [0, 1), got {value}")
+
+
 class Adam:
     """Standard Adam. The step counter strictly increases and parameters
     are updated in place, in their views of ``flat``."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        for name, value in (("lr", lr), ("eps", eps)):
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"Adam {name} must be finite and > 0, got {value}")
-        for name, value in (("beta1", beta1), ("beta2", beta2)):
-            if not 0 <= value < 1:
-                raise ValueError(f"Adam {name} must be in [0, 1), got {value}")
+        _check_hyperparameters(lr, beta1, beta2, eps)
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter is listed twice; Adam holds each in its buffer once")
@@ -92,7 +103,11 @@ class Adam:
         is checked, and the bound is decided, before anything is written,
         so a bad gradient or a step the bound cannot clear (``ValueError``
         or ``NonFiniteError``, with no numpy warning) leaves the
-        parameters, the moments and the step count as they were."""
+        parameters, the moments and the step count as they were. The
+        hyperparameters are public attributes a caller may reassign
+        between steps, so they are checked again first, by the
+        construction rules (``ValueError``)."""
+        _check_hyperparameters(self.lr, self.beta1, self.beta2, self.eps)
         for p, (view, grad) in zip(self.params, self._spans):
             if p.data is not view:
                 raise ValueError("a parameter's data was replaced after the optimizer took it; "

@@ -319,7 +319,7 @@ class GmpgConfig:
         return SolverSpec(self.scheme, self.t_train)
 
 
-_STAGE_BYTES = 8192  # measured 6-9.5 KiB per taped stage, at batches 64 and 320
+_STAGE_BYTES = 4608  # fitted: 4.5 KiB per taped stage, at batches 16 to 512
 
 
 def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) -> int:
@@ -331,22 +331,24 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     ``tensor.network``): it holds the first layer's per-row input
     (condition, x; a stage's time embedding is one row shared by the
     batch, which the first layer folds into its bias row), the network's
-    stacked output, and about four rows of width d + n for the trace, its
-    sign and the updates of x and l (the tangent seeds are one array per
-    unroll):
+    stacked output, which the velocity's rows view and the trace node
+    read in place, and about three rows of width d + n for the trace
+    node (which carries the sign), the ``add_scaled`` updates of x and l
+    and the loss's own per-sample rows, spread over the stages (the
+    tangent seeds are one array per unroll):
 
-        first + (k + 1)·d + 4·(d + n)
+        first + (k + 1)·d + 3·(d + n)
 
     floats per row, with first the condition and x columns, k the tangent
     blocks (the action dimension d for an exact trace, the probe count for
     Hutchinson) and n the log-density estimates per row (1 exact, the
     probe count for Hutchinson). A stage whose weight b[i] is 0
     (midpoint's first) evaluates the velocity alone in a plain call, which
-    keeps every hidden layer's rows: widths + first + 5·d, widths the sum
-    of the hidden widths. Every stage also holds about ``_STAGE_BYTES`` of
-    nodes, closures and array headers, which dominate at small batches.
-    The dynamic variant tapes two unrolls (pi and mu), the static one only
-    log pi.
+    keeps every hidden layer's rows, and its stage input is one node:
+    widths + first + 2·d, widths the sum of the hidden widths. Every
+    stage also holds about ``_STAGE_BYTES`` of nodes, closures and array
+    headers, which dominate at small batches. The dynamic variant tapes
+    two unrolls (pi and mu), the static one only log pi.
     """
     net = policy.model.net
     d = net.x_dim
@@ -355,7 +357,7 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     widths = sum(net.mlp.sizes[1:-1])
     first = net.mlp.sizes[0] - net.t_emb.width
     weights = TABLEAUX[config.scheme][1]
-    floats = sum(first + ((k + 1) * d + 4 * (d + n) if bi else widths + 5 * d) for bi in weights)
+    floats = sum(first + ((k + 1) * d + 3 * (d + n) if bi else widths + 2 * d) for bi in weights)
     per_step = 8 * batch * floats + _STAGE_BYTES * len(weights)
     return per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
 

@@ -6,7 +6,12 @@ steps stay on the tape; gradients are exact for the discrete objective).
 Each scheme is nothing but its Butcher tableau in ``TABLEAUX``; one
 stepper evaluates the stages and combines them component by component
 over a tuple state, so the sampler's x and the likelihood module's
-augmented [x; l] run through the same code on the same grid.
+augmented [x; l] run through the same code on the same grid. A stage
+input or a state update, y + h·sum_j c_j·k_j, records one node per
+nonzero term, ``y.add_scaled(k_j, c_j·h)`` in j order, with the
+roundings of a multiply and then an add: euler's and midpoint's
+combinations are one node each, rk4_38's stage inputs and updates one
+per term (k1 alone feeds four of them).
 Generation starts from a standard-normal draw and integrates in the
 schedule's noise-to-data direction over the clipped time span. For vpsde
 the terminal marginal is only approximately N(0, I) under the default
@@ -54,12 +59,14 @@ class Trajectory:
 
 
 def _combine(state: tuple, ks: list, coeffs, h: float) -> tuple:
-    """state + h * sum_j coeffs[j] * ks[j], component by component."""
+    """state + h * sum_j coeffs[j] * ks[j], component by component, one
+    ``add_scaled`` node per nonzero term, y + k_j * (coeffs[j] h), in j
+    order."""
     out = []
     for i, y in enumerate(state):
         for k, w in zip(ks, coeffs):
             if w:
-                y = y + k[i] * (w * h)
+                y = y.add_scaled(k[i], w * h)
         out.append(y)
     return tuple(out)
 

@@ -47,12 +47,23 @@ primal and tangent rows, through the loop the forward ran, so the tape
 holds no row but the output's and the first layer's input; the hidden
 activations are the node's internal values, so they make no nodes and no
 finite checks of their own. ``rows`` slices the stacked result back
-apart. A loss is a handful of nodes: ``a - b`` of two Tensors is one
-``sub`` node and a full ``mean()`` one ``mean`` node. A regression loss,
-the weighted mean of squared residuals against a constant target, is
-one ``sq_mean`` node with the values and gradients of its composite, so
-a training loss records its network calls plus one node (plus the
-``* 0.5`` of the matching losses).
+apart: a ``RowView`` node over a view of the rows, unchecked (the
+network checked them), which keeps its source and its row range, so an
+op that reads the rows where they lie can take the source as its parent
+and leave the view off the tape. The likelihood's ``trace`` node does
+that with a velocity head's tangent rows: one node from the network's
+stacked output to the trace estimate, its sign included. A solver
+combination y + c·k (a stage input or a state update, c a constant
+number) is one ``add_scaled`` node per term, with the values and
+gradients of the ``mul`` and ``add`` it stands for. So a traced solver
+stage records its network call, the velocity's rows view and the trace
+node, and each nonzero tableau term one node more. A loss is a handful
+of nodes: ``a - b`` of two Tensors is one ``sub`` node and a full
+``mean()`` one ``mean`` node. A regression loss, the weighted mean of
+squared residuals against a constant target, is one ``sq_mean`` node
+with the values and gradients of its composite, so a training loss
+records its network calls plus one node (plus the ``* 0.5`` of the
+matching losses).
 
 ``backward`` walks only the nodes that have a reverse rule; the leaves
 (parameters and inputs) take their gradients from their consumers and
@@ -68,8 +79,10 @@ that returns a Tensor for training records as before. ``no_tape()`` nests
 and restores the previous setting on exit, also when an error escapes.
 
 Every library-produced value is checked for NaN/Inf and raises
-``NonFiniteError`` instead of propagating silently. Every Tensor holds
-float64: any other input is converted to it.
+``NonFiniteError`` instead of propagating silently; the check is one
+reduction over ``isfinite``, and a rows view is checked as part of the
+Tensor it views. Every Tensor holds float64: any other input is
+converted to it.
 """
 
 from __future__ import annotations
@@ -95,7 +108,7 @@ def no_tape():
 
 
 def _check_finite(arr: np.ndarray, where: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite value produced by {where}")
     return arr
 
@@ -332,14 +345,26 @@ class Tensor:
 
     # -- structural ops ---------------------------------------------------
 
-    def rows(self, start: int, stop: int | None = None) -> "Tensor":
+    def rows(self, start: int, stop: int | None = None) -> "RowView":
         """Rows ``start:stop`` (a view); the reverse pass adds into those rows."""
-        at = slice(start, stop)
+        return RowView(self, start, stop)
+
+    def add_scaled(self, other: "Tensor", c: float) -> "Tensor":
+        """``self + other * c`` for a constant number ``c``, as one node
+        with the values and gradients of that ``mul`` and ``add``: the
+        product is rounded, then the sum, and ``other`` takes the gradient
+        times c, as the ``mul`` node's rule would hand it."""
+        c = np.float64(c)
+        out_data = self.data + other.data * c
 
         def bwd(out):
-            self._accum(out.grad, at=at)
+            if self.requires_grad or self._prev:
+                g = _unbroadcast(out.grad, self.data.shape)
+                self._accum(g, fresh=g is not out.grad)
+            if other.requires_grad or other._prev:
+                other._accum(_unbroadcast(out.grad * c, other.data.shape), fresh=True)
 
-        return self._node(self.data[at], (self,), bwd, "rows")
+        return self._node(out_data, (self, other), bwd, "add_scaled")
 
     # -- backward -------------------------------------------------------
 
@@ -378,6 +403,28 @@ class Tensor:
                 node.grad = None  # consumed; see "Tape lifecycle"
 
 
+class RowView(Tensor):
+    """Rows ``at`` (a slice) of ``source``: the ``rows`` node, over a view
+    of its data. The rows were checked when ``source`` was made, so the
+    view is not checked again. ``source`` and ``at`` stay readable, so an
+    op that reads the rows where they lie (the likelihood's trace node)
+    can take ``source`` as its parent and add its gradient into those rows
+    itself; the view then never enters the tape."""
+    __slots__ = ("source", "at")
+
+    def __init__(self, source: Tensor, start: int, stop: int | None = None):
+        self.source, self.at = source, slice(start, stop)
+        self.data = source.data[self.at]
+        self.grad = None
+        self.requires_grad = False
+        self._prev, self._backward, self._op = (), None, "rows"
+        if _RECORDING and (source.requires_grad or source._prev):
+            self._prev, self._backward = (source,), RowView._add_into_source
+
+    def _add_into_source(self) -> None:
+        self.source._accum(self.grad, at=self.at)
+
+
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -411,15 +458,17 @@ def network(x: Tensor, weights, biases, prefix=(), tangent=None) -> Tensor:
     A one-row prefix block p (the time embedding at a scalar t; every block
     when B is 1) is shared by all primal rows, so its product is taken
     once, p @ w_p, and added into the bias row: z = [per-row blocks | x] @
-    w_rest + (b + p @ w_p). The primal and the tangent rows go through
-    separate matmuls, so the primal rows are bit for bit those of the call
-    without tangents, and no slope is computed without tangents.
+    w_rest + (b + p @ w_p). The rows of w_rest are found as ranges
+    between the shared blocks' rows; in every ``FieldNetwork`` layout
+    they are one range, and w_rest is a view of the weight. The primal
+    and the tangent rows go through separate matmuls, so the primal rows
+    are bit for bit those of the call without tangents, and no slope is
+    computed without tangents.
 
     On the tape the node keeps its value (the last layer's stacked output)
     and the first layer's inputs: its per-row input (x's rows, or [per-row
     blocks | x] with a per-row prefix block), its folded bias row and
-    w_rest (a view of the weight when the rows it keeps are one range),
-    and the tangent seeds, the caller's array as it is. A tangent-carrying
+    w_rest, and the tangent seeds, the caller's array as it is. A tangent-carrying
     call keeps no hidden-layer row: its reverse rule reruns the hidden
     layers bottom-up, primal and tangent rows, with the loop the forward
     ran (``run``), so they are bit for bit the rows the forward dropped;
@@ -492,14 +541,16 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
     # the first layer's inputs: per-row input rows, weight rows and bias row
     inp0, w0, b0 = xd, wds[0], bds[0]
     if shared:
-        keep = np.ones(w0.shape[0], dtype=bool)
-        for p, lo, hi in shared:
-            keep[lo:hi] = False
-            row = p @ w0[lo:hi]
-            b0 = b0 + row
-        at = np.flatnonzero(keep)
-        one_range = at.size and at[-1] - at[0] + 1 == at.size
-        w0 = w0[at[0]:at[-1] + 1] if one_range else w0[keep]
+        rest, lo = [], 0  # the weight rows the shared blocks leave, as ranges
+        for p, start, stop in shared:
+            if start > lo:
+                rest.append((lo, start))
+            lo = stop
+            b0 = b0 + p @ w0[start:stop]
+        if lo < w0.shape[0]:
+            rest.append((lo, w0.shape[0]))
+        w0 = (w0[rest[0][0]:rest[0][1]] if len(rest) == 1
+              else np.concatenate([w0[lo:hi] for lo, hi in rest] or [w0[:0]]))
     if per_row:
         inp0 = np.concatenate(per_row + [xd], axis=1)
 
@@ -567,8 +618,10 @@ def _network(x: Tensor, weights, biases, prefix, tangent) -> Tensor:
                 else:  # the stacked first-layer input, made for this product alone
                     gw = (np.concatenate([xd, tangent]) if k else xd).T @ g
                 if first_shared:
-                    gw_in, gw = gw, np.empty_like(wd)
-                    gw[keep] = gw_in
+                    gw_in, gw, at = gw, np.empty_like(wd), 0
+                    for lo, hi in rest:
+                        gw[lo:hi] = gw_in[at:at + hi - lo]
+                        at += hi - lo
                     for p, lo, hi in first_shared:
                         gw[lo:hi] = np.outer(p, gb)
                 w._accum(gw, fresh=True)

@@ -3,11 +3,13 @@ and the tensor ops only the tests use, built on the library's node machinery."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from genpolicy import tensor
+from genpolicy import likelihood, nn, sampler, tensor
 from genpolicy.errors import NonFiniteError, TrainingDivergedError
-from genpolicy.likelihood import TraceMode, _stderr_of, trace_with_jvp
+from genpolicy.likelihood import TraceMode, _basis_seeds, _stderr_of, trace_with_jvp
 from genpolicy.tensor import Tensor, as_tensor, no_tape
 
 
@@ -336,6 +338,80 @@ def iql_step_reference(critic, batch, opt_v, opt_q) -> tuple[float, float]:
     if not (np.isfinite(vl) and np.isfinite(ql)):
         raise TrainingDivergedError("IQL loss went non-finite")
     return vl, ql
+
+
+# -- the solver stages as separate nodes -----------------------------------------
+
+
+def rows_node(x: Tensor, start: int, stop: int | None = None) -> Tensor:
+    """Rows ``start:stop`` of ``x`` as a ``rows`` node of its own, checked
+    like any other op's result."""
+    at = slice(start, stop)
+
+    def bwd(out):
+        x._accum(out.grad, at=at)
+
+    return x._node(x.data[at], (x,), bwd, "rows")
+
+
+def _forward_jvp_unfused(self, x: Tensor, u: np.ndarray, prefix=()):
+    """``Mlp.forward_jvp`` splitting the network node into two rows nodes."""
+    out = tensor.network(x, self.weights, self.biases, prefix, u)
+    return rows_node(out, 0, x.shape[0]), rows_node(out, x.shape[0])
+
+
+def _trace_with_jvp_unfused(jvp_fn, x: Tensor, t, mode: TraceMode, probes=None,
+                            negate: bool = False):
+    """``likelihood.trace_with_jvp`` as a ``trace`` node over the J u
+    Tensor the JVP returns (a rows node, for a velocity head), and the
+    sign as a ``* -1.0`` node of its own."""
+    batch, d = x.shape
+    if probes is None and mode.kind == "exact":
+        probes = _basis_seeds(batch, d)
+    u = probes.reshape(-1, d)
+    v, ju = jvp_fn(x, t, u)
+    blocks = u.shape[0] // batch
+    est = (ju.data * u).sum(axis=1).reshape(blocks, batch)
+    if mode.kind == "exact" and d > 1:
+        est = est.sum(axis=0, keepdims=True)
+
+    def bwd(node):
+        g = np.broadcast_to(node.grad, (blocks, batch)).reshape(-1, 1)
+        ju._accum(g * u, fresh=True)
+
+    tr = ju._node(est, (ju,), bwd, "trace")
+    return v, tr * (-1.0) if negate else tr
+
+
+def _combine_unfused(state: tuple, ks: list, coeffs, h: float) -> tuple:
+    """``sampler._combine`` with each term a multiply node and an add node."""
+    out = []
+    for i, y in enumerate(state):
+        for k, w in zip(ks, coeffs):
+            if w:
+                y = y + k[i] * (w * h)
+        out.append(y)
+    return tuple(out)
+
+
+@contextmanager
+def unfused_stages():
+    """Run the solver stages as separate nodes: the network's output split
+    by two rows nodes, the trace node over the tangent rows node and its
+    sign a ``* -1.0`` node, and every combination term y + k * c a
+    multiply and an add. The library's stage nodes must reproduce its
+    values and gradients byte for byte."""
+    patches = [(nn.Mlp, "forward_jvp", _forward_jvp_unfused),
+               (likelihood, "trace_with_jvp", _trace_with_jvp_unfused),
+               (sampler, "_combine", _combine_unfused)]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, new in patches:
+            setattr(owner, name, new)
+        yield
+    finally:
+        for owner, name, old in saved:
+            setattr(owner, name, old)
 
 
 class AdamReference:

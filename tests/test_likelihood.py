@@ -279,10 +279,11 @@ class TestStackedTraceSweep:
         assert np.allclose(est.data[0], fd, atol=1e-6)
 
 
-    def test_exact_stage_records_one_network_node_plus_three(self):
-        # one network node; the output's primal rows and its tangent rows;
-        # one trace node. The time features, the condition and the
-        # tangent seeds are constants and record nothing.
+    def test_exact_stage_records_one_network_node_plus_two(self):
+        # one network node; the output's primal rows; one trace node, which
+        # reads the tangent rows where they lie in the network's output. The
+        # time features, the condition and the tangent seeds are constants
+        # and record nothing.
         rng = np.random.default_rng(51)
         net = FieldNetwork(2, 1, [16, 16], rng, t_emb_width=8)
         model = GenerativeModel(net, "velocity", PathSchedule("gvp"))
@@ -290,7 +291,7 @@ class TestStackedTraceSweep:
         cond = rng.standard_normal((4, 1))
         v, est = trace_with_jvp(lambda xx, t, u: model.velocity_jvp(xx, t, cond, u),
                                 x, 0.3, TraceMode())
-        assert recorded_nodes(v, est) == 4
+        assert recorded_nodes(v, est) == 3
 
 
 class CountingModel:

@@ -288,6 +288,24 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Tensor(np.array([1.0, 2.0]), requires_grad=True)], **kwargs)
 
+    @pytest.mark.parametrize("name, value", [("eps", 0.0), ("beta1", 1.0), ("lr", -1.0),
+                                             ("beta2", -0.5)])
+    def test_hyperparameters_reassigned_after_construction_refused(self, name, value):
+        # the attributes are public (a run may lower lr between steps), so a
+        # step checks them again by the construction rules before anything
+        # moves: eps = 0 and beta1 = 1 would divide by zero in the bound, and
+        # lr = -1 and beta2 = -0.5 would step without complaint
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = Adam([p], lr=1e-2)
+        p.grad = np.array([1.0, 1.0])
+        opt.step()
+        before = [a.copy() for a in (p.data, opt.m, opt.v)]
+        setattr(opt, name, value)
+        with pytest.raises(ValueError, match=name):
+            opt.step()
+        assert opt.step_count == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (p.data, opt.m, opt.v)))
+
     def test_step_allocates_nothing_flat_sized(self):
         # one step on the paper's 256x3 widths (133k parameters) keeps its
         # traced peak under an eighth of one flat array: no copy of g, m, v or p

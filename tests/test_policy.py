@@ -8,17 +8,18 @@ from genpolicy.checkpoint import copy_policy
 from genpolicy.data import make_tilted_gaussian_bandit
 from genpolicy.critic import Critic, CriticConfig
 from genpolicy.errors import IntegrationDivergedError, NonFiniteError
-from genpolicy.likelihood import TraceMode, log_prob
+from genpolicy.likelihood import TraceMode, generate_with_log_prob, log_prob
 from genpolicy.matching import matching_loss
 from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
                               exp_clamp_weight, gmpg_loss, gmpg_per_sample,
                               gmpg_static_surrogate, gmpg_tape_bytes, gmpo_weight, pretrain_behavior,
                               softmax_candidate_weights, train_gmpg, train_gmpo)
-from genpolicy.sampler import SolverSpec
+from genpolicy.sampler import SolverSpec, generate
 from genpolicy.schedules import PathSchedule
 from genpolicy.data import OfflineDataset
+from genpolicy.tensor import Tensor, no_tape
 
-from oracles import recorded_nodes, zero_grad
+from oracles import recorded_nodes, unfused_stages, zero_grad
 
 
 class LinearCritic:
@@ -505,10 +506,17 @@ def _gmpg_setup(batch, hidden, action_dim, config):
                                    config, np.random.default_rng(72))
 
 
-def test_gmpg_euler_stage_records_one_node_per_network_call():
-    # per euler stage and unroll (pi and mu): the network, its output's
-    # primal and tangent rows, the trace node and its sign,
-    # and the two state updates (x and l, two nodes each); Q(s, a) is one node
+@pytest.mark.parametrize("scheme, per_step", [("euler", 10), ("midpoint", 14), ("rk4_38", 52)])
+def test_gmpg_euler_stage_records_one_node_per_network_call(scheme, per_step):
+    # per unroll (pi and mu) and traced stage: the network, its output's
+    # primal rows and one trace node, which reads the tangent rows in place
+    # and carries the sign; a velocity-only stage (midpoint's first) is its
+    # network alone; one add_scaled node per nonzero tableau term of each
+    # stage input and state update (x, and l from the traced stages). So
+    # 2 (3 + 2) for euler, 2 (1 + 1 + 3 + 2) for midpoint and
+    # 2 (4 * 3 + 6 + 8) for rk4_38; the separate rows, sign, multiply and
+    # add nodes of ``oracles.unfused_stages`` read 18, 24 and 96. Q(s, a)
+    # is one node.
     from genpolicy.critic import Critic, CriticConfig
     behavior = small_policy(seed=75, hidden=(8, 8), action_dim=2)
     policy = copy_policy(behavior)
@@ -518,11 +526,73 @@ def test_gmpg_euler_stage_records_one_node_per_network_call():
 
     def nodes(t_train):
         return recorded_nodes(gmpg_loss(policy, behavior, critic, np.zeros((4, 1)),
-                                        GmpgConfig(t_train=t_train, scheme="euler"),
+                                        GmpgConfig(t_train=t_train, scheme=scheme),
                                         np.random.default_rng(77)))
 
-    assert nodes(1) == 36
-    assert nodes(2) - nodes(1) == 18
+    assert nodes(2) - nodes(1) == per_step
+    assert nodes(1) == per_step + 18
+
+
+def _stage_paths(scheme, mode, head, d):
+    """The value and gradient arrays of every path through the solver
+    stages at one setting: sampler.generate, log_prob taped (with the
+    gradients of x and the parameters) and tape-free, generate_with_log_prob
+    and, for a velocity head, the dynamic GMPG loss and the static
+    surrogate with the policy's gradients."""
+    cfg = PolicyConfig(state_dim=1, action_dim=d, hidden=(8, 8), t_emb_width=4,
+                       parameterization=head, schedule=PathSchedule("gvp"))
+    behavior = GenerativePolicy(cfg, np.random.default_rng(80 + d))
+    spec, n = SolverSpec(scheme, 3), 3
+    cond = np.random.default_rng(81).standard_normal((n, 1))
+    model = behavior.model
+    params = model.parameters()
+    out = [generate(model, n, spec, condition=cond, rng=np.random.default_rng(82))]
+
+    def grads():
+        got = [p.grad for p in params if p.grad is not None]
+        zero_grad(params)
+        return got
+
+    x = Tensor(np.random.default_rng(83).standard_normal((n, d)), requires_grad=True)
+    res = log_prob(model, x, spec, mode, np.random.default_rng(84), condition=cond)
+    res.logp.sum().backward()
+    out += [res.logp.data, res.stderr, x.grad, *grads()]
+    with no_tape():
+        res = log_prob(model, x.data, spec, mode, np.random.default_rng(84), condition=cond)
+    out += [res.logp.data, res.stderr]
+    z, logp, se = generate_with_log_prob(model, n, spec, mode, np.random.default_rng(85),
+                                         condition=cond)
+    ((z * np.arange(1.0, d + 1)).sum() + logp.sum()).backward()
+    out += [z.data, logp.data, se, *grads()]
+    if head == "velocity":
+        policy = copy_policy(behavior)
+        rng = np.random.default_rng(86)
+        for p in policy.parameters():
+            p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
+        behavior.model.freeze()
+        for loss_fn, variant in ((gmpg_loss, "dynamic"), (gmpg_static_surrogate, "static")):
+            config = GmpgConfig(t_train=3, scheme=scheme, trace=mode, variant=variant)
+            loss = loss_fn(policy, behavior, LinearCritic(), cond, config, np.random.default_rng(87))
+            loss.backward()
+            out += [loss.data] + [p.grad for p in policy.parameters()]
+            zero_grad(policy.parameters())
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("head", ["velocity", "noise", "score"])
+@pytest.mark.parametrize("mode", [TraceMode(), TraceMode("hutchinson", 2)], ids=["exact", "hutchinson"])
+@pytest.mark.parametrize("scheme", ["euler", "midpoint", "rk4_38"])
+def test_stage_nodes_equal_the_unfused_composition(scheme, mode, head, d):
+    # the trace node with its sign, reading the tangent rows in place, and
+    # the add_scaled combinations give every value and gradient byte of the
+    # rows, trace, * -1.0, multiply and add nodes they replace
+    fused = _stage_paths(scheme, mode, head, d)
+    with unfused_stages():
+        unfused = _stage_paths(scheme, mode, head, d)
+    assert len(fused) == len(unfused)
+    for i, (a, b) in enumerate(zip(fused, unfused)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
 
 
 class TestGmpgMemory:

@@ -240,6 +240,25 @@ def _bench_pairs():
     return bench_pairs
 
 
+def test_gmpg_grid_runs_at_a_tiny_size():
+    # the committed grid measurement: rk4_38 at T=8 errs less than euler at
+    # T=32 (3.8e-4 against 4.0e-2 at the script's own size)
+    spec = importlib.util.spec_from_file_location(
+        "gmpg_grid", TRACING.parents[1] / "scripts" / "gmpg_grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    rows = grid.measure(batch=4, hidden=(8, 8), d=2, grids=(("euler", 32), ("rk4_38", 8)),
+                        probe_seeds=(72, 73), repeats=1)
+    by = {(r["scheme"], r["trace"]): r for r in rows}
+    assert len(rows) == 4 and [len(r["errors"]) for r in rows] == [1, 2, 1, 2]
+    assert by["rk4_38", "exact"]["errors"][0] < by["euler", "exact"]["errors"][0]
+    assert all(r["ms"] > 0 and np.isfinite(r["errors"]).all() for r in rows)
+    # one probe carries one tangent block instead of d, on the same nodes
+    assert all(by[s, "exact"]["nodes"] == by[s, "hutchinson 1"]["nodes"] > 0
+               for s in ("euler", "rk4_38"))
+    assert "rk4_38 T=8" in grid.format_table(rows)
+
+
 def test_bench_pairs_verdicts_on_canned_numbers():
     verdict = _bench_pairs().verdict
     parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.175
@@ -274,7 +293,14 @@ def test_bench_pairs_report_reads_the_result_files(tmp_path, capsys):
     for i, (p, c) in enumerate([(10.0, 8.0), (10.0, 8.1), (10.0, 7.9)]):
         for side, rate in (("parent", p), ("change", c)):
             metrics = {"steps_per_s": {"value": rate}, "peak_rss_mib": {"value": 50.0}}
-            (tmp_path / f"w-pair{i:02d}-{side}.json").write_text(json.dumps({"metrics": metrics}))
+            # an untimed first pass (left out), then two timed ones: the change's
+            # stage runs 1.25x the parent's raw time, its calibration 0.9x
+            scale, cal = (1.0, 0.030) if side == "parent" else (1.25, 0.027)
+            passes = [{"stage_s": {"train": 99.0}, "calib_s": [9.0, 9.0]}] + [
+                {"stage_s": {"train": scale * (0.2 + 0.01 * (i + j))}, "calib_s": [cal, cal]}
+                for j in range(2)]
+            (tmp_path / f"w-pair{i:02d}-{side}.json").write_text(
+                json.dumps({"metrics": metrics, "passes": passes}))
     # pair 3 has no parent run: skipped
     (tmp_path / "w-pair03-change.json").write_text(json.dumps({"metrics": metrics}))
     (tmp_path / "w-pair04-parent.failed").write_text("")
@@ -283,3 +309,6 @@ def test_bench_pairs_report_reads_the_result_files(tmp_path, capsys):
     assert "w: 3 complete pairs" in out and "FAILED run: w-pair04-parent.failed" in out
     assert re.search(r"steps_per_s .* 0/3 +no +REGRESSED", out)
     assert re.search(r"peak_rss_mib .* 0/3 +no +ok", out)
+    # six timed passes per side: raw medians 0.215 and 0.26875 s, calibration 0.030 and 0.027 s
+    assert re.search(r"train +0\.215 +0\.26875 +1\.2500", out)
+    assert re.search(r"calib_s +0\.03 +0\.027 +0\.9000", out)
