@@ -34,8 +34,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from genpolicy.checkpoint import copy_policy  # noqa: E402
-from genpolicy.likelihood import TraceMode  # noqa: E402
-from genpolicy.policy import GenerativePolicy, GmpgConfig, PolicyConfig, gmpg_loss  # noqa: E402
+from genpolicy.policy import (GenerativePolicy, PolicyConfig, TrainingConfig,  # noqa: E402
+                              gmpg_loss)
 from genpolicy.schedules import PathSchedule  # noqa: E402
 
 GRIDS = (("euler", 32), ("euler", 1000), ("midpoint", 16), ("midpoint", 32),
@@ -74,7 +74,7 @@ def setup(batch: int, hidden: tuple, d: int):
     return policy, behavior, rng.standard_normal((batch, 1))
 
 
-def gmpg_step(policy, behavior, states, config: GmpgConfig, seed: int):
+def gmpg_step(policy, behavior, states, config: TrainingConfig, seed: int):
     """(flat policy gradient, seconds, tape nodes) of one GMPG step."""
     start = time.perf_counter()
     loss = gmpg_loss(policy, behavior, SumCritic(), states, config, np.random.default_rng(seed))
@@ -93,19 +93,19 @@ def measure(batch: int = 64, hidden: tuple = (64, 64), d: int = 2, grids=GRIDS,
     """One row per grid and trace: {"scheme", "steps", "trace", "errors"
     (one per seed; one for the exact trace), "ms", "nodes"}."""
     policy, behavior, states = setup(batch, hidden, d)
-    hutchinson = TraceMode("hutchinson", 1)
-    refs = {seed: gmpg_step(policy, behavior, states, GmpgConfig(t_train=reference[1],
-                                                                  scheme=reference[0]), seed)[0]
+    reference_config = TrainingConfig(t_train=reference[1], gmpg_scheme=reference[0])
+    refs = {seed: gmpg_step(policy, behavior, states, reference_config, seed)[0]
             for seed in probe_seeds}
     rows = []
     for scheme, steps in grids:
-        runs = [gmpg_step(policy, behavior, states, GmpgConfig(t_train=steps, scheme=scheme),
-                          probe_seeds[0]) for _ in range(repeats)]
+        runs = [gmpg_step(policy, behavior, states,
+                          TrainingConfig(t_train=steps, gmpg_scheme=scheme), probe_seeds[0])
+                for _ in range(repeats)]
         ref = refs[probe_seeds[0]]
         rows.append({"scheme": scheme, "steps": steps, "trace": "exact",
                      "errors": [np.linalg.norm(runs[0][0] - ref) / np.linalg.norm(ref)],
                      "ms": 1000 * float(np.median([r[1] for r in runs])), "nodes": runs[0][2]})
-        config = GmpgConfig(t_train=steps, scheme=scheme, trace=hutchinson)
+        config = TrainingConfig(t_train=steps, gmpg_scheme=scheme, trace="hutchinson")
         runs = [gmpg_step(policy, behavior, states, config, seed) for seed in probe_seeds]
         rows.append({"scheme": scheme, "steps": steps, "trace": "hutchinson 1",
                      "errors": [np.linalg.norm(g - refs[seed]) / np.linalg.norm(refs[seed])

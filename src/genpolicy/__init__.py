@@ -8,8 +8,8 @@ from .matching import MatchingConfig, cfm_loss, dsm_loss, matching_loss
 from .model import GenerativeModel
 from .nn import FieldNetwork, GaussianFourier, Mlp
 from .optim import Adam
-from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_loss,
-                     gmpo_weight, pretrain_behavior, train_gmpg, train_gmpo)
+from .policy import (GenerativePolicy, PolicyConfig, TrainingConfig, gmpg_loss, gmpo_weight,
+                     pretrain_behavior, train_gmpg, train_gmpo)
 from .sampler import SolverSpec, Trajectory, generate, integrate
 from .schedules import (PathSchedule, alpha_sigma, drift_diffusion, sample_path_point,
                         target_velocity)

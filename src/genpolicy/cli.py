@@ -1,7 +1,8 @@
 """Config-driven experiment runner.
 
-One stage per invocation, in one order (``main``): the config (every
-spec a stage would build from it is built, so a bad value exits 2);
+One stage per invocation, in one order (``main``): the config (the
+``[critic]``, ``[policy]`` and ``[solver]`` sections check their values
+as it loads, ``_check_config`` the rest, so a bad value exits 2);
 ``--n``; ``policy.weight_mode=softmax`` needs ``--behavior``; the dataset
 (the GPDS file that ``--dataset`` names, or else the one ``task.*``
 generates, once its estimated bytes, ``_dataset_bytes``, fit in physical
@@ -38,10 +39,9 @@ from .critic import train_critic
 from .data import (OfflineDataset, SwissRollTask, assign_value_nearest, csv_lines, load_dataset,
                    make_swiss_roll, make_tilted_gaussian_bandit, save_dataset, write_csv)
 from .errors import ConfigError, DataFormatError, NonFiniteError
-from .likelihood import TraceMode
-from .matching import MatchingConfig, check_objective
-from .policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig, gmpg_reverse_bytes,
-                     gmpg_tape_bytes, pretrain_behavior, train_gmpg, train_gmpo)
+from .matching import check_objective
+from .policy import (GenerativePolicy, PolicyConfig, gmpg_reverse_bytes, gmpg_tape_bytes,
+                     pretrain_behavior, train_gmpg, train_gmpo)
 from .sampler import generate
 from .schedules import PathSchedule
 
@@ -137,30 +137,12 @@ def _new_policy(cfg: ExperimentConfig, dataset: OfflineDataset, seed: int) -> Ge
     return policy
 
 
-def _trace_mode(cfg: ExperimentConfig) -> TraceMode:
-    return TraceMode(cfg.policy.trace, cfg.policy.n_probes)
-
-
-def _gmpo_config(cfg: ExperimentConfig) -> GmpoConfig:
-    p = cfg.policy
-    return GmpoConfig(beta=p.beta, weight_mode=p.weight_mode, w_max=p.w_max,
-                      k_candidates=p.k_candidates,
-                      matching=MatchingConfig(objective=p.objective, lambda_mode=p.lambda_mode),
-                      steps=p.steps, batch_size=p.batch_size, lr=p.lr)
-
-
-def _gmpg_config(cfg: ExperimentConfig) -> GmpgConfig:
-    p = cfg.policy
-    return GmpgConfig(beta=p.beta, t_train=p.t_train, scheme=p.gmpg_scheme,
-                      trace=_trace_mode(cfg), steps=p.gmpg_steps,
-                      batch_size=p.gmpg_batch_size, lr=p.gmpg_lr, variant=p.variant)
-
-
 def _check_config(cfg: ExperimentConfig) -> None:
-    """Refuse a non-finite float setting, then build every spec the stages
-    build from ``cfg`` (``cfg.critic`` and ``cfg.solver`` were checked when
-    it loaded), so that a bad value exits 2 before any stage writes or
-    computes anything."""
+    """Refuse a non-finite float setting and what the sections could not
+    check when ``cfg`` loaded (``cfg.critic``, ``cfg.policy`` and
+    ``cfg.solver`` check their own values): the task and model settings,
+    the schedule, and the matching objective against the model head; so
+    that a bad value exits 2 before any stage writes or computes anything."""
     for block in fields(cfg):
         for key, value in asdict(getattr(cfg, block.name)).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -185,10 +167,7 @@ def _check_config(cfg: ExperimentConfig) -> None:
     if not cfg.output.dir:
         raise ConfigError("output.dir must not be empty")
     try:
-        schedule = _schedule(cfg)
-        gmpo = _gmpo_config(cfg)
-        _gmpg_config(cfg).solver
-        check_objective(gmpo.matching.objective, cfg.model.parameterization, schedule)
+        check_objective(cfg.policy.objective, cfg.model.parameterization, _schedule(cfg))
     except ValueError as exc:  # UnsupportedKindError is a ValueError too
         raise ConfigError(str(exc)) from exc
 
@@ -314,7 +293,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args, ds: OfflineDataset) -> None:
     out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 1)
     with _policy_training(cfg, ds, policy, out, "behavior.ckpt") as on_step:
-        pretrain_behavior(ds, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
+        pretrain_behavior(ds, policy, cfg.policy, np.random.default_rng(cfg.task.seed),
                           on_step=on_step)
 
 
@@ -335,14 +314,14 @@ def cmd_train_gmpo(cfg: ExperimentConfig, args, ds: OfflineDataset, critic,
     out = _prepare_out(cfg)
     policy = _new_policy(cfg, ds, seed=cfg.task.seed + 2)
     with _policy_training(cfg, ds, policy, out, "policy.ckpt") as on_step:
-        train_gmpo(ds, critic, policy, _gmpo_config(cfg), np.random.default_rng(cfg.task.seed),
+        train_gmpo(ds, critic, policy, cfg.policy, np.random.default_rng(cfg.task.seed),
                    behavior=behavior, on_step=on_step)
 
 
 def cmd_train_gmpg(cfg: ExperimentConfig, args, ds: OfflineDataset, critic,
                    behavior: GenerativePolicy) -> None:
-    config = _gmpg_config(cfg)
-    batch = min(config.batch_size, ds.n)
+    config = cfg.policy
+    batch = min(config.gmpg_batch_size, ds.n)
     _check_fits(gmpg_tape_bytes(behavior, config, batch) + gmpg_reverse_bytes(behavior, config, batch),
                 "train-gmpg", f"of tape and reverse pass per step (t_train={config.t_train}, "
                 f"batch {batch}, {config.variant})",
@@ -366,7 +345,7 @@ def cmd_sample(cfg: ExperimentConfig, args, ds: OfflineDataset, policy: Generati
 
 def cmd_logprob(cfg: ExperimentConfig, args, ds: OfflineDataset, policy: GenerativePolicy) -> None:
     n = min(args.n, ds.n) if args.n else ds.n
-    trace = _trace_mode(cfg)
+    trace = cfg.policy.trace_mode
     _check_fits(_pass_bytes(policy, n, trace.tangents(policy.config.action_dim)), "logprob",
                 f"for {n} rows", "--n")
     out = _prepare_out(cfg)

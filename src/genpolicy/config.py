@@ -1,13 +1,14 @@
 """Experiment configuration: plain-text INI sections with typed defaults.
 
 Every key has a default, so an empty file is a valid config. Overrides
-come as repeated ``--set section.key=value`` flags. The ``[critic]`` and
-``[solver]`` keys are the fields of ``CriticConfig`` and ``SolverSpec``
-themselves, so their values are checked when the config loads; a width
-list (``model.hidden``, ``critic.hidden``) is parsed once, at load, into
-a tuple. The fully resolved config is echoed to the output directory
-before any training runs, which makes a run directory self-describing and
-exactly reproducible.
+come as repeated ``--set section.key=value`` flags. The ``[critic]``,
+``[policy]`` and ``[solver]`` keys are the fields of ``CriticConfig``,
+``policy.TrainingConfig`` and ``SolverSpec`` themselves, so their values
+are checked when the config loads; a width list (``model.hidden``,
+``critic.hidden``) is parsed once, at load, into a tuple. The fully
+resolved config is echoed to the output directory before any training
+runs, which makes a run directory self-describing and exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .critic import CriticConfig
 from .errors import ConfigError
+from .policy import TrainingConfig
 from .sampler import SolverSpec
 
 
@@ -43,27 +45,6 @@ class ModelBlock:
 
 
 @dataclass
-class PolicyBlock:
-    beta: float = 1.0
-    weight_mode: str = "exp_clamp"
-    w_max: float = 100.0
-    k_candidates: int = 8
-    objective: str = "cfm"
-    lambda_mode: str = "vanilla"
-    steps: int = 2000
-    batch_size: int = 64       # matching-regression batch
-    gmpg_steps: int = 200
-    gmpg_batch_size: int = 512  # 8x the regression batch, mirroring the
-    gmpg_lr: float = 1e-4       # large-batch stabilization of the scheme
-    t_train: int = 1000
-    gmpg_scheme: str = "euler"
-    trace: str = "exact"
-    n_probes: int = 1
-    variant: str = "dynamic"
-    lr: float = 1e-4
-
-
-@dataclass
 class OutputBlock:
     dir: str = "run"
     metric_every: int = 50
@@ -74,7 +55,7 @@ class ExperimentConfig:
     task: TaskBlock = field(default_factory=TaskBlock)
     model: ModelBlock = field(default_factory=ModelBlock)
     critic: CriticConfig = field(default_factory=CriticConfig)
-    policy: PolicyBlock = field(default_factory=PolicyBlock)
+    policy: TrainingConfig = field(default_factory=TrainingConfig)
     solver: SolverSpec = field(default_factory=SolverSpec)
     output: OutputBlock = field(default_factory=OutputBlock)
 
@@ -100,8 +81,8 @@ def load_config(path: str | None, overrides=()) -> ExperimentConfig:
 
     The file's values and then every override are collected first; each
     section is then built once from its defaults and those values, so a
-    spec's own checks (``CriticConfig``, ``SolverSpec``) see the final
-    values, and a value they refuse is a ``ConfigError``."""
+    spec's own checks (``CriticConfig``, ``TrainingConfig``, ``SolverSpec``)
+    see the final values, and a value they refuse is a ``ConfigError``."""
     defaults = ExperimentConfig()
     values = {f.name: {} for f in fields(defaults)}
 

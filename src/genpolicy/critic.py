@@ -142,6 +142,8 @@ def iql_step(critic: Critic, batch, opt_v: Adam, opt_q: Adam) -> tuple[float, fl
 def train_critic(dataset, config: CriticConfig, rng: np.random.Generator,
                  on_step=None) -> Critic:
     """Fit a critic on an offline dataset by mini-batch IQL."""
+    if dataset.n == 0:
+        raise ValueError("critic training needs a non-empty dataset")
     critic = Critic(dataset.state_dim, dataset.action_dim, config, rng)
     opt_v = Adam(critic.v_net.parameters(), lr=config.lr)
     opt_q = Adam(critic.q_net.parameters(), lr=config.lr)

@@ -20,11 +20,15 @@ Training schemes:
   and the frozen behavior model's log-likelihood integrated back through
   its own flow; plus the importance-weighted static-sampling variant whose
   surrogate gradient is weight * bracket * grad(log pi).
+
+All three read their settings from one ``TrainingConfig``, the
+``[policy]`` section, and train through one loop, ``_train_loop``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -169,21 +173,38 @@ def softmax_candidate_weights(q, beta: float) -> np.ndarray:
     return w
 
 
-# -- advantage-weighted matching trainer --------------------------------------
+# -- the [policy] settings ---------------------------------------------------
 
 
 WEIGHT_MODES = ("exp_clamp", "softmax")
 
 
-@dataclass
-class GmpoConfig:
+@dataclass(frozen=True)
+class TrainingConfig:
+    """The ``[policy]`` settings of every policy-training stage, checked
+    at construction. Pretraining and GMPO run ``steps`` Adam steps of
+    ``batch_size`` rows at ``lr`` on the ``objective``/``lambda_mode``
+    matching loss, GMPO weighted by ``weight_mode`` at temperature
+    ``beta``; GMPG runs ``gmpg_steps`` of ``gmpg_batch_size`` rows at
+    ``gmpg_lr``, unrolling ``t_train`` steps of ``gmpg_scheme`` with the
+    ``trace``/``n_probes`` log-density, in the dynamic or static
+    ``variant``."""
     beta: float = 1.0
     weight_mode: str = "exp_clamp"
     w_max: float = 100.0
     k_candidates: int = 8
-    matching: MatchingConfig = field(default_factory=MatchingConfig)
+    objective: str = "cfm"
+    lambda_mode: str = "vanilla"
     steps: int = 2000
-    batch_size: int = 64
+    batch_size: int = 64       # matching-regression batch
+    gmpg_steps: int = 200
+    gmpg_batch_size: int = 512  # 8x the regression batch, mirroring the
+    gmpg_lr: float = 1e-4       # large-batch stabilization of the scheme
+    t_train: int = 1000
+    gmpg_scheme: str = "euler"
+    trace: str = "exact"       # "exact" | "hutchinson"
+    n_probes: int = 1
+    variant: str = "dynamic"   # "dynamic" | "static"
     lr: float = 1e-4
 
     def __post_init__(self):
@@ -195,34 +216,76 @@ class GmpoConfig:
             raise ValueError("softmax mode needs K >= 2 candidates")
         _check_beta(self.beta)
         check_training_loop("GMPO", self.lr, self.steps, self.batch_size)
+        if self.t_train < 1:
+            raise ValueError("t_train must be >= 1")
+        if self.variant not in ("dynamic", "static"):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        check_training_loop("GMPG", self.gmpg_lr, self.gmpg_steps, self.gmpg_batch_size)
+        self.matching, self.trace_mode, self.gmpg_solver  # their own checks, built once
+
+    @cached_property
+    def matching(self) -> MatchingConfig:
+        return MatchingConfig(self.objective, self.lambda_mode)
+
+    @cached_property
+    def trace_mode(self) -> TraceMode:
+        return TraceMode(self.trace, self.n_probes)
+
+    @cached_property
+    def gmpg_solver(self) -> SolverSpec:
+        return SolverSpec(self.gmpg_scheme, self.t_train)
 
 
-def _run_weighted_matching(dataset, policy: GenerativePolicy, batch_fn, config: GmpoConfig,
-                           rng: np.random.Generator, on_step=None) -> None:
-    """Shared loop for pretraining, weighted regression and softmax GMPO.
+# -- the policy-training loop ------------------------------------------------
 
-    ``batch_fn(idx) -> (states, actions, w, mean_advantage)`` turns the
-    drawn dataset row indices into the weighted regression batch, slicing
-    ``dataset.s``/``dataset.a`` itself. One rng stream drives batch
-    indices, any draws inside ``batch_fn`` and loss draws, so two runs
-    with identical seeds and identical weight values are bit-identical.
+
+def _train_loop(stage: str, dataset, policy: GenerativePolicy, steps: int, batch_size: int,
+                lr: float, step_loss, rng: np.random.Generator, on_step=None) -> None:
+    """The one loop of pretraining, both GMPO weightings and GMPG.
+
+    Each step draws ``min(batch_size, n)`` dataset row indices from
+    ``rng`` and hands them to ``step_loss(idx) -> (loss, metrics)``, which
+    builds the step's loss, drawing from the same ``rng``; one Adam step
+    at ``lr`` follows, then ``on_step(step, {"loss": ..., **metrics})``.
+    One rng stream drives every draw, so two runs with identical seeds
+    are bit-identical. ``stage`` names the stage in its refusal of an
+    empty dataset, before anything is built, and in the
+    ``TrainingDivergedError`` of a non-finite loss.
     """
-    opt = Adam(policy.parameters(), lr=config.lr)
-    for step in range(config.steps):
-        idx = rng.integers(0, dataset.n, size=min(config.batch_size, dataset.n))
-        s, a, w, mean_adv = batch_fn(idx)
+    if dataset.n == 0:
+        raise ValueError(f"{stage} needs a non-empty dataset")
+    opt = Adam(policy.parameters(), lr=lr)
+    for step in range(steps):
+        idx = rng.integers(0, dataset.n, size=min(batch_size, dataset.n))
         opt.zero_grad()
-        loss = matching_loss(policy.model, policy.config.schedule, policy.normalize(a),
-                             w, rng, condition=s, config=config.matching)
+        loss, metrics = step_loss(idx)
         loss.backward()
         opt.step()
         val = float(loss.data)
         del loss  # free this step's tape before on_step and the next step's graph
         if not np.isfinite(val):
-            raise TrainingDivergedError(f"matching loss non-finite at step {step}")
+            raise TrainingDivergedError(f"{stage} loss non-finite at step {step}")
         if on_step is not None:
-            on_step(step, {"loss": val, "mean_weight": float(np.mean(w)),
-                           "mean_advantage": mean_adv})
+            on_step(step, {"loss": val, **metrics})
+
+
+def _matching_step(policy: GenerativePolicy, config: TrainingConfig, rng: np.random.Generator,
+                   batch_fn):
+    """``_train_loop``'s step for pretraining and GMPO: ``batch_fn(idx) ->
+    (states, actions, w, mean_advantage)`` turns the drawn row indices
+    into the weighted regression batch, slicing ``dataset.s``/``dataset.a``
+    itself, and the loss is the ``config.matching`` loss on it."""
+
+    def step_loss(idx):
+        s, a, w, mean_adv = batch_fn(idx)
+        loss = matching_loss(policy.model, policy.config.schedule, policy.normalize(a),
+                             w, rng, condition=s, config=config.matching)
+        return loss, {"mean_weight": float(np.mean(w)), "mean_advantage": mean_adv}
+
+    return step_loss
+
+
+# -- behavior pretraining and advantage-weighted matching --------------------
 
 
 def _advantage_table(dataset, critic, block: int) -> np.ndarray:
@@ -234,43 +297,42 @@ def _advantage_table(dataset, critic, block: int) -> np.ndarray:
     return adv
 
 
-def pretrain_behavior(dataset, policy: GenerativePolicy, config: GmpoConfig,
+def pretrain_behavior(dataset, policy: GenerativePolicy, config: TrainingConfig,
                       rng: np.random.Generator, on_step=None) -> GenerativePolicy:
     """Fit the behavior model mu by the plain matching loss on (s, a)."""
-    if dataset.n == 0:
-        raise ValueError("cannot pretrain on an empty dataset")
 
     def unit_weights(idx):
         return dataset.s[idx], dataset.a[idx], np.ones(idx.shape[0]), 0.0
 
-    _run_weighted_matching(dataset, policy, unit_weights, config, rng, on_step)
+    _train_loop("pretraining", dataset, policy, config.steps, config.batch_size, config.lr,
+                _matching_step(policy, config, rng, unit_weights), rng, on_step)
     return policy
 
 
-def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
+def train_gmpo(dataset, critic, policy: GenerativePolicy, config: TrainingConfig,
                rng: np.random.Generator, behavior: GenerativePolicy | None = None,
                on_step=None) -> GenerativePolicy:
     """Advantage-weighted matching regression (no pretraining required).
 
     Exponential mode weights dataset actions. The critic is never updated
-    here, so a row's advantage Q - V is fixed for the whole stage: before
-    step 0 an n-row table (8 n bytes) is filled with it, evaluating the
-    dataset in order in blocks of ``min(batch_size, n)`` rows, and every
-    step reads its drawn rows from that table. ``steps = 0`` evaluates no
-    row. With steps > 0, a Q or V output that goes non-finite on any row,
-    drawn or not, raises ``NonFiniteError`` before step 0's loss (exit 4
-    in the CLI).
+    here, so a row's advantage Q - V is fixed for the whole stage: at step
+    0, before its loss, an n-row table (8 n bytes) is filled with it,
+    evaluating the dataset in order in blocks of ``min(batch_size, n)``
+    rows, and every step reads its drawn rows from that table.
+    ``steps = 0`` evaluates no row. A Q or V output that goes non-finite
+    on any row, drawn or not, raises ``NonFiniteError`` before step 0's
+    loss (exit 4 in the CLI).
 
     Softmax mode draws k_candidates actions per state from a pretrained
     behavior model and regresses onto them under softmax(beta Q) weights.
     """
-    if dataset.n == 0:
-        raise ValueError("cannot train GMPO on an empty dataset")
     if config.weight_mode == "exp_clamp":
-        table = (_advantage_table(dataset, critic, min(config.batch_size, dataset.n))
-                 if config.steps else None)
+        table = None
 
         def batch_fn(idx):
+            nonlocal table
+            if table is None:
+                table = _advantage_table(dataset, critic, min(config.batch_size, dataset.n))
             adv = table[idx]
             return (dataset.s[idx], dataset.a[idx],
                     exp_clamp_weight(adv, config.beta, config.w_max), float(np.mean(adv)))
@@ -288,41 +350,18 @@ def train_gmpo(dataset, critic, policy: GenerativePolicy, config: GmpoConfig,
             adv = q - np.repeat(critic.v_values(s), k)  # V once per drawn state
             return s_rep, cand, w.reshape(-1), float(np.mean(adv))
 
-    _run_weighted_matching(dataset, policy, batch_fn, config, rng, on_step)
+    _train_loop("GMPO", dataset, policy, config.steps, config.batch_size, config.lr,
+                _matching_step(policy, config, rng, batch_fn), rng, on_step)
     return policy
 
 
 # -- reverse-KL policy gradient ------------------------------------------------
 
 
-@dataclass
-class GmpgConfig:
-    beta: float = 1.0
-    t_train: int = 1000
-    scheme: str = "euler"
-    trace: TraceMode = field(default_factory=TraceMode)
-    steps: int = 200
-    batch_size: int = 512
-    lr: float = 1e-4
-    variant: str = "dynamic"  # "dynamic" | "static"
-
-    def __post_init__(self):
-        if self.t_train < 1:
-            raise ValueError("t_train must be >= 1")
-        if self.variant not in ("dynamic", "static"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        _check_beta(self.beta)
-        check_training_loop("GMPG", self.lr, self.steps, self.batch_size)
-
-    @property
-    def solver(self) -> SolverSpec:
-        return SolverSpec(self.scheme, self.t_train)
-
-
 _STAGE_BYTES = 4608  # fitted: 4.5 KiB per taped stage, at batches 16 to 512
 
 
-def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) -> int:
+def gmpg_tape_bytes(policy: GenerativePolicy, config: TrainingConfig, batch: int) -> int:
     """Estimated bytes of one GMPG step's tape after the forward pass.
 
     Analytic, from the shapes alone. Each taped solver stage of an unroll
@@ -352,24 +391,24 @@ def gmpg_tape_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) ->
     """
     net = policy.model.net
     d = net.x_dim
-    k = config.trace.tangents(d)
-    n = 1 if config.trace.kind == "exact" else k
+    k = config.trace_mode.tangents(d)
+    n = 1 if config.trace == "exact" else k
     widths = sum(net.mlp.sizes[1:-1])
     first = net.mlp.sizes[0] - net.t_emb.width
-    weights = TABLEAUX[config.scheme][1]
+    weights = TABLEAUX[config.gmpg_scheme][1]
     floats = sum(first + ((k + 1) * d + 3 * (d + n) if bi else widths + 2 * d) for bi in weights)
     per_step = 8 * batch * floats + _STAGE_BYTES * len(weights)
     return per_step * config.t_train * (2 if config.variant == "dynamic" else 1)
 
 
-def gmpg_reverse_bytes(policy: GenerativePolicy, config: GmpgConfig, batch: int) -> int:
+def gmpg_reverse_bytes(policy: GenerativePolicy, config: TrainingConfig, batch: int) -> int:
     """Estimated bytes one network call's reverse rule holds beside the
     tape during a GMPG step's reverse pass, from the shapes: the rerun
     hidden stacks [a; da] and their slopes, (k + 2)·widths floats per row,
     and the stacked-output gradients of two adjacent layers, 2·(k + 1)·m
     floats per row, m the widest layer (see ``tensor.network``)."""
     net = policy.model.net
-    k = config.trace.tangents(net.x_dim)
+    k = config.trace_mode.tangents(net.x_dim)
     sizes = net.mlp.sizes
     return 8 * batch * ((k + 2) * sum(sizes[1:-1]) + 2 * (k + 1) * max(sizes[1:]))
 
@@ -384,7 +423,7 @@ def _check_gmpg_models(policy: GenerativePolicy, behavior: GenerativePolicy) -> 
 
 
 def gmpg_per_sample(policy: GenerativePolicy, behavior: GenerativePolicy, critic, states,
-                    config: GmpgConfig, rng: np.random.Generator) -> Tensor:
+                    config: TrainingConfig, rng: np.random.Generator) -> Tensor:
     """Per-sample -beta Q(s, a) + log pi(a|s) - log mu(a|s) with a ~ pi.
 
     The action is produced by the differentiable solver; its log-density
@@ -395,35 +434,34 @@ def gmpg_per_sample(policy: GenerativePolicy, behavior: GenerativePolicy, critic
     _check_gmpg_models(policy, behavior)
     states = np.atleast_2d(np.asarray(states, float))
     b = states.shape[0]
-    spec = config.solver
-    z, logp_pi, _ = generate_with_log_prob(policy.model, b, spec, config.trace, rng,
-                                           condition=states)
+    spec, trace = config.gmpg_solver, config.trace_mode
+    z, logp_pi, _ = generate_with_log_prob(policy.model, b, spec, trace, rng, condition=states)
     a_raw = policy.denormalize(z)
     q = critic.q_tensor(states, a_raw).sum(axis=1)  # (B,1) -> (B,)
-    logp_mu = log_prob(behavior.model, z, spec, config.trace, rng, condition=states).logp
+    logp_mu = log_prob(behavior.model, z, spec, trace, rng, condition=states).logp
     # the -sum(log std) corrections cancel between the two log terms
     return q * (-config.beta) + logp_pi - logp_mu
 
 
 def gmpg_loss(policy: GenerativePolicy, behavior: GenerativePolicy, critic, states,
-              config: GmpgConfig, rng: np.random.Generator) -> Tensor:
+              config: TrainingConfig, rng: np.random.Generator) -> Tensor:
     """Batch mean of ``gmpg_per_sample``, the reverse-KL objective."""
     return gmpg_per_sample(policy, behavior, critic, states, config, rng).mean()
 
 
 def gmpg_static_surrogate(policy: GenerativePolicy, behavior: GenerativePolicy, critic,
-                          states, config: GmpgConfig, rng: np.random.Generator) -> Tensor:
+                          states, config: TrainingConfig, rng: np.random.Generator) -> Tensor:
     """Surrogate scalar whose gradient is the importance-weighted
     score-function estimator: w(s,a) * (-beta Q + log pi - log mu) * grad log pi
     with a drawn from the frozen behavior model."""
     _check_gmpg_models(policy, behavior)
     states = np.atleast_2d(np.asarray(states, float))
-    spec = config.solver
+    spec, trace = config.gmpg_solver, config.trace_mode
     a_raw = behavior.sample_actions(states, rng, spec)
     z = policy.normalize(a_raw)
-    logp_pi_t = log_prob(policy.model, z, spec, config.trace, rng, condition=states).logp
+    logp_pi_t = log_prob(policy.model, z, spec, trace, rng, condition=states).logp
     with no_tape():
-        logp_mu = log_prob(behavior.model, z, spec, config.trace, rng, condition=states).logp_values
+        logp_mu = log_prob(behavior.model, z, spec, trace, rng, condition=states).logp_values
     q = critic.q_values(states, a_raw)
     w = gmpo_weight(critic, states, q, config.beta)
     bracket = -config.beta * q + logp_pi_t.data - logp_mu  # constants
@@ -431,26 +469,16 @@ def gmpg_static_surrogate(policy: GenerativePolicy, behavior: GenerativePolicy, 
 
 
 def train_gmpg(dataset, critic, policy: GenerativePolicy, behavior: GenerativePolicy,
-               config: GmpgConfig, rng: np.random.Generator, on_step=None) -> GenerativePolicy:
+               config: TrainingConfig, rng: np.random.Generator, on_step=None) -> GenerativePolicy:
     """Reverse-KL fine-tuning; the policy must start as a copy of mu."""
     _check_gmpg_models(policy, behavior)
     behavior.model.freeze()
     critic.freeze()
-    opt = Adam(policy.parameters(), lr=config.lr)
-    for step in range(config.steps):
-        idx = rng.integers(0, dataset.n, size=min(config.batch_size, dataset.n))
-        states = dataset.s[idx]
-        opt.zero_grad()
-        if config.variant == "dynamic":
-            loss = gmpg_loss(policy, behavior, critic, states, config, rng)
-        else:
-            loss = gmpg_static_surrogate(policy, behavior, critic, states, config, rng)
-        loss.backward()
-        opt.step()
-        val = float(loss.data)
-        del loss  # free this step's tape before on_step and the next step's graph
-        if not np.isfinite(val):
-            raise TrainingDivergedError(f"policy-gradient loss non-finite at step {step}")
-        if on_step is not None:
-            on_step(step, {"loss": val})
+
+    def step_loss(idx):
+        loss_fn = gmpg_loss if config.variant == "dynamic" else gmpg_static_surrogate
+        return loss_fn(policy, behavior, critic, dataset.s[idx], config, rng), {}
+
+    _train_loop("GMPG", dataset, policy, config.gmpg_steps, config.gmpg_batch_size,
+                config.gmpg_lr, step_loss, rng, on_step)
     return policy

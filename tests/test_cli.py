@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -21,9 +23,8 @@ from genpolicy.critic import Critic, CriticConfig
 from genpolicy.data import (OfflineDataset, assign_value_nearest, csv_lines,
                             make_tilted_gaussian_bandit, save_dataset, write_csv)
 from genpolicy.errors import ConfigError, DataFormatError
-from genpolicy.likelihood import TraceMode
-from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
-                             gmpg_reverse_bytes, gmpg_tape_bytes)
+from genpolicy.policy import (GenerativePolicy, PolicyConfig, TrainingConfig, gmpg_reverse_bytes,
+                             gmpg_tape_bytes)
 from genpolicy.sampler import SolverSpec
 from genpolicy.schedules import PathSchedule
 from genpolicy.tensor import Tensor
@@ -95,17 +96,16 @@ class TestConfig:
             load_config("/nonexistent/config.ini")
 
     def test_config_defaults_are_the_library_defaults(self):
-        # one default per setting: a default changed on one side only fails here
+        # [model] and [solver] are still copied into the checkpoint header
+        # (PolicyConfig, its PathSchedule): a default changed on one side only
+        # fails here
         cfg = ExperimentConfig()
-        assert cli._gmpo_config(cfg) == GmpoConfig()
-        assert cli._gmpg_config(cfg) == GmpgConfig()
         assert cli._schedule(cfg) == PathSchedule()
-        assert cli._trace_mode(cfg) == TraceMode()
         policy = PolicyConfig()
         shared = [f.name for f in fields(cfg.model) if f.name != "schedule" and hasattr(policy, f.name)]
         assert shared == ["parameterization", "hidden", "t_emb_width", "t_emb_scale"]
         assert all(getattr(cfg.model, name) == getattr(policy, name) for name in shared)
-        assert (cfg.critic, cfg.solver) == (CriticConfig(), policy.eval_solver)
+        assert cfg.solver == policy.eval_solver
 
     @pytest.mark.parametrize("text", ["beta = 1\n", "[output]\ndir = x%y\n",
                                       "[task]\nn = 1\nn = 2\n"],
@@ -142,6 +142,55 @@ class TestConfig:
         cfg = load_config(str(p))
         assert cfg.policy.beta == 4.0
         assert cfg.task.noise == 0.3
+
+
+# the values of HOSTILE_VALUES, and the names of modes that only some
+# settings accept
+STAGE_HOSTILE_VALUES = HOSTILE_VALUES + ["softmax", "hutchinson", "static", "rk4_38"]
+# tiny sizes for every stage, so that a setting the checks accept runs in milliseconds
+STAGE_TINY = ["policy.steps=2", "policy.batch_size=8", "policy.k_candidates=2",
+              "policy.gmpg_steps=1", "policy.gmpg_batch_size=4", "policy.t_train=2",
+              "model.hidden=4", "model.t_emb_width=4", "solver.steps=2"]
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """{"--dataset", "--critic", "--behavior", "--checkpoint": path}: a
+    32-row 1-d bandit and tiny checkpoints for it."""
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {flag: str(root / name) for flag, name in (
+        ("--dataset", "d.gpds"), ("--critic", "c.ckpt"), ("--behavior", "b.ckpt"))}
+    save_dataset(make_tilted_gaussian_bandit(1, 1.0, 32, seed=0)[0], paths["--dataset"])
+    save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)),
+                paths["--critic"])
+    save_policy(GenerativePolicy(PolicyConfig(state_dim=1, action_dim=1, hidden=(4,),
+                                              t_emb_width=4), np.random.default_rng(0)),
+                paths["--behavior"])
+    return {**paths, "--checkpoint": paths["--behavior"]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pretrain", "train-gmpo", "train-gmpg", "logprob", "eval", "sample"]),
+       st.lists(st.tuples(st.sampled_from(HOSTILE_KEYS), st.sampled_from(STAGE_HOSTILE_VALUES)),
+                min_size=1, max_size=2))
+def test_hostile_settings_at_every_stage_exit_with_a_documented_code(stage_inputs, command, pairs):
+    # the checks a stage runs before its compute, at load or after it, leave
+    # no hostile setting a traceback, a second stderr line or a numpy warning
+    flags = {"pretrain": ["--dataset"], "train-gmpo": ["--dataset", "--critic", "--behavior"],
+             "train-gmpg": ["--dataset", "--critic", "--behavior"]}.get(
+                 command, ["--dataset", "--checkpoint"])
+    n = [] if command.startswith(("pretrain", "train")) else ["--n", "8"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = [command, *tiny_args(os.path.join(tmp, "o"),
+                                    STAGE_TINY + [f"{key}={value}" for key, value in pairs])]
+        argv += [arg for flag in flags for arg in (flag, stage_inputs[flag])] + n
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
+    assert [str(w.message) for w in caught] == [], argv
 
 
 class TestCheckpoints:
@@ -772,7 +821,7 @@ class TestExitCodes:
         policy_ckpt, critic_ckpt = str(tmp_path / "p.ckpt"), str(tmp_path / "c.ckpt")
         save_policy(behavior, policy_ckpt)
         save_critic(Critic(1, 1, CriticConfig(hidden=(4,)), np.random.default_rng(0)), critic_ckpt)
-        config = GmpgConfig(t_train=2, batch_size=16)
+        config = TrainingConfig(t_train=2, gmpg_batch_size=16)
         tape, rerun = gmpg_tape_bytes(behavior, config, 16), gmpg_reverse_bytes(behavior, config, 16)
         assert rerun > tape
 

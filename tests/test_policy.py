@@ -6,11 +6,11 @@ import pytest
 
 from genpolicy.checkpoint import copy_policy
 from genpolicy.data import make_tilted_gaussian_bandit
-from genpolicy.critic import Critic, CriticConfig
+from genpolicy.critic import Critic, CriticConfig, train_critic
 from genpolicy.errors import IntegrationDivergedError, NonFiniteError
 from genpolicy.likelihood import TraceMode, generate_with_log_prob, log_prob
 from genpolicy.matching import matching_loss
-from genpolicy.policy import (GenerativePolicy, GmpgConfig, GmpoConfig, PolicyConfig,
+from genpolicy.policy import (GenerativePolicy, PolicyConfig, TrainingConfig,
                               exp_clamp_weight, gmpg_loss, gmpg_per_sample,
                               gmpg_static_surrogate, gmpg_tape_bytes, gmpo_weight, pretrain_behavior,
                               softmax_candidate_weights, train_gmpg, train_gmpo)
@@ -119,7 +119,7 @@ class TestPretraining:
         pol = small_policy(seed=1, hidden=(32, 32))
         pol.action_mean = np.zeros(1)  # degenerate data: keep identity normalizer
         pol.action_std = np.ones(1)
-        pretrain_behavior(ds, pol, GmpoConfig(steps=1500, batch_size=128, lr=1e-3),
+        pretrain_behavior(ds, pol, TrainingConfig(steps=1500, batch_size=128, lr=1e-3),
                           np.random.default_rng(2))
         samples = pol.sample_actions(np.zeros((512, 1)), np.random.default_rng(3))
         assert samples.std() < 0.1
@@ -129,7 +129,7 @@ class TestPretraining:
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 20_000, seed=0)
         pol = small_policy(seed=2)
         pol.set_normalizer_from(ds)
-        pretrain_behavior(ds, pol, GmpoConfig(steps=2000, batch_size=128, lr=1e-3),
+        pretrain_behavior(ds, pol, TrainingConfig(steps=2000, batch_size=128, lr=1e-3),
                           np.random.default_rng(3))
         samples = pol.sample_actions(np.zeros((4096, 1)), np.random.default_rng(4))
         assert abs(samples.mean()) < 0.1
@@ -139,13 +139,13 @@ class TestPretraining:
         ds = OfflineDataset(s=np.zeros((0, 1)), a=np.zeros((0, 1)), r=np.zeros(0),
                             s2=np.zeros((0, 1)), done=np.zeros(0))
         with pytest.raises(ValueError):
-            pretrain_behavior(ds, small_policy(), GmpoConfig(), np.random.default_rng(0))
+            pretrain_behavior(ds, small_policy(), TrainingConfig(), np.random.default_rng(0))
 
 
 class TestGmpo:
     def test_beta_zero_matches_pretraining_bitwise(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 4096, seed=5)
-        cfg = GmpoConfig(beta=0.0, steps=50, batch_size=64, lr=1e-3)
+        cfg = TrainingConfig(beta=0.0, steps=50, batch_size=64, lr=1e-3)
 
         losses_pre, losses_gmpo = [], []
         p1 = small_policy(seed=7)
@@ -167,7 +167,7 @@ class TestGmpo:
         pol = small_policy(seed=8)
         pol.set_normalizer_from(ds)
         train_gmpo(ds, LinearCritic(v0=0.0), pol,
-                   GmpoConfig(beta=1.0, steps=3000, batch_size=128, lr=1e-3),
+                   TrainingConfig(beta=1.0, steps=3000, batch_size=128, lr=1e-3),
                    np.random.default_rng(9))
         samples = pol.sample_actions(np.zeros((4096, 1)), np.random.default_rng(10))
         assert abs(samples.mean() - target.mean[0]) < 0.15
@@ -175,7 +175,7 @@ class TestGmpo:
 
     def test_softmax_mode_needs_behavior(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=1)
-        cfg = GmpoConfig(beta=1.0, weight_mode="softmax", steps=1, batch_size=8)
+        cfg = TrainingConfig(beta=1.0, weight_mode="softmax", steps=1, batch_size=8)
         with pytest.raises(ValueError):
             train_gmpo(ds, LinearCritic(), small_policy(), cfg, np.random.default_rng(0))
 
@@ -183,11 +183,11 @@ class TestGmpo:
         ds, _ = make_tilted_gaussian_bandit(1, 2.0, 8192, seed=2)
         behavior = small_policy(seed=12)
         behavior.set_normalizer_from(ds)
-        pretrain_behavior(ds, behavior, GmpoConfig(steps=1500, batch_size=128, lr=1e-3),
+        pretrain_behavior(ds, behavior, TrainingConfig(steps=1500, batch_size=128, lr=1e-3),
                           np.random.default_rng(13))
         pol = small_policy(seed=14)
         pol.set_normalizer_from(ds)
-        cfg = GmpoConfig(beta=2.0, weight_mode="softmax", k_candidates=8,
+        cfg = TrainingConfig(beta=2.0, weight_mode="softmax", k_candidates=8,
                          steps=600, batch_size=32, lr=1e-3)
         train_gmpo(ds, LinearCritic(), pol, cfg, np.random.default_rng(15), behavior=behavior)
         samples = pol.sample_actions(np.zeros((2048, 1)), np.random.default_rng(16))
@@ -201,7 +201,7 @@ class TestGmpo:
         critic = CountingCritic(v0=0.25)
         pol = small_policy(seed=20, hidden=(8,))
         pol.set_normalizer_from(ds)
-        train_gmpo(ds, critic, pol, GmpoConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
+        train_gmpo(ds, critic, pol, TrainingConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
                    np.random.default_rng(21))
         assert [len(a) for a in critic.q_actions] == [16] * 16  # ceil(256 / 16) calls
         assert critic.v_rows == [16] * 16
@@ -213,7 +213,7 @@ class TestGmpo:
         pol.set_normalizer_from(ds)
         rows, rng = [], IndexRecordingRng(21)
         train_gmpo(ds, LinearCritic(v0=0.25), pol,
-                   GmpoConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
+                   TrainingConfig(beta=1.5, steps=3, batch_size=16, w_max=2.0),
                    rng, on_step=lambda step, m: rows.append(m))
         # weights and the logged mean advantage come from the drawn rows' table entries
         assert len(rows) == len(rng.drawn) == 3
@@ -227,7 +227,7 @@ class TestGmpo:
         critic = CountingCritic()
         pol = small_policy(seed=20, hidden=(8,))
         pol.set_normalizer_from(ds)
-        train_gmpo(ds, critic, pol, GmpoConfig(steps=0, batch_size=16),
+        train_gmpo(ds, critic, pol, TrainingConfig(steps=0, batch_size=16),
                    np.random.default_rng(21))
         assert critic.q_actions == [] and critic.v_rows == []
 
@@ -244,20 +244,28 @@ class TestGmpo:
         pol.set_normalizer_from(ds)
         rows = []
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            train_gmpo(ds, critic, pol, GmpoConfig(steps=1, batch_size=16),
+            train_gmpo(ds, critic, pol, TrainingConfig(steps=1, batch_size=16),
                        np.random.default_rng(21), on_step=lambda step, m: rows.append(m))
         assert rows == []
         assert 200 not in np.random.default_rng(21).integers(0, ds.n, size=16)
 
-    @pytest.mark.parametrize("train", [
-        lambda ds, pol, cfg: pretrain_behavior(ds, pol, cfg, np.random.default_rng(0)),
-        lambda ds, pol, cfg: train_gmpo(ds, LinearCritic(), pol, cfg, np.random.default_rng(0))],
-        ids=["pretrain", "gmpo"])
-    def test_empty_dataset_is_refused(self, train):
+    @pytest.mark.parametrize("train, stage", [
+        (lambda ds, pol, cfg: train_critic(ds, CriticConfig(hidden=(4,), steps=2, batch_size=16),
+                                           np.random.default_rng(0)), "critic training"),
+        (lambda ds, pol, cfg: pretrain_behavior(ds, pol, cfg, np.random.default_rng(0)),
+         "pretraining"),
+        (lambda ds, pol, cfg: train_gmpo(ds, LinearCritic(), pol, cfg, np.random.default_rng(0)),
+         "GMPO"),
+        (lambda ds, pol, cfg: train_gmpg(ds, LinearCritic(), pol, copy_policy(pol), cfg,
+                                         np.random.default_rng(0)), "GMPG")],
+        ids=["critic", "pretrain", "gmpo", "gmpg"])
+    def test_empty_dataset_is_refused(self, train, stage):
+        # by name, before the first network call, in all four trainers
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 16, seed=4)
         empty = OfflineDataset(*(getattr(ds, f)[:0] for f in ("s", "a", "r", "s2", "done")))
-        with pytest.raises(ValueError, match="empty dataset"):
-            train(empty, small_policy(seed=20, hidden=(8,)), GmpoConfig(steps=2, batch_size=16))
+        config = TrainingConfig(steps=2, batch_size=16, gmpg_steps=2, gmpg_batch_size=16, t_train=2)
+        with pytest.raises(ValueError, match=f"^{stage} needs a non-empty dataset$"):
+            train(empty, small_policy(seed=20, hidden=(8,)), config)
 
     def test_softmax_evaluates_q_once_per_step(self):
         ds, _ = make_tilted_gaussian_bandit(1, 1.0, 256, seed=5)
@@ -266,7 +274,7 @@ class TestGmpo:
         pol = small_policy(seed=23, hidden=(8,))
         pol.set_normalizer_from(ds)
         critic = CountingCritic(v0=0.25)
-        cfg = GmpoConfig(beta=1.0, weight_mode="softmax", k_candidates=2, steps=3, batch_size=4)
+        cfg = TrainingConfig(beta=1.0, weight_mode="softmax", k_candidates=2, steps=3, batch_size=4)
         train_gmpo(ds, critic, pol, cfg, np.random.default_rng(24), behavior=behavior)
         assert [len(a) for a in critic.q_actions] == [8] * 3  # one call of K * B candidates
         assert critic.v_rows == [4] * 3  # V once per drawn state, not per candidate
@@ -306,7 +314,7 @@ def bandit_setup():
     ds, target = make_tilted_gaussian_bandit(1, 1.0, 20_000, seed=0)
     behavior = small_policy(seed=20)
     behavior.set_normalizer_from(ds)
-    pretrain_behavior(ds, behavior, GmpoConfig(steps=2000, batch_size=128, lr=1e-3),
+    pretrain_behavior(ds, behavior, TrainingConfig(steps=2000, batch_size=128, lr=1e-3),
                       np.random.default_rng(21))
     return ds, target, behavior
 
@@ -318,7 +326,7 @@ class TestGmpg:
         noisy = GenerativePolicy(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="velocity"):
             gmpg_loss(noisy, noisy, LinearCritic(), np.zeros((2, 1)),
-                      GmpgConfig(t_train=4), np.random.default_rng(1))
+                      TrainingConfig(t_train=4), np.random.default_rng(1))
 
     def test_normalizer_must_match(self):
         a = small_policy(seed=1)
@@ -326,7 +334,7 @@ class TestGmpg:
         b.action_mean = b.action_mean + 1.0
         with pytest.raises(ValueError, match="normalizer"):
             gmpg_loss(a, b, LinearCritic(), np.zeros((2, 1)),
-                      GmpgConfig(t_train=4), np.random.default_rng(0))
+                      TrainingConfig(t_train=4), np.random.default_rng(0))
 
     def test_self_kl_is_zero_in_expectation(self, bandit_setup):
         # beta = 0 and pi == mu: per-sample values are a stochastic
@@ -335,8 +343,8 @@ class TestGmpg:
         _, _, behavior = bandit_setup
         pol = copy_policy(behavior)
         behavior.model.freeze()
-        cfg = GmpgConfig(beta=0.0, t_train=16, scheme="rk4_38",
-                         trace=TraceMode("hutchinson", 1), steps=1, batch_size=256)
+        cfg = TrainingConfig(beta=0.0, t_train=16, gmpg_scheme="rk4_38", trace="hutchinson",
+                             n_probes=1, gmpg_steps=1, gmpg_batch_size=256)
         vals = gmpg_per_sample(pol, behavior, LinearCritic(), np.zeros((256, 1)),
                                cfg, np.random.default_rng(30))
         mean = float(vals.data.mean())
@@ -349,8 +357,8 @@ class TestGmpg:
         pol = GenerativePolicy(cfg_p, np.random.default_rng(31))
         mu = copy_policy(pol)
         mu.model.freeze()
-        cfg = GmpgConfig(beta=1.0, t_train=10, scheme="euler", trace=TraceMode("exact"),
-                         batch_size=4)
+        cfg = TrainingConfig(beta=1.0, t_train=10, gmpg_scheme="euler", trace="exact",
+                             gmpg_batch_size=4)
         states = np.zeros((4, 1))
         err = param_grad_check(
             lambda: gmpg_loss(pol, mu, LinearCritic(), states, cfg, np.random.default_rng(32)),
@@ -360,8 +368,8 @@ class TestGmpg:
     def test_tilted_bandit_converges_and_kl_decreases(self, bandit_setup):
         ds, target, behavior = bandit_setup
         pol = copy_policy(behavior)
-        cfg = GmpgConfig(beta=1.0, t_train=24, scheme="euler", trace=TraceMode("exact"),
-                         steps=240, batch_size=192, lr=3e-4)
+        cfg = TrainingConfig(beta=1.0, t_train=24, gmpg_scheme="euler", trace="exact",
+                             gmpg_steps=240, gmpg_batch_size=192, gmpg_lr=3e-4)
         kls = []
 
         def track(step, metrics):
@@ -385,8 +393,8 @@ class TestGmpg:
         _, _, behavior = bandit_setup
         pol = copy_policy(behavior)
         behavior.model.freeze()
-        cfg = GmpgConfig(beta=0.0, t_train=12, scheme="euler", trace=TraceMode("exact"),
-                         batch_size=64, variant="static")
+        cfg = TrainingConfig(beta=0.0, t_train=12, gmpg_scheme="euler", trace="exact",
+                             gmpg_batch_size=64, variant="static")
         zero_grad(pol.parameters())
         surr = gmpg_static_surrogate(pol, behavior, LinearCritic(), np.zeros((64, 1)),
                                      cfg, np.random.default_rng(40))
@@ -399,14 +407,15 @@ class TestGmpg:
         behavior = small_policy(seed=25, hidden=(8,))
         critic = CountingCritic()
         gmpg_static_surrogate(copy_policy(behavior), behavior, critic, np.zeros((4, 1)),
-                              GmpgConfig(t_train=2, variant="static"), np.random.default_rng(26))
+                              TrainingConfig(t_train=2, variant="static"),
+                              np.random.default_rng(26))
         assert len(critic.q_actions) == 1
 
     def test_static_variant_moves_toward_target(self, bandit_setup):
         ds, _, behavior = bandit_setup
         pol = copy_policy(behavior)
-        cfg = GmpgConfig(beta=1.0, t_train=16, scheme="euler", trace=TraceMode("exact"),
-                         steps=150, batch_size=128, lr=3e-4, variant="static")
+        cfg = TrainingConfig(beta=1.0, t_train=16, gmpg_scheme="euler", trace="exact",
+                             gmpg_steps=150, gmpg_batch_size=128, gmpg_lr=3e-4, variant="static")
         train_gmpg(ds, LinearCritic(), pol, behavior, cfg, np.random.default_rng(41))
         samples = pol.sample_actions(np.zeros((2048, 1)), np.random.default_rng(42))
         assert samples.mean() > 0.5
@@ -517,7 +526,7 @@ def test_gmpg_euler_stage_records_one_node_per_network_call(scheme, per_step):
     # 2 (4 * 3 + 6 + 8) for rk4_38; the separate rows, sign, multiply and
     # add nodes of ``oracles.unfused_stages`` read 18, 24 and 96. Q(s, a)
     # is one node.
-    from genpolicy.critic import Critic, CriticConfig
+    from genpolicy.critic import Critic, CriticConfig, train_critic
     behavior = small_policy(seed=75, hidden=(8, 8), action_dim=2)
     policy = copy_policy(behavior)
     critic = Critic(1, 2, CriticConfig(hidden=(8, 8)), np.random.default_rng(76))
@@ -526,7 +535,7 @@ def test_gmpg_euler_stage_records_one_node_per_network_call(scheme, per_step):
 
     def nodes(t_train):
         return recorded_nodes(gmpg_loss(policy, behavior, critic, np.zeros((4, 1)),
-                                        GmpgConfig(t_train=t_train, scheme=scheme),
+                                        TrainingConfig(t_train=t_train, gmpg_scheme=scheme),
                                         np.random.default_rng(77)))
 
     assert nodes(2) - nodes(1) == per_step
@@ -571,7 +580,8 @@ def _stage_paths(scheme, mode, head, d):
             p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
         behavior.model.freeze()
         for loss_fn, variant in ((gmpg_loss, "dynamic"), (gmpg_static_surrogate, "static")):
-            config = GmpgConfig(t_train=3, scheme=scheme, trace=mode, variant=variant)
+            config = TrainingConfig(t_train=3, gmpg_scheme=scheme, trace=mode.kind,
+                                    n_probes=mode.n_probes, variant=variant)
             loss = loss_fn(policy, behavior, LinearCritic(), cond, config, np.random.default_rng(87))
             loss.backward()
             out += [loss.data] + [p.grad for p in policy.parameters()]
@@ -603,7 +613,7 @@ class TestGmpgMemory:
         def peak(steps):
             behavior = small_policy(seed=70, hidden=(32, 32), action_dim=2)
             policy = copy_policy(behavior)
-            cfg = GmpgConfig(t_train=8, steps=steps, batch_size=64, lr=1e-3)
+            cfg = TrainingConfig(t_train=8, gmpg_steps=steps, gmpg_batch_size=64, gmpg_lr=1e-3)
             return _traced_peak(lambda: train_gmpg(ds, LinearCritic(), policy, behavior, cfg,
                                                    np.random.default_rng(74)))
 
@@ -619,7 +629,7 @@ class TestGmpgMemory:
         # gradient (a trace's rows pass fills it before the network's reverse
         # rule runs; both unrolls) and the walk's topological list.
         batch, hidden, k, t_train = 64, (32, 32), 2, 8
-        policy, loss_fn = _gmpg_setup(batch, hidden, k, GmpgConfig(t_train=t_train))
+        policy, loss_fn = _gmpg_setup(batch, hidden, k, TrainingConfig(t_train=t_train))
         tracemalloc.start()
         try:
             loss = loss_fn()
@@ -636,12 +646,13 @@ class TestGmpgMemory:
         assert peak <= held + 8 * (call + params + stages) + 256 * recorded_nodes(loss), (peak, held)
 
     @pytest.mark.parametrize("batch, hidden, action_dim, config", [
-        (64, (32, 32), 2, GmpgConfig(t_train=4)),
-        (48, (48, 48, 48), 1, GmpgConfig(t_train=2, scheme="rk4_38", variant="static",
-                                         trace=TraceMode("hutchinson", 3))),
-        (96, (48, 48), 2, GmpgConfig(t_train=3, scheme="midpoint")),
-        (256, (64, 64), 2, GmpgConfig(t_train=8)),  # gmpg-bandit's shapes at a shorter unroll
-        (128, (64, 64, 64), 2, GmpgConfig(t_train=4)),  # the paper's depth, where the rebuild saves most
+        (64, (32, 32), 2, TrainingConfig(t_train=4)),
+        (48, (48, 48, 48), 1, TrainingConfig(t_train=2, gmpg_scheme="rk4_38", variant="static",
+                                             trace="hutchinson", n_probes=3)),
+        (96, (48, 48), 2, TrainingConfig(t_train=3, gmpg_scheme="midpoint")),
+        (256, (64, 64), 2, TrainingConfig(t_train=8)),  # gmpg-bandit's shapes at a shorter unroll
+        # the paper's depth, where the rebuild saves most
+        (128, (64, 64, 64), 2, TrainingConfig(t_train=4)),
     ])
     def test_tape_estimate_within_a_quarter(self, batch, hidden, action_dim, config):
         # measured as the bytes the built loss holds, closure-held arrays included
@@ -659,9 +670,9 @@ class TestGmpgMemory:
     def test_default_config_tape_under_half_a_gib(self, action_dim):
         # the shipped defaults: batch 512, 256x3, t_train=1000, euler, exact
         # trace, dynamic; with every hidden row kept it read 5.9 and 6.1 GiB
-        config = GmpgConfig()
+        config = TrainingConfig()
         policy = GenerativePolicy(PolicyConfig(action_dim=action_dim), np.random.default_rng(0))
-        assert gmpg_tape_bytes(policy, config, config.batch_size) <= 2**29
+        assert gmpg_tape_bytes(policy, config, config.gmpg_batch_size) <= 2**29
 
 
 class TestGmpgConvergenceInT:
@@ -675,7 +686,8 @@ class TestGmpgConvergenceInT:
     def test_loss_and_gradient_converge_at_the_scheme_order(self, scheme, order):
         losses, grads = [], []
         for t_train in (8, 16, 32, 64):
-            policy, loss_fn = _gmpg_setup(16, (16, 16), 2, GmpgConfig(t_train=t_train, scheme=scheme))
+            policy, loss_fn = _gmpg_setup(16, (16, 16), 2,
+                                          TrainingConfig(t_train=t_train, gmpg_scheme=scheme))
             loss = loss_fn()
             loss.backward()
             losses.append(float(loss.data))

@@ -4,10 +4,13 @@ kernel that drifts from a reference, must fail here rather than in a
 benchmark run. Likewise the experiment configs and their runner must fail
 here, at a tiny size, rather than minutes into a full-size run."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -73,6 +76,69 @@ def test_readme_cli_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"the README's `genpolicy {shlex.join(argv)}` does not parse")
+
+
+# A backticked dotted name: module.attr, Class.method, section.key (with an
+# optional =value), section.*, or a file name; a trailing () is allowed.
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.(?:[A-Za-z_]\w*|\*))+(?:\(\))?(?:=\S*)?")
+
+
+def readme_dotted_names(text: str) -> list[str]:
+    """Every distinct backticked dotted name in ``text``, sorted."""
+    return sorted({span for span in re.findall(r"`([^`\n]+)`", text) if DOTTED.fullmatch(span)})
+
+
+def written_files() -> set[str]:
+    """Every file or directory name a stage or the experiment runner
+    writes: the file-name literals of ``cli.py`` and the runner's labels."""
+    cli_py = TRACING.parents[1] / "src" / "genpolicy" / "cli.py"
+    tree = ast.parse(cli_py.read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch(r"[\w-]+\.[a-z]{3,}", node.value)}
+    return literals | set(RUNNER_FILES)
+
+
+def resolves(name: str, modules: dict, files: set[str]) -> bool:
+    """Whether ``name`` is an INI key of ``ExperimentConfig`` (or a whole
+    section, ``section.*``), a repository or stage-written file, or an
+    attribute path from a ``genpolicy`` module, one of its module
+    attributes (a class), or an importable module."""
+    from genpolicy.config import ExperimentConfig
+    name = re.sub(r"(\(\)|=\S*)$", "", name)
+    head, _, key = name.partition(".")
+    section = getattr(ExperimentConfig(), head, None)
+    if section is not None and key in {"*", *(f.name for f in dataclasses.fields(section))}:
+        return True
+    if name in files:
+        return True
+    parts = name.split(".")
+    owners = [modules[head]] if head in modules else []
+    owners += [getattr(m, head) for m in modules.values() if hasattr(m, head)]
+    external = {"np": "numpy"}.get(head, head)
+    if not owners and importlib.util.find_spec(external) is not None:
+        owners.append(importlib.import_module(external))
+    for obj in owners:
+        for attr in parts[1:]:
+            obj = getattr(obj, attr, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_dotted_names_resolve():
+    # a renamed or deleted function, key or file, left in the docs, fails here
+    import genpolicy
+    modules = {"genpolicy": genpolicy}
+    modules.update({info.name: importlib.import_module(f"genpolicy.{info.name}")
+                    for info in pkgutil.iter_modules(genpolicy.__path__)})
+    root = TRACING.parents[1]
+    files = written_files() | {p.name for p in root.iterdir() if p.is_file()}
+    files |= {p.name for d in ("src", "tests", "scripts", "perfbench")
+              for p in (root / d).rglob("*") if p.is_file() and "out" not in p.relative_to(root).parts}
+    names = readme_dotted_names((root / "README.md").read_text(encoding="utf-8"))
+    assert len(names) >= 50
+    assert [name for name in names if not resolves(name, modules, files)] == []
 
 
 @pytest.mark.parametrize("ini", EXPERIMENTS, ids=lambda p: p.name)
